@@ -1,8 +1,9 @@
 """Geometric attributes of fuzzy numbers and the pairwise feature vector.
 
-Attributes are derived from the canonical region list alone. The feature
-vector compares two fuzzy numbers on a shared scale and normalizes every
-component into [0, 1]; identical inputs yield the all-zero vector.
+Attributes are derived from the region list and the step profile stored on
+each fuzzy number. The feature vector compares two fuzzy numbers on a shared
+scale and normalizes every component into [0, 1]; identical inputs yield the
+all-zero vector.
 """
 
 from __future__ import annotations
@@ -87,22 +88,6 @@ def _components(regions: tuple[Region, ...]) -> list[list[Region]]:
     return components
 
 
-def _component_perimeter(component: list[Region]) -> float:
-    start_height = {r.left: r.height for r in component if not r.is_line}
-    end_height = {r.right: r.height for r in component if not r.is_line}
-    spike_height = {r.left: r.height for r in component if r.is_line}
-    left_edge = component[0].left
-    right_edge = max(r.right for r in component)
-    xs = sorted({r.left for r in component} | {r.right for r in component})
-    vertical = 0.0
-    for x in xs:
-        left_h = end_height.get(x, 0.0)
-        right_h = start_height.get(x, 0.0)
-        top = max(left_h, right_h, spike_height.get(x, 0.0))
-        vertical += (top - left_h) + (top - right_h)
-    return 2 * (right_edge - left_edge) + vertical
-
-
 def perimeter(fz: FuzzyNumber) -> float:
     """Length of the geometric outline of the profile, baseline included.
 
@@ -113,7 +98,16 @@ def perimeter(fz: FuzzyNumber) -> float:
     drop to zero at the right edge. An isolated line region contributes twice
     its height.
     """
-    return sum(_component_perimeter(c) for c in _components(fz.regions))
+    xs, points, segments = fz.profile
+    total = 0.0
+    for i, x in enumerate(xs):
+        left, top, right = segments[i], points[i], segments[i + 1]
+        if left == 0:
+            edge, vertical = x, 0.0
+        vertical += (top - left) + (top - right)
+        if right == 0:
+            total += 2 * (x - edge) + vertical
+    return total
 
 
 def membership_polyline(fz: FuzzyNumber) -> list[tuple[float, float]]:
@@ -123,20 +117,14 @@ def membership_polyline(fz: FuzzyNumber) -> list[tuple[float, float]]:
     interior breakpoints emit nothing. Feeding the vertices to a line plot
     redraws the membership function.
     """
+    xs, points, segments = fz.profile
     vertices: list[tuple[float, float]] = []
-    for component in _components(fz.regions):
-        start_height = {r.left: r.height for r in component if not r.is_line}
-        end_height = {r.right: r.height for r in component if not r.is_line}
-        spike_height = {r.left: r.height for r in component if r.is_line}
-        xs = sorted({r.left for r in component} | {r.right for r in component})
-        for x in xs:
-            left_h = end_height.get(x, 0.0)
-            right_h = start_height.get(x, 0.0)
-            spike = spike_height.get(x, 0.0)
-            if spike > max(left_h, right_h):
-                vertices += [(x, left_h), (x, spike), (x, right_h)]
-            elif left_h != right_h:
-                vertices += [(x, left_h), (x, right_h)]
+    for i, x in enumerate(xs):
+        left, top, right = segments[i], points[i], segments[i + 1]
+        if top > max(left, right):
+            vertices += [(x, left), (x, top), (x, right)]
+        elif left != right:
+            vertices += [(x, left), (x, right)]
     return vertices
 
 

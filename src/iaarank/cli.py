@@ -8,6 +8,8 @@ ranking (zero similarity to both ideals under the overlap measure).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from importlib.resources import files
@@ -124,8 +126,12 @@ def _json_lines(records) -> str:
     return "".join(json.dumps(record) + "\n" for record in records)
 
 
-def _csv_text(header: str, rows) -> str:
-    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def cmd_build(args) -> str:
@@ -145,7 +151,7 @@ def cmd_build(args) -> str:
             for r in records
             for l, rt, h in r["regions"]
         ]
-        return _csv_text("alternative,criterion,left,right,height", rows)
+        return _csv_text(("alternative", "criterion", "left", "right", "height"), rows)
     return _json_lines(records)
 
 
@@ -176,8 +182,9 @@ def cmd_attributes(args) -> str:
             for r in records
         ]
         header = (
-            "alternative,criterion,q1,q2,q3,q4,q5,centroid_x,centroid_y,"
-            "area,height,perimeter,agreement_ratio"
+            "alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
+            "centroid_x", "centroid_y", "area", "height", "perimeter",
+            "agreement_ratio",
         )
         return _csv_text(header, rows)
     return _json_lines(records)
@@ -201,7 +208,7 @@ def cmd_similarity(args) -> str:
             rows = [
                 (label, *(repr(v) for v in row)) for label, row in zip(labels, matrix)
             ]
-            return _csv_text("label," + ",".join(labels), rows)
+            return _csv_text(("label", *labels), rows)
         width = max(len(label) for label in labels)
         lines = [" " * width + "  " + "  ".join(f"{label:>6}" for label in labels)]
         for label, row in zip(labels, matrix):
@@ -221,7 +228,7 @@ def cmd_similarity(args) -> str:
             {"measure": args.measure, "a": first, "b": second, "similarity": value}
         )
     if args.format == "csv":
-        return _csv_text("a,b,measure,similarity",
+        return _csv_text(("a", "b", "measure", "similarity"),
                          [(first, second, args.measure, repr(value))])
     return f"{value:.4f}\n"
 
@@ -238,7 +245,7 @@ def _render_ranking(result, fmt: str) -> str:
             )
             for e in result.entries
         ]
-        return _csv_text("label,score,rank", rows)
+        return _csv_text(("label", "score", "rank"), rows)
     width = max(len(e.label) for e in result.entries)
     lines = [f"{'label':<{width}}  {'score':>8}  rank"]
     for e in result.entries:
@@ -306,7 +313,9 @@ def cmd_topsis(args) -> str:
             )
             for e in result.entries
         ]
-        return _csv_text("label,d_plus,d_minus,closeness,rank,degenerate", rows)
+        return _csv_text(
+            ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate"), rows
+        )
     lines = []
     for ideal in result.ideals:
         note = " (degenerate)" if ideal.degenerate else ""
@@ -333,7 +342,7 @@ def cmd_plotdata(args) -> str:
             fz = construct_fuzzy(dataset.cell(alternative, criterion), dataset.scale)
             for x, mu in membership_polyline(fz):
                 rows.append((alternative, criterion, _plain(x), _plain(mu)))
-    return _csv_text("alternative,criterion,x,mu", rows)
+    return _csv_text(("alternative", "criterion", "x", "mu"), rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:

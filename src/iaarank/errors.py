@@ -9,19 +9,23 @@ class MalformedInterval(IaaRankError):
     """Interval text or bounds that cannot form a valid interval."""
 
 
-class InvertedBounds(IaaRankError):
-    """Interval whose left bound exceeds its right bound."""
-
-
-class MalformedRow(IaaRankError):
-    """Dataset row or header that cannot be parsed."""
+class _RowError(IaaRankError):
+    """Error in dataset input; line is the 1-based line or JSON row, if known."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
 
 
-class OutOfScale(IaaRankError):
+class InvertedBounds(_RowError):
+    """Interval whose left bound exceeds its right bound."""
+
+
+class MalformedRow(_RowError):
+    """Dataset row or header that cannot be parsed."""
+
+
+class OutOfScale(_RowError):
     """Interval bound outside the configured measurement scale."""
 
 

@@ -6,15 +6,26 @@ can carry isolated spikes where point coverage exceeds the surrounding
 plateaus (several intervals sharing a bound, or point intervals). The
 canonical representation stores one (left, right, height) region per
 constant-membership stretch plus zero-width line regions for the spikes,
-ordered by position. Membership is recovered from the region list by taking
-the maximum height over regions containing x.
+ordered by position; membership at x is the maximum height over the regions
+containing x.
+
+Every fuzzy number also keeps its step profile, derived from the regions in
+one sweep: the sorted breakpoints (region bounds), the membership at each
+breakpoint, and the membership on each open stretch between them, padded
+with the zero outside the support at both ends. Membership is resolved by
+one bisection: the point height on an exact breakpoint hit, else the height
+of the stretch the bisection lands in. Construction takes the same profile
+from a running count of open intervals over the sorted bounds, so it costs
+O(n log n) for n intervals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Sequence
 
 from .errors import ScaleMismatch
 from .intervals import IntervalSet, ScaleConfig
@@ -56,56 +67,58 @@ def membership_at(interval_set: IntervalSet, x: float) -> float:
 
 
 def _assemble_regions(
-    xs: Sequence[float],
-    point_heights: Sequence[float],
-    segment_heights: Sequence[float],
+    xs: Sequence[float], points: Sequence[float], segments: Sequence[float]
 ) -> tuple[Region, ...]:
-    """Emit the canonical region list from a sampled membership profile.
+    """Emit the canonical region list of a step profile.
 
-    xs are the sorted breakpoints; point_heights the membership at each
-    breakpoint; segment_heights the membership on each open segment between
-    consecutive breakpoints. A line region is emitted only where the point
-    membership exceeds both neighbouring segment heights (missing segments
-    count as zero), so redundant spikes vanish. Adjacent equal-height
-    segments merge when the membership at their shared breakpoint equals
-    that height, which keeps the list maximal.
+    xs are the sorted breakpoints and points the membership at each of them;
+    segments[i] is the membership on the open stretch left of xs[i], with
+    segments[len(xs)] right of the last breakpoint (zero outside the support).
+    A line region is emitted only where the point membership exceeds both
+    neighbouring segments, so redundant spikes vanish. A segment extends the
+    previous one when both have the height of the breakpoint they share,
+    which keeps the list maximal.
     """
     regions: list[Region] = []
-    last = len(xs) - 1
     for i, x in enumerate(xs):
-        left_h = segment_heights[i - 1] if i > 0 else 0.0
-        right_h = segment_heights[i] if i < last else 0.0
-        point = point_heights[i]
-        if point > left_h and point > right_h:
+        left, point, right = segments[i], points[i], segments[i + 1]
+        if point > left and point > right:
             regions.append(Region(x, x, point))
-        if i < last and segment_heights[i] > 0:
-            regions.append(Region(x, xs[i + 1], segment_heights[i]))
-
-    point_at = dict(zip(xs, point_heights))
-    merged: list[Region] = []
-    for region in regions:
-        previous = merged[-1] if merged else None
-        if (
-            previous is not None
-            and not previous.is_line
-            and not region.is_line
-            and previous.right == region.left
-            and previous.height == region.height
-            and point_at.get(region.left) == region.height
-        ):
-            merged[-1] = Region(previous.left, region.right, region.height)
+        if right == 0:
+            continue
+        if point == left == right:
+            regions[-1] = Region(regions[-1].left, xs[i + 1], right)
         else:
-            merged.append(region)
-    return tuple(merged)
+            regions.append(Region(x, xs[i + 1], right))
+    return tuple(regions)
 
 
-def _profile_regions(
-    breakpoints: Sequence[float], mu: Callable[[float], float]
-) -> tuple[Region, ...]:
-    xs = list(breakpoints)
-    point_heights = [mu(x) for x in xs]
-    segment_heights = [mu((xs[i] + xs[i + 1]) / 2) for i in range(len(xs) - 1)]
-    return _assemble_regions(xs, point_heights, segment_heights)
+def _region_profile(regions: Sequence[Region]) -> tuple[tuple[float, ...], ...]:
+    """Step profile (breakpoints, points, segments) of regions sorted by left.
+
+    One sweep over the distinct bounds keeps the regions reaching the current
+    breakpoint in a heap ordered by height; the tallest one still containing
+    the breakpoint gives the point membership, and the tallest one reaching
+    past it gives the segment to its right. Overlapping regions resolve by
+    the maximum-height rule.
+    """
+    xs = sorted({r.left for r in regions} | {r.right for r in regions})
+    points: list[float] = []
+    segments = [0.0]
+    active: list[tuple[float, float]] = []  # (-height, right)
+    pending = iter(regions)
+    region = next(pending, None)
+    for x in xs:
+        while region is not None and region.left <= x:
+            heappush(active, (-region.height, region.right))
+            region = next(pending, None)
+        while active[0][1] < x:
+            heappop(active)
+        points.append(-active[0][0])
+        while active and active[0][1] <= x:
+            heappop(active)
+        segments.append(-active[0][0] if active else 0.0)
+    return tuple(xs), tuple(points), tuple(segments)
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,12 @@ class FuzzyNumber:
             if previous_segment_right is not None and region.left < previous_segment_right:
                 raise ValueError("segment regions must have disjoint interiors")
             previous_segment_right = region.right
-        object.__setattr__(self, "_lefts", tuple(r.left for r in self.regions))
+        object.__setattr__(self, "_profile", _region_profile(self.regions))
+
+    @property
+    def profile(self) -> tuple[tuple[float, ...], ...]:
+        """(breakpoints, points, segments) as described in the module docstring."""
+        return self._profile
 
     @property
     def support_min(self) -> float:
@@ -148,21 +166,13 @@ class FuzzyNumber:
 
     @property
     def support_max(self) -> float:
-        return max(r.right for r in self.regions)
+        return self._profile[0][-1]
 
     def membership(self, x: float) -> float:
         """Maximum region height at x; 0 outside every region."""
-        index = bisect_right(self._lefts, x)
-        best = 0.0
-        for i in range(index - 1, -1, -1):
-            region = self.regions[i]
-            if region.right >= x:
-                if region.height > best:
-                    best = region.height
-            elif not region.is_line:
-                # A segment entirely left of x shields all earlier regions.
-                break
-        return best
+        xs, points, segments = self._profile
+        i = bisect_left(xs, x)
+        return points[i] if i < len(xs) and xs[i] == x else segments[i]
 
     def to_dict(self) -> dict:
         return {
@@ -189,21 +199,31 @@ def construct_fuzzy(
 ) -> FuzzyNumber:
     """Build the canonical fuzzy number of an interval set.
 
-    Breakpoints are the distinct interval bounds. Each open segment between
-    consecutive breakpoints gets the membership of its midpoint (membership
-    is constant there: no bound lies inside); each breakpoint gets its
-    direct-count membership, stored as a line region only where it exceeds
-    the neighbouring plateaus. The reconstruction
+    Breakpoints are the distinct interval bounds. One sweep over them keeps
+    the count of intervals covering the sweep position: the intervals that
+    start at a breakpoint join the count before its point membership is
+    taken, and those that end there leave it before the membership of the
+    next open segment is taken. The reconstruction
     ``max height over regions containing x`` then equals the direct count
     at every real x.
     """
     interval_set.validate_scale(scale)
+    starts = Counter(iv.left for iv in interval_set.intervals)
+    ends = Counter(iv.right for iv in interval_set.intervals)
     xs = interval_set.endpoints()
-    regions = _profile_regions(xs, lambda x: membership_at(interval_set, x))
+    n = interval_set.n
+    points: list[float] = []
+    segments = [0.0]
+    covering = 0
+    for x in xs:
+        covering += starts[x]
+        points.append(covering / n)
+        covering -= ends[x]
+        segments.append(covering / n)
     return FuzzyNumber(
-        regions=regions,
+        regions=_assemble_regions(xs, points, segments),
         endpoints=xs,
-        n=interval_set.n,
+        n=n,
         scale=scale,
         label=interval_set.label if label is None else label,
     )
@@ -215,22 +235,10 @@ def canonicalize(regions: Iterable[Region]) -> tuple[Region, ...]:
     Idempotent: applying it to an already-canonical list returns an equal
     list. Membership under the max-resolution rule is preserved exactly.
     """
-    regs = sorted(regions, key=lambda r: (r.left, r.right))
+    regs = sorted(regions, key=lambda r: r.left)
     if not regs:
         return ()
-
-    def mu(x: float) -> float:
-        best = 0.0
-        for region in regs:
-            if region.left <= x <= region.right and region.height > best:
-                best = region.height
-        return best
-
-    points: set[float] = set()
-    for region in regs:
-        points.add(region.left)
-        points.add(region.right)
-    return _profile_regions(sorted(points), mu)
+    return _assemble_regions(*_region_profile(regs))
 
 
 def evaluation_points(a: FuzzyNumber, b: FuzzyNumber) -> tuple[float, ...]:

@@ -262,6 +262,12 @@ def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
                 f"{path} row {index}: expected keys {', '.join(DATASET_HEADER)}",
                 line=index,
             )
+        if isinstance(entry["left"], bool) or isinstance(entry["right"], bool):
+            raise MalformedRow(
+                f"{path} row {index}: bounds must be numbers, got "
+                f"({entry['left']!r}, {entry['right']!r})",
+                line=index,
+            )
         rows.append((index, {key: entry[key] for key in DATASET_HEADER}))
     return rows
 
@@ -302,13 +308,14 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
         try:
             interval = Interval(left, right)
         except InvertedBounds as exc:
-            raise InvertedBounds(f"{path} line {line_no}: {exc}") from exc
+            raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
         except MalformedInterval as exc:
             raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
         if not scale.covers(interval):
             raise OutOfScale(
                 f"{path} line {line_no}: interval {interval} outside scale "
-                f"[{scale.scale_min}, {scale.scale_max}]"
+                f"[{scale.scale_min}, {scale.scale_max}]",
+                line=line_no,
             )
         if alternative not in alternatives:
             alternatives.append(alternative)

@@ -37,18 +37,23 @@ def count_membership(pairs, x):
 
 
 def brute_regions(pairs):
-    """Canonical (left, right, height) triples sampled from the count profile."""
+    """Canonical (left, right, height) triples of the count profile.
+
+    The open stretch between neighbouring bounds a < b counts the intervals
+    covering all of [a, b]; no float midpoint is sampled, because between
+    adjacent doubles the midpoint rounds onto a bound.
+    """
     n = len(pairs)
     bounds = sorted({value for pair in pairs for value in pair})
 
-    def hits(x):
-        return sum(1 for left, right in pairs if left <= x <= right)
+    def hits(a, b):
+        return sum(1 for left, right in pairs if left <= a and b <= right)
 
     triples = []
     for i, x in enumerate(bounds):
-        left = hits((bounds[i - 1] + x) / 2) if i else 0
-        right = hits((x + bounds[i + 1]) / 2) if i + 1 < len(bounds) else 0
-        point = hits(x)
+        left = hits(bounds[i - 1], x) if i else 0
+        right = hits(x, bounds[i + 1]) if i + 1 < len(bounds) else 0
+        point = hits(x, x)
         if point > left and point > right:
             triples.append((x, x, point / n))
         if i + 1 < len(bounds) and right:

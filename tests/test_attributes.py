@@ -118,6 +118,10 @@ class TestPerimeter:
     def test_film_b(self, film_numbers):
         assert perimeter(film_numbers["Film B"]) == pytest.approx(8.0)
 
+    def test_spike_inside_segment(self):
+        # rise 0.5, spike 0.5 -> 0.8 -> 0.5, drop 0.5, plus twice the span 4
+        assert perimeter(fn([(0, 4, 0.5), (2, 2, 0.8)])) == pytest.approx(9.6)
+
     def test_film_h(self, film_numbers):
         assert perimeter(film_numbers["Film H"]) == pytest.approx(20.0)
 
@@ -249,6 +253,17 @@ class TestPolyline:
             (0, 0.5),
             (2, 0.5),
             (2, 0),
+        ]
+
+    def test_spike_inside_segment(self):
+        assert membership_polyline(fn([(0, 4, 0.5), (2, 2, 0.8)])) == [
+            (0, 0),
+            (0, 0.5),
+            (2, 0.5),
+            (2, 0.8),
+            (2, 0.5),
+            (4, 0.5),
+            (4, 0),
         ]
 
     def test_film_h_leading_vertices(self, film_numbers):

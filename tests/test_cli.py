@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -70,6 +72,15 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--input", path,
                            "--scale-min", "1", "--scale-max", "10")
         assert code == 3
+
+    def test_boolean_json_bound_exits_2_naming_row(self, capsys, tmp_path):
+        path = tmp_path / "b.json"
+        row = {"alternative": "A", "criterion": "c", "source": "s", "right": 2}
+        path.write_text(json.dumps([{**row, "left": True}]), encoding="utf-8")
+        code, _, err = run(capsys, "build", "--input", str(path),
+                           "--scale-min", "1", "--scale-max", "10")
+        assert code == 2
+        assert f"{path} row 1" in err
 
     def test_unparseable_row_exits_2(self, capsys, tmp_path):
         path = write_rows(tmp_path / "p.csv", "A,c,s,one,2\n")
@@ -283,3 +294,49 @@ class TestDeterminismAndOutput:
         for line in out.splitlines()[1:]:
             score = line.split()[2]
             assert len(score.split(".")[1]) == 4
+
+
+class TestCsvRoundTrip:
+    ALTERNATIVES = ("Acme, Inc.", 'The "Best" One', "Line\nBreak")
+    CRITERIA = ("price, net", 'say "hi"')
+    ALTS, CRITS = set(ALTERNATIVES), set(CRITERIA)
+    # argv after the subcommand, and the label set expected in each label column
+    CASES = {
+        "build": ((), {0: ALTS, 1: CRITS}),
+        "attributes": ((), {0: ALTS, 1: CRITS}),
+        "similarity-matrix": (("--matrix", "--criterion", CRITERIA[0]), {0: ALTS}),
+        "similarity-pair": (
+            (*ALTERNATIVES[:2], "--criterion", CRITERIA[0]),
+            {0: {ALTERNATIVES[0]}, 1: {ALTERNATIVES[1]}},
+        ),
+        "rank": (("--method", "ideal-ratio", "--criterion", CRITERIA[1]), {0: ALTS}),
+        "topsis": ((), {0: ALTS}),
+        "plotdata": ((), {0: ALTS, 1: CRITS}),
+    }
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("alternative", "criterion", "source", "left", "right"))
+        for a, alternative in enumerate(self.ALTERNATIVES):
+            for c, criterion in enumerate(self.CRITERIA):
+                writer.writerow((alternative, criterion, "s1", 1 + a, 3 + a + c))
+                writer.writerow((alternative, criterion, "s2", 2 + a, 2 + a + c))
+        path = tmp_path / "labels.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_labels_survive_csv_reader(self, capsys, dataset, case):
+        args, label_columns = self.CASES[case]
+        command = case.split("-")[0]
+        code, out, err = run(capsys, command, *args, "--input", dataset,
+                             "--scale-min", "0", "--scale-max", "10", "--format", "csv")
+        assert code == 0, err
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert rows and all(len(row) == len(header) for row in rows)
+        for column, expected in label_columns.items():
+            assert {row[column] for row in rows} == expected
+        if case == "similarity-matrix":
+            assert header[1:] == list(self.ALTERNATIVES)

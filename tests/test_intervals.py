@@ -199,15 +199,17 @@ class TestLoadDataset:
             load_dataset(path, film_scale)
 
     def test_out_of_scale(self, tmp_path, film_scale):
-        path = write_csv(tmp_path / "o.csv", "A,c,s,1,11\n")
-        with pytest.raises(OutOfScale):
+        path = write_csv(tmp_path / "o.csv", "A,c,s,1,2\nA,c,t,1,11\n")
+        with pytest.raises(OutOfScale) as excinfo:
             load_dataset(path, film_scale)
+        assert excinfo.value.line == 3
 
     def test_inverted_row_names_line(self, tmp_path, film_scale):
         path = write_csv(tmp_path / "i.csv", "A,c,s,1,2\nA,c,t,7,3\n")
         with pytest.raises(InvertedBounds) as excinfo:
             load_dataset(path, film_scale)
         assert "line 3" in str(excinfo.value)
+        assert excinfo.value.line == 3
 
     def test_missing_cell(self, tmp_path, film_scale):
         body = "A,c1,s,1,2\nA,c2,s,1,2\nB,c1,s,1,2\n"
@@ -238,6 +240,22 @@ class TestLoadDataset:
         path.write_text(json.dumps(rows), encoding="utf-8")
         dataset = load_dataset(path, film_scale)
         assert dataset.cell("A", "c").intervals == (Interval(1, 2), Interval(2, 3))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_json_boolean_bound_rejected(self, tmp_path, film_scale, side):
+        import json
+
+        rows = [
+            {"alternative": "A", "criterion": "c", "source": "s1", "left": 1, "right": 2},
+            {"alternative": "A", "criterion": "c", "source": "s2", "left": 1, "right": 2},
+        ]
+        rows[1][side] = True
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_dataset(path, film_scale)
+        assert excinfo.value.line == 2
+        assert f"{path} row 2" in str(excinfo.value)
 
     def test_json_bad_shape(self, tmp_path, film_scale):
         path = tmp_path / "d.json"

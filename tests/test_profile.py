@@ -1,0 +1,95 @@
+"""Differential properties of the step profile against the brute-force oracle."""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iaarank import FuzzyNumber, Region, ScaleConfig, canonicalize, construct_fuzzy
+from iaarank.attributes import membership_polyline, perimeter
+
+import oracle
+from conftest import make_set
+
+WIDE = ScaleConfig(0, 10)
+
+# Quarter-lattice bounds coincide often, so shared endpoints and spikes are
+# common; continuous bounds give the generic case.
+bounds = st.one_of(
+    st.integers(0, 40).map(lambda k: k / 4),
+    st.floats(0, 10, allow_nan=False, allow_infinity=False),
+)
+intervals = st.one_of(
+    st.tuples(bounds, bounds).map(lambda ab: (min(ab), max(ab))),
+    bounds.map(lambda v: (v, v)),
+)
+interval_lists = st.lists(intervals, min_size=1, max_size=200)
+
+heights = st.integers(1, 8).map(lambda k: k / 8)
+half_steps = st.integers(0, 20).map(lambda k: k / 2)
+# Segments may overlap; lines on the same lattice often sit inside segments.
+regions = st.one_of(
+    st.builds(lambda a, b, h: Region(min(a, b), max(a, b), h), half_steps, half_steps, heights),
+    st.builds(lambda x, h: Region(x, x, h), half_steps, heights),
+)
+region_lists = st.lists(regions, min_size=1, max_size=30)
+
+
+def probe_points(xs):
+    """Every breakpoint, every midpoint between neighbours, and points outside."""
+    xs = sorted(xs)
+    return [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:])), xs[0] - 1, xs[-1] + 1]
+
+
+def build(pairs):
+    return construct_fuzzy(make_set("p", pairs), WIDE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists)
+@example([(0.0, 0.0), (5e-324, 5e-324)])  # adjacent doubles: two spikes, no segment
+def test_regions_equal_oracle_bit_exactly(pairs):
+    fz = build(pairs)
+    assert [(r.left, r.right, r.height) for r in fz.regions] == oracle.brute_regions(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists)
+def test_membership_equals_direct_count(pairs):
+    fz = build(pairs)
+    for x in probe_points(fz.endpoints):
+        assert fz.membership(x) == oracle.count_membership(pairs, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists)
+@example([(0.0, 0.0), (5e-324, 5e-324)])
+def test_perimeter_equals_oracle_bit_exactly(pairs):
+    fz = build(pairs)
+    assert perimeter(fz) == oracle.brute_perimeter(oracle.brute_regions(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_lists)
+@example([Region(0, 4, 0.5), Region(2, 2, 0.25)])
+@example([Region(0, 4, 0.5), Region(2, 2, 0.75), Region(1, 3, 0.625)])
+def test_canonicalize_idempotent_and_preserves_membership(regs):
+    canonical = canonicalize(regs)
+    assert canonicalize(canonical) == canonical
+    fz = FuzzyNumber(canonical, endpoints=(), n=1, scale=WIDE)
+    for x in probe_points({b for r in regs for b in (r.left, r.right)}):
+        direct = max((r.height for r in regs if r.left <= x <= r.right), default=0.0)
+        assert fz.membership(x) == direct
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists)
+def test_from_dict_round_trip_keeps_profile(pairs):
+    fz = build(pairs)
+    again = FuzzyNumber.from_dict(json.loads(json.dumps(fz.to_dict())), WIDE)
+    assert again == fz
+    assert again.profile == fz.profile
+    assert perimeter(again) == perimeter(fz)
+    assert membership_polyline(again) == membership_polyline(fz)
+    for x in probe_points(fz.endpoints):
+        assert again.membership(x) == fz.membership(x)
