@@ -20,7 +20,6 @@ from .attributes import (
     perimeter,
     quartile_points,
 )
-from .cli import bundled_path
 from .fuzzy import (
     FuzzyNumber,
     Region,
@@ -34,6 +33,7 @@ from .intervals import (
     IntervalSet,
     MultiCriteriaDataset,
     ScaleConfig,
+    bundled_path,
     format_interval,
     ideal_interval_set,
     load_dataset,
@@ -57,6 +57,7 @@ from .similarity import (
     combined_similarity,
     jaccard,
     measure_similarity,
+    similarity_matrix,
 )
 from .topsis import (
     CriterionIdeals,
@@ -118,6 +119,7 @@ __all__ = [
     "rank_universal",
     "select_ideals",
     "separations",
+    "similarity_matrix",
     "topsis_rank",
     "universal_compare",
     "__version__",

@@ -1,16 +1,17 @@
 """Geometric attributes of fuzzy numbers and the pairwise feature vector.
 
 Attributes are derived from the region list and the step profile stored on
-each fuzzy number. The feature vector compares two fuzzy numbers on a shared
-scale and normalizes every component into [0, 1]; identical inputs yield the
-all-zero vector.
+each fuzzy number. ``attribute_vector`` computes them once per instance, the
+first time they are asked for, and keeps them on that instance; there is no
+global cache, so a number and its attributes are freed together. The feature
+vector compares two fuzzy numbers on a shared scale and normalizes every
+component into [0, 1]; identical inputs yield the all-zero vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, Region, check_same_scale
@@ -191,19 +192,26 @@ def agreement_ratio(fz: FuzzyNumber) -> float:
     return area(fz) / length
 
 
-@lru_cache(maxsize=None)
 def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
-    """All seven attributes of one fuzzy number (cached per value)."""
-    centroid_x, centroid_y = centroid(fz)
-    return AttributeVector(
-        quartiles=quartile_points(fz),
-        centroid_x=centroid_x,
-        centroid_y=centroid_y,
-        area=area(fz),
-        height=height(fz),
-        perimeter=perimeter(fz),
-        agreement_ratio=agreement_ratio(fz),
-    )
+    """All seven attributes of one fuzzy number, computed once per instance.
+
+    The vector is stored on the number as the private non-field attribute
+    ``_attributes``, so equality, hash and ``to_dict`` do not see it.
+    """
+    vector = getattr(fz, "_attributes", None)
+    if vector is None:
+        centroid_x, centroid_y = centroid(fz)
+        vector = AttributeVector(
+            quartiles=quartile_points(fz),
+            centroid_x=centroid_x,
+            centroid_y=centroid_y,
+            area=area(fz),
+            height=height(fz),
+            perimeter=perimeter(fz),
+            agreement_ratio=agreement_ratio(fz),
+        )
+        object.__setattr__(fz, "_attributes", vector)
+    return vector
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from importlib.resources import files
 from pathlib import Path
 
 from .attributes import attribute_vector, membership_polyline
@@ -29,37 +28,21 @@ from .errors import (
 )
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
+    BUNDLED_DATASETS,
     MultiCriteriaDataset,
     ScaleConfig,
+    bundled_path,
     ideal_interval_set,
     load_dataset,
 )
 from .ranking import rank_baseline_mean, rank_by_ideal_ratio, rank_universal
-from .similarity import MEASURES, measure_similarity
+from .similarity import MEASURES, measure_similarity, similarity_matrix
 from .topsis import SEPARATION_MEASURES, DecisionMatrix, topsis_rank
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
-
-BUNDLED_DATASETS = {
-    "films": "films.csv",
-    "synthetic-3x2": "synthetic_3x2.csv",
-}
-
-
-def bundled_path(name: str) -> Path:
-    """Filesystem path of a bundled example dataset ('films', 'synthetic-3x2')."""
-    try:
-        filename = BUNDLED_DATASETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown bundled dataset {name!r}; choose from "
-            f"{sorted(BUNDLED_DATASETS)}"
-        ) from None
-    return Path(str(files("iaarank").joinpath("data", filename)))
-
 
 def _resolve_input(value: str) -> Path:
     if value in BUNDLED_DATASETS:
@@ -196,10 +179,7 @@ def cmd_similarity(args) -> str:
     numbers = {fz.label: fz for fz in _column_numbers(dataset, criterion)}
     if args.matrix:
         labels = list(dataset.alternatives)
-        matrix = [
-            [measure_similarity(args.measure, numbers[a], numbers[b]) for b in labels]
-            for a in labels
-        ]
+        matrix = similarity_matrix(args.measure, [numbers[label] for label in labels])
         if args.format == "json":
             return _json_text(
                 {"measure": args.measure, "labels": labels, "matrix": matrix}

@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from importlib.resources import files
 from pathlib import Path
 from typing import Mapping
 
@@ -28,6 +29,11 @@ from .errors import (
 )
 
 DATASET_HEADER = ("alternative", "criterion", "source", "left", "right")
+
+BUNDLED_DATASETS = {
+    "films": "films.csv",
+    "synthetic-3x2": "synthetic_3x2.csv",
+}
 
 
 @dataclass(frozen=True)
@@ -270,6 +276,18 @@ def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
             )
         rows.append((index, {key: entry[key] for key in DATASET_HEADER}))
     return rows
+
+
+def bundled_path(name: str) -> Path:
+    """Filesystem path of a bundled example dataset ('films', 'synthetic-3x2')."""
+    try:
+        filename = BUNDLED_DATASETS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown bundled dataset {name!r}; choose from "
+            f"{sorted(BUNDLED_DATASETS)}"
+        ) from None
+    return Path(str(files("iaarank").joinpath("data", filename)))
 
 
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:

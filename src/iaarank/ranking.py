@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import groupby
 from typing import Sequence
 
 from .attributes import attribute_vector
@@ -90,27 +91,33 @@ class RankingResult:
         }
 
 
+def competition_ranks(ordered, equal) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Competition ranks of a sorted sequence and its groups of tied positions.
+
+    equal is asked once for each pair of neighbours, in order. An item equal
+    to its predecessor shares its rank; any other item at 0-based position p
+    gets rank p + 1. Every run of two or more equal neighbours is one tie
+    group, listed by position.
+    """
+    ranks: list[int] = []
+    for position, item in enumerate(ordered):
+        if position == 0 or not equal(ordered[position - 1], item):
+            rank = position + 1
+        ranks.append(rank)
+    runs = (tuple(run) for _, run in groupby(range(len(ranks)), key=ranks.__getitem__))
+    return ranks, [run for run in runs if len(run) > 1]
+
+
 def _build_result(method, ordered, scores, equal) -> RankingResult:
     """Assign competition ranks over a sorted list given an equality relation."""
     labeled = [scores(item) for item in ordered]
-    entries = []
-    tie_groups = []
-    rank = 1
-    group_start = 0
-
-    def close_group(end: int) -> None:
-        if end - group_start > 1:
-            tie_groups.append(tuple(labeled[i][0] for i in range(group_start, end)))
-
-    for position, item in enumerate(ordered):
-        if position > 0 and not equal(ordered[position - 1], item):
-            close_group(position)
-            group_start = position
-            rank = position + 1
-        label, score = labeled[position]
-        entries.append(RankingEntry(label=label, score=score, rank=rank))
-    close_group(len(ordered))
-    return RankingResult(method=method, entries=tuple(entries), ties=tuple(tie_groups))
+    ranks, groups = competition_ranks(ordered, equal)
+    entries = tuple(
+        RankingEntry(label=label, score=score, rank=rank)
+        for (label, score), rank in zip(labeled, ranks)
+    )
+    ties = tuple(tuple(labeled[i][0] for i in group) for group in groups)
+    return RankingResult(method=method, entries=entries, ties=ties)
 
 
 def rank_universal(

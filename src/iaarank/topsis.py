@@ -16,7 +16,13 @@ from typing import Mapping, Sequence
 
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import MultiCriteriaDataset, ScaleConfig
-from .ranking import DEFAULT_EPSILON, EQUAL, rank_universal, universal_compare
+from .ranking import (
+    DEFAULT_EPSILON,
+    EQUAL,
+    competition_ranks,
+    rank_universal,
+    universal_compare,
+)
 from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
 
 DIRECTIONS = ("benefit", "cost")
@@ -246,38 +252,23 @@ def topsis_rank(
             return -tie_cells(row_a, row_b)
         return 0
 
-    ordered = sorted(rows, key=cmp_to_key(compare))
-    entries = []
-    tie_groups: list[tuple[str, ...]] = []
-    rank = 1
-    group_start = 0
-
     def equal(row_a, row_b) -> bool:
         if row_a[3] != row_b[3]:
             return False
         return tie_break_criterion is None or tie_cells(row_a, row_b) == EQUAL
 
-    def close_group(end: int) -> None:
-        if end - group_start > 1:
-            tie_groups.append(tuple(ordered[i][0] for i in range(group_start, end)))
-
-    for position, row in enumerate(ordered):
-        if position > 0 and not equal(ordered[position - 1], row):
-            close_group(position)
-            group_start = position
-            rank = position + 1
-        label, d_plus, d_minus, closeness, degenerate = row
-        entries.append(
-            TopsisEntry(
-                label=label,
-                d_plus=d_plus,
-                d_minus=d_minus,
-                closeness=closeness,
-                rank=rank,
-                degenerate=degenerate,
-            )
+    ordered = sorted(rows, key=cmp_to_key(compare))
+    ranks, groups = competition_ranks(ordered, equal)
+    entries = tuple(
+        TopsisEntry(
+            label=label,
+            d_plus=d_plus,
+            d_minus=d_minus,
+            closeness=closeness,
+            rank=rank,
+            degenerate=degenerate,
         )
-    close_group(len(ordered))
-    return TopsisResult(
-        measure=measure, entries=tuple(entries), ideals=ideals, ties=tuple(tie_groups)
+        for (label, d_plus, d_minus, closeness, degenerate), rank in zip(ordered, ranks)
     )
+    ties = tuple(tuple(ordered[i][0] for i in group) for group in groups)
+    return TopsisResult(measure=measure, entries=entries, ideals=ideals, ties=ties)

@@ -15,6 +15,7 @@ from iaarank import (
     universal_compare,
 )
 from iaarank.errors import DivisionByZero, ScaleMismatch
+from iaarank.ranking import competition_ranks
 
 import oracle
 from conftest import (
@@ -279,3 +280,22 @@ class TestIdealExtremes:
             assert ideal_ratio(worst, best, worst, "combined") == pytest.approx(
                 min(scores), abs=1e-12
             )
+
+
+class TestCompetitionRanks:
+    def test_ranks_and_tie_groups(self):
+        values = [9, 7, 7, 7, 5, 3, 3]
+        ranks, groups = competition_ranks(values, lambda a, b: a == b)
+        assert ranks == [1, 2, 2, 2, 5, 6, 6]
+        assert groups == [(1, 2, 3), (5, 6)]
+
+    def test_asks_each_neighbour_pair_once(self):
+        asked = []
+
+        def equal(a, b):
+            asked.append((a, b))
+            return False
+
+        assert competition_ranks("abc", equal) == ([1, 2, 3], [])
+        assert asked == [("a", "b"), ("b", "c")]
+        assert competition_ranks([], equal) == ([], [])
