@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScaleMismatch
-from .fuzzy import FuzzyNumber, Region, check_same_scale
+from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import ScaleConfig
 
 _ZERO = 1e-12
@@ -71,43 +71,36 @@ def height(fz: FuzzyNumber) -> float:
     return max(r.height for r in fz.regions)
 
 
-def _components(regions: tuple[Region, ...]) -> list[list[Region]]:
-    """Group regions into maximal connected support components.
+def _components(fz: FuzzyNumber):
+    """Yield (span, vertical travel) of each connected support component.
 
-    Regions touching at a single point belong to one component; gaps of
-    positive width split components.
-    """
-    components: list[list[Region]] = []
-    reach = None
-    for region in regions:
-        if reach is not None and region.left <= reach:
-            components[-1].append(region)
-            reach = max(reach, region.right)
-        else:
-            components.append([region])
-            reach = region.right
-    return components
-
-
-def perimeter(fz: FuzzyNumber) -> float:
-    """Length of the geometric outline of the profile, baseline included.
-
-    Per connected support component: the baseline, the horizontal tops (which
-    tile the component, so they equal the baseline), and every vertical
-    excursion - the rise from zero at the left edge, each interior height
-    jump, each spike rising above its neighbouring plateaus and back, and the
-    drop to zero at the right edge. An isolated line region contributes twice
-    its height.
+    One walk over the step profile: a component opens at a breakpoint with
+    zero membership on its left and closes at one with zero on its right, so
+    regions touching at a single point share a component. The vertical
+    travel sums every excursion of the outline: the rise from zero at the
+    left edge, each interior height jump, each spike rising above its
+    neighbouring plateaus and back, and the drop to zero at the right edge.
     """
     xs, points, segments = fz.profile
-    total = 0.0
     for i, x in enumerate(xs):
         left, top, right = segments[i], points[i], segments[i + 1]
         if left == 0:
             edge, vertical = x, 0.0
         vertical += (top - left) + (top - right)
         if right == 0:
-            total += 2 * (x - edge) + vertical
+            yield x - edge, vertical
+
+
+def perimeter(fz: FuzzyNumber) -> float:
+    """Length of the geometric outline of the profile, baseline included.
+
+    Per connected support component: the baseline, the horizontal tops (which
+    tile the component, so they equal the baseline), and the vertical travel.
+    An isolated line region contributes twice its height.
+    """
+    total = 0.0
+    for span, vertical in _components(fz):
+        total += 2 * span + vertical
     return total
 
 
@@ -174,9 +167,7 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
 
 def support_length(fz: FuzzyNumber) -> float:
     """Total width of the support: the sum of connected component spans."""
-    return sum(
-        max(r.right for r in comp) - comp[0].left for comp in _components(fz.regions)
-    )
+    return sum(span for span, _ in _components(fz))
 
 
 def agreement_ratio(fz: FuzzyNumber) -> float:

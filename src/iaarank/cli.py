@@ -11,21 +11,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from .attributes import attribute_vector, membership_polyline
-from .errors import (
-    DivisionByZero,
-    EmptyDataset,
-    EmptyEvaluation,
-    InvertedBounds,
-    MalformedInterval,
-    MalformedRow,
-    OutOfScale,
-    ScaleMismatch,
-    ZeroSources,
-)
+from .errors import DivisionByZero, IaaRankError, MalformedInterval, MalformedRow
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
     BUNDLED_DATASETS,
@@ -55,23 +46,20 @@ def _load(args) -> MultiCriteriaDataset:
     return load_dataset(_resolve_input(args.input), scale)
 
 
-def _pick_criterion(dataset: MultiCriteriaDataset, requested: str | None) -> str:
+def _pick_criterion(dataset, requested: str | None) -> MultiCriteriaDataset:
+    """The dataset narrowed to the requested criterion, or to its only one."""
     if requested is not None:
         if requested not in dataset.criteria:
             raise ValueError(
                 f"criterion {requested!r} not in dataset "
                 f"(have: {', '.join(dataset.criteria)})"
             )
-        return requested
+        return dataset.only_criterion(requested)
     if len(dataset.criteria) > 1:
         raise ValueError(
             "dataset has several criteria; select one with --criterion"
         )
-    return dataset.criteria[0]
-
-
-def _column_numbers(dataset: MultiCriteriaDataset, criterion: str) -> list[FuzzyNumber]:
-    return [construct_fuzzy(cell, dataset.scale) for cell in dataset.column(criterion)]
+    return dataset
 
 
 def _auto_ideals(dataset, criterion) -> tuple[FuzzyNumber, FuzzyNumber]:
@@ -117,15 +105,17 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+def _cell_records(args, payload) -> list[dict]:
+    """One record per dataset cell: its alternative, criterion and payload(fz)."""
+    matrix = DecisionMatrix.from_dataset(_load(args))
+    return [
+        {"alternative": alternative, "criterion": criterion, **payload(fz)}
+        for (alternative, criterion), fz in matrix.cells.items()
+    ]
+
+
 def cmd_build(args) -> str:
-    dataset = _load(args)
-    records = []
-    for alternative in dataset.alternatives:
-        for criterion in dataset.criteria:
-            fz = construct_fuzzy(dataset.cell(alternative, criterion), dataset.scale)
-            record = {"alternative": alternative, "criterion": criterion}
-            record.update(fz.to_dict())
-            records.append(record)
+    records = _cell_records(args, FuzzyNumber.to_dict)
     if args.format == "json":
         return _json_text(records)
     if args.format == "csv":
@@ -139,14 +129,7 @@ def cmd_build(args) -> str:
 
 
 def cmd_attributes(args) -> str:
-    dataset = _load(args)
-    records = []
-    for alternative in dataset.alternatives:
-        for criterion in dataset.criteria:
-            fz = construct_fuzzy(dataset.cell(alternative, criterion), dataset.scale)
-            record = {"alternative": alternative, "criterion": criterion}
-            record.update(attribute_vector(fz).to_dict())
-            records.append(record)
+    records = _cell_records(args, lambda fz: attribute_vector(fz).to_dict())
     if args.format == "json":
         return _json_text(records)
     if args.format == "csv":
@@ -174,12 +157,12 @@ def cmd_attributes(args) -> str:
 
 
 def cmd_similarity(args) -> str:
-    dataset = _load(args)
-    criterion = _pick_criterion(dataset, args.criterion)
-    numbers = {fz.label: fz for fz in _column_numbers(dataset, criterion)}
+    dataset = _pick_criterion(_load(args), args.criterion)
+    column = DecisionMatrix.from_dataset(dataset).column(dataset.criteria[0])
+    numbers = dict(zip(dataset.alternatives, column))
     if args.matrix:
         labels = list(dataset.alternatives)
-        matrix = similarity_matrix(args.measure, [numbers[label] for label in labels])
+        matrix = similarity_matrix(args.measure, column)
         if args.format == "json":
             return _json_text(
                 {"measure": args.measure, "labels": labels, "matrix": matrix}
@@ -235,24 +218,26 @@ def _render_ranking(result, fmt: str) -> str:
 
 
 def cmd_rank(args) -> str:
-    dataset = _load(args)
-    criterion = _pick_criterion(dataset, args.criterion)
+    dataset = _pick_criterion(_load(args), args.criterion)
+    criterion = dataset.criteria[0]
     if args.method == "baseline":
         result = rank_baseline_mean(dataset.column(criterion))
-    elif args.method == "universal":
-        result = rank_universal(_column_numbers(dataset, criterion), args.epsilon)
     else:
-        if args.ideal == "auto":
-            best, worst = _auto_ideals(dataset, criterion)
+        numbers = DecisionMatrix.from_dataset(dataset).column(criterion)
+        if args.method == "universal":
+            result = rank_universal(numbers, args.epsilon)
         else:
-            best, worst = _file_ideals(args.ideal, dataset.scale)
-        result = rank_by_ideal_ratio(
-            _column_numbers(dataset, criterion),
-            best,
-            worst,
-            measure=args.measure,
-            epsilon=args.epsilon,
-        )
+            if args.ideal == "auto":
+                best, worst = _auto_ideals(dataset, criterion)
+            else:
+                best, worst = _file_ideals(args.ideal, dataset.scale)
+            result = rank_by_ideal_ratio(
+                numbers,
+                best,
+                worst,
+                measure=args.measure,
+                epsilon=args.epsilon,
+            )
     return _render_ranking(result, args.format)
 
 
@@ -315,13 +300,12 @@ def cmd_topsis(args) -> str:
 
 
 def cmd_plotdata(args) -> str:
-    dataset = _load(args)
-    rows = []
-    for alternative in dataset.alternatives:
-        for criterion in dataset.criteria:
-            fz = construct_fuzzy(dataset.cell(alternative, criterion), dataset.scale)
-            for x, mu in membership_polyline(fz):
-                rows.append((alternative, criterion, _plain(x), _plain(mu)))
+    matrix = DecisionMatrix.from_dataset(_load(args))
+    rows = [
+        (alternative, criterion, _plain(x), _plain(mu))
+        for (alternative, criterion), fz in matrix.cells.items()
+        for x, mu in membership_polyline(fz)
+    ]
     return _csv_text(("alternative", "criterion", "x", "mu"), rows)
 
 
@@ -399,6 +383,9 @@ def main(argv=None) -> int:
     if args.epsilon < 0:
         print("error: --epsilon must be non-negative", file=sys.stderr)
         return EXIT_VALIDATION
+    if not math.isfinite(args.epsilon):
+        print("error: --epsilon must be finite", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         text = args.handler(args)
     except DivisionByZero as exc:
@@ -407,16 +394,7 @@ def main(argv=None) -> int:
     except (OSError, MalformedRow, MalformedInterval) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        InvertedBounds,
-        OutOfScale,
-        EmptyDataset,
-        ZeroSources,
-        ScaleMismatch,
-        EmptyEvaluation,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (IaaRankError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.output:

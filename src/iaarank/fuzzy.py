@@ -184,10 +184,19 @@ class FuzzyNumber:
 
     @classmethod
     def from_dict(cls, payload: dict, scale: ScaleConfig) -> FuzzyNumber:
+        """Rebuild a number from to_dict output; ValueError unless its regions
+        and its strictly ascending endpoints lie on the scale."""
+        low, high = scale.scale_min, scale.scale_max
         regions = tuple(Region(l, r, h) for l, r, h in payload["regions"])
+        if not all(low <= r.left and r.right <= high for r in regions):
+            raise ValueError(f"a region lies outside the scale [{low}, {high}]")
+        endpoints = tuple(float(x) for x in payload["endpoints"])
+        ascending = all(a < b for a, b in zip(endpoints, endpoints[1:]))
+        if not ascending or not all(low <= x <= high for x in endpoints):
+            raise ValueError(f"endpoints must ascend strictly within [{low}, {high}]")
         return cls(
             regions=regions,
-            endpoints=tuple(payload["endpoints"]),
+            endpoints=endpoints,
             n=int(payload["n"]),
             scale=scale,
             label=str(payload.get("label", "")),

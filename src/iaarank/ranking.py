@@ -8,6 +8,7 @@ on the raw interval sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
@@ -42,8 +43,8 @@ def universal_compare(
     Ties use a relative tolerance of epsilon per key.
     """
     check_same_scale(a, b)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and non-negative")
     attrs_a = attribute_vector(a)
     attrs_b = attribute_vector(b)
     keys = (
@@ -108,10 +109,31 @@ def competition_ranks(ordered, equal) -> tuple[list[int], list[tuple[int, ...]]]
     return ranks, [run for run in runs if len(run) > 1]
 
 
-def _build_result(method, ordered, scores, equal) -> RankingResult:
-    """Assign competition ranks over a sorted list given an equality relation."""
+def descending(x: float, y: float) -> int:
+    """Comparator that puts the greater score first; 0 only when x == y."""
+    if x != y:
+        return -1 if x > y else 1
+    return 0
+
+
+def order_and_rank(items, compare):
+    """Sort items with compare, best first, and rank the sorted sequence.
+
+    compare(a, b) is negative when a belongs before b; two neighbours tie
+    exactly when it returns 0. Returns the sorted list with its competition
+    ranks and tie groups (see competition_ranks). The sort is stable.
+    """
+    if not items:
+        raise ValueError("nothing to rank")
+    ordered = sorted(items, key=cmp_to_key(compare))
+    ranks, groups = competition_ranks(ordered, lambda a, b: compare(a, b) == 0)
+    return ordered, ranks, groups
+
+
+def _build_result(method, items, compare, scores) -> RankingResult:
+    """Rank items with compare and label each sorted item by scores."""
+    ordered, ranks, groups = order_and_rank(items, compare)
     labeled = [scores(item) for item in ordered]
-    ranks, groups = competition_ranks(ordered, equal)
     entries = tuple(
         RankingEntry(label=label, score=score, rank=rank)
         for (label, score), rank in zip(labeled, ranks)
@@ -127,16 +149,11 @@ def rank_universal(
 
     Stable: exact ties keep their input order and share a rank.
     """
-    if not items:
-        raise ValueError("nothing to rank")
-    ordered = sorted(
-        items, key=cmp_to_key(lambda a, b: -universal_compare(a, b, epsilon))
-    )
     return _build_result(
         "universal",
-        ordered,
+        items,
+        lambda a, b: -universal_compare(a, b, epsilon),
         scores=lambda fz: (fz.label, None),
-        equal=lambda a, b: universal_compare(a, b, epsilon) == EQUAL,
     )
 
 
@@ -177,35 +194,22 @@ def rank_by_ideal_ratio(
     Exact score ties are ordered by the universal comparison and only stay
     tied (sharing a rank) when that comparison is also equal.
     """
-    if not items:
-        raise ValueError("nothing to rank")
     scored = [(fz, ideal_ratio(fz, ideal_best, ideal_worst, measure, weights))
               for fz in items]
-
-    def compare(a, b):
-        if a[1] != b[1]:
-            return -1 if a[1] > b[1] else 1
-        return -universal_compare(a[0], b[0], epsilon)
-
-    ordered = sorted(scored, key=cmp_to_key(compare))
     return _build_result(
         f"ideal_ratio({measure})",
-        ordered,
+        scored,
+        lambda a, b: descending(a[1], b[1])
+        or -universal_compare(a[0], b[0], epsilon),
         scores=lambda item: (item[0].label, item[1]),
-        equal=lambda a, b: a[1] == b[1]
-        and universal_compare(a[0], b[0], epsilon) == EQUAL,
     )
 
 
 def rank_baseline_mean(sets: Sequence[IntervalSet]) -> RankingResult:
     """Rank interval sets by descending midpoint mean (the traditional way)."""
-    if not sets:
-        raise ValueError("nothing to rank")
-    scored = [(s, midpoint_mean(s)) for s in sets]
-    ordered = sorted(scored, key=lambda item: -item[1])
     return _build_result(
         "baseline_mean",
-        ordered,
+        [(s, midpoint_mean(s)) for s in sets],
+        lambda a, b: descending(a[1], b[1]),
         scores=lambda item: (item[0].label, item[1]),
-        equal=lambda a, b: a[1] == b[1],
     )

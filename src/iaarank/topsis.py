@@ -10,8 +10,8 @@ reconstruction of the classic pipeline adapted to fuzzy-number cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .fuzzy import FuzzyNumber, construct_fuzzy
@@ -19,8 +19,8 @@ from .intervals import MultiCriteriaDataset, ScaleConfig
 from .ranking import (
     DEFAULT_EPSILON,
     EQUAL,
-    competition_ranks,
-    rank_universal,
+    descending,
+    order_and_rank,
     universal_compare,
 )
 from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
@@ -51,6 +51,8 @@ class DecisionMatrix:
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
         total = sum(self.weights)
+        if not math.isfinite(total):
+            raise ValueError("weights must be finite, with a finite sum")
         if total <= 0:
             raise ValueError("weights must not all be zero")
         object.__setattr__(
@@ -76,10 +78,17 @@ class DecisionMatrix:
         directions: Sequence[str] | None = None,
     ) -> DecisionMatrix:
         """Elevate every dataset cell to a fuzzy number; defaults: equal
-        weights, all-benefit directions."""
+        weights, all-benefit directions.
+
+        This is the one place where dataset cells become fuzzy numbers.
+        cells is built in alternatives x criteria order.
+        """
         cells = {
-            key: construct_fuzzy(interval_set, dataset.scale)
-            for key, interval_set in dataset.cells.items()
+            (alternative, criterion): construct_fuzzy(
+                dataset.cell(alternative, criterion), dataset.scale
+            )
+            for alternative in dataset.alternatives
+            for criterion in dataset.criteria
         }
         count = len(dataset.criteria)
         return cls(
@@ -121,11 +130,10 @@ def select_ideals(
     """
     ideals = []
     for index, criterion in enumerate(matrix.criteria):
-        column = matrix.column(criterion)
-        result = rank_universal(column, epsilon)
-        by_label = {fz.label: fz for fz in column}
-        top = by_label[result.entries[0].label]
-        bottom = by_label[result.entries[-1].label]
+        ordered, _, _ = order_and_rank(
+            matrix.column(criterion), lambda a, b: -universal_compare(a, b, epsilon)
+        )
+        top, bottom = ordered[0], ordered[-1]
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top
         ideals.append(
@@ -229,6 +237,8 @@ def topsis_rank(
     comparison on the tie-break criterion when one is configured, otherwise
     they share a rank and are reported in ties.
     """
+    if tie_break_criterion not in (None, *matrix.criteria):
+        raise ValueError(f"unknown tie-break criterion {tie_break_criterion!r}")
     ideals = select_ideals(matrix, epsilon)
     pairs = separations(matrix, ideals, measure, weights)
     rows = []
@@ -240,25 +250,15 @@ def topsis_rank(
             closeness, degenerate = 0.5, True
         rows.append((label, d_plus, d_minus, closeness, degenerate))
 
-    def tie_cells(row_a, row_b):
+    def compare(row_a, row_b):
+        order = descending(row_a[3], row_b[3])
+        if order or tie_break_criterion is None:
+            return order
         a = matrix.cell(row_a[0], tie_break_criterion)
         b = matrix.cell(row_b[0], tie_break_criterion)
-        return universal_compare(a, b, epsilon)
+        return -universal_compare(a, b, epsilon)
 
-    def compare(row_a, row_b):
-        if row_a[3] != row_b[3]:
-            return -1 if row_a[3] > row_b[3] else 1
-        if tie_break_criterion is not None:
-            return -tie_cells(row_a, row_b)
-        return 0
-
-    def equal(row_a, row_b) -> bool:
-        if row_a[3] != row_b[3]:
-            return False
-        return tie_break_criterion is None or tie_cells(row_a, row_b) == EQUAL
-
-    ordered = sorted(rows, key=cmp_to_key(compare))
-    ranks, groups = competition_ranks(ordered, equal)
+    ordered, ranks, groups = order_and_rank(rows, compare)
     entries = tuple(
         TopsisEntry(
             label=label,

@@ -153,6 +153,12 @@ class TestRank:
         code, _, _ = run(capsys, "rank", *FILMS, "--epsilon", "-1")
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_3(self, capsys, value):
+        code, out, err = run(capsys, "rank", *FILMS, "--epsilon", value)
+        assert (code, out) == (3, "")
+        assert "--epsilon must be finite" in err
+
 
 class TestSimilarity:
     def test_pair_text_output(self, capsys):
@@ -218,6 +224,20 @@ class TestTopsisCommand:
     def test_bad_weights_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
         assert code == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
+    def test_non_finite_weights_exit_3(self, capsys, weights, fmt):
+        code, out, err = run(capsys, "topsis", *SYNTH, "--weights", weights,
+                             "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "finite" in err
+
+    def test_unknown_tie_break_criterion_exits_3(self, capsys):
+        code, out, err = run(capsys, "topsis", *SYNTH,
+                             "--tie-break-criterion", "nope")
+        assert (code, out) == (3, "")
+        assert "'nope'" in err
 
     def test_bad_direction_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--directions", "b,sideways")

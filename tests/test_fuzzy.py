@@ -222,3 +222,23 @@ class TestFuzzyNumberType:
         assert set(payload) == {"label", "n", "regions", "endpoints"}
         again = FuzzyNumber.from_dict(payload, film_scale)
         assert again == fz
+
+    @pytest.mark.parametrize(
+        "endpoints",
+        [[2, float("nan"), 1], [2, 1], [1, 1], [0, float("inf")], [-1, 5], [5, 11]],
+    )
+    def test_from_dict_rejects_bad_endpoints(self, endpoints):
+        payload = {"label": "p", "n": 1, "regions": [[1, 2, 1.0]],
+                   "endpoints": endpoints}
+        with pytest.raises(ValueError, match="endpoints"):
+            FuzzyNumber.from_dict(payload, WIDE)
+
+    @pytest.mark.parametrize(
+        "region", [[100, 200, 1.0], [-1, 2, 1.0], [9, 10.5, 0.5], [float("nan"), 2, 1.0]]
+    )
+    def test_from_dict_rejects_region_off_the_scale(self, region):
+        # [100, 200] on [0, 10] used to give an attribute similarity of -4.86
+        # against a spike at 0, outside the documented [0, 1] range
+        payload = {"label": "p", "n": 1, "regions": [region], "endpoints": [2]}
+        with pytest.raises(ValueError, match="outside the scale"):
+            FuzzyNumber.from_dict(payload, WIDE)

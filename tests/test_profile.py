@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iaarank import FuzzyNumber, Region, ScaleConfig, canonicalize, construct_fuzzy
-from iaarank.attributes import membership_polyline, perimeter
+from iaarank.attributes import (
+    agreement_ratio,
+    membership_polyline,
+    perimeter,
+    support_length,
+)
 
 import oracle
 from conftest import make_set
@@ -67,6 +72,28 @@ def test_membership_equals_direct_count(pairs):
 def test_perimeter_equals_oracle_bit_exactly(pairs):
     fz = build(pairs)
     assert perimeter(fz) == oracle.brute_perimeter(oracle.brute_regions(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_lists)
+@example([(0.0, 0.0), (5e-324, 5e-324)])
+@example([(1.0, 2.0), (2.0, 3.0), (4.0, 4.0)])  # touching segments, lone spike
+def test_support_length_and_agreement_equal_oracle_bit_exactly(pairs):
+    fz = build(pairs)
+    triples = oracle.brute_regions(pairs)
+    assert support_length(fz) == oracle.brute_support_length(triples)
+    assert agreement_ratio(fz) == oracle.brute_agreement(triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_lists)
+@example([Region(0, 4, 0.5), Region(2, 2, 0.25)])
+@example([Region(0, 1, 0.5), Region(1, 1, 1.0), Region(3, 3, 0.25)])
+def test_support_length_and_agreement_of_canonical_lists_equal_oracle(regs):
+    fz = FuzzyNumber(canonicalize(regs), endpoints=(), n=1, scale=WIDE)
+    triples = [(r.left, r.right, r.height) for r in fz.regions]
+    assert support_length(fz) == oracle.brute_support_length(triples)
+    assert agreement_ratio(fz) == oracle.brute_agreement(triples)
 
 
 @settings(max_examples=300, deadline=None)

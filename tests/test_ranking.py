@@ -80,6 +80,13 @@ class TestUniversalCompare:
                 film_numbers["Film A"], film_numbers["Film B"], epsilon=-1.0
             )
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, film_numbers, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            universal_compare(
+                film_numbers["Film A"], film_numbers["Film B"], epsilon=epsilon
+            )
+
     def test_scale_mismatch(self, film_numbers):
         other = fn([(1, 2, 0.5)])
         with pytest.raises(ScaleMismatch):

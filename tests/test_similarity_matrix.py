@@ -45,14 +45,12 @@ def build(label, pairs):
     return construct_fuzzy(make_set(label, pairs), WIDE)
 
 
-def from_dict(regs, endpoints, label):
-    payload = {
-        "label": label,
-        "n": 1,
-        "regions": [[r.left, r.right, r.height] for r in canonicalize(regs)],
-        "endpoints": endpoints,
-    }
-    return FuzzyNumber.from_dict(payload, WIDE)
+def unchecked(regs, endpoints, label):
+    """A number with arbitrary endpoints: FuzzyNumber takes them unchecked,
+    while from_dict rejects endpoints that are unsorted or off the scale."""
+    return FuzzyNumber(
+        canonicalize(regs), endpoints=tuple(endpoints), n=1, scale=WIDE, label=label
+    )
 
 
 def bisection_jaccard(a, b):
@@ -82,8 +80,8 @@ def test_jaccard_equals_oracle(pairs_a, pairs_b):
 def test_jaccard_on_arbitrary_endpoints_equals_membership_sums(
     regs_a, ends_a, regs_b, ends_b
 ):
-    a = from_dict(regs_a, ends_a, "a")
-    b = from_dict(regs_b, ends_b, "b")
+    a = unchecked(regs_a, ends_a, "a")
+    b = unchecked(regs_b, ends_b, "b")
     numerator, denominator = bisection_jaccard(a, b)
     if denominator <= 0:
         with pytest.raises(EmptyEvaluation):

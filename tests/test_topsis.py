@@ -59,6 +59,13 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError):
             DecisionMatrix.from_dataset(synthetic, weights=(-1, 2))
 
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"), 1), (float("inf"), 1), (1e308, 1e308)]
+    )
+    def test_rejects_non_finite_weights(self, synthetic, weights):
+        with pytest.raises(ValueError, match="finite"):
+            DecisionMatrix.from_dataset(synthetic, weights=weights)
+
     def test_rejects_zero_weights(self, synthetic):
         with pytest.raises(ValueError):
             DecisionMatrix.from_dataset(synthetic, weights=(0, 0))
@@ -254,6 +261,12 @@ class TestTopsisRank:
         broken = topsis_rank(m, "combined", tie_break_criterion="c2")
         positions = {e.label: e.rank for e in broken.entries}
         assert positions["hi"] < positions["lo"]
+
+    def test_unknown_tie_break_criterion_rejected_before_ranking(self, matrix):
+        # synthetic-3x2 has no exact closeness tie, so the criterion would
+        # otherwise never be looked up
+        with pytest.raises(ValueError, match="nope"):
+            topsis_rank(matrix, "combined", tie_break_criterion="nope")
 
     def test_result_serialization(self, matrix):
         payload = topsis_rank(matrix, "combined").to_dict()
