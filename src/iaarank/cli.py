@@ -83,6 +83,14 @@ def _file_ideals(path: str, scale: ScaleConfig) -> tuple[FuzzyNumber, FuzzyNumbe
     )
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """--epsilon is read by rank and topsis only; the others ignore it."""
+    if epsilon < 0:
+        raise ValueError("--epsilon must be non-negative")
+    if not math.isfinite(epsilon):
+        raise ValueError("--epsilon must be finite")
+
+
 def _plain(value: float) -> str:
     if value == int(value):
         return str(int(value))
@@ -218,6 +226,7 @@ def _render_ranking(result, fmt: str) -> str:
 
 
 def cmd_rank(args) -> str:
+    _check_epsilon(args.epsilon)
     dataset = _pick_criterion(_load(args), args.criterion)
     criterion = dataset.criteria[0]
     if args.method == "baseline":
@@ -242,6 +251,7 @@ def cmd_rank(args) -> str:
 
 
 def cmd_topsis(args) -> str:
+    _check_epsilon(args.epsilon)
     dataset = _load(args)
     if args.exclude_criterion:
         dataset = dataset.without_criterion(args.exclude_criterion)
@@ -380,12 +390,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.epsilon < 0:
-        print("error: --epsilon must be non-negative", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not math.isfinite(args.epsilon):
-        print("error: --epsilon must be finite", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         text = args.handler(args)
     except DivisionByZero as exc:

@@ -13,8 +13,10 @@ import csv
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib.resources import files
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -232,41 +234,46 @@ class MultiCriteriaDataset:
         return MultiCriteriaDataset(self.alternatives, kept, cells, self.scale)
 
 
-def _read_csv_rows(path: Path) -> list[tuple[int, dict]]:
+def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         header = None
-        for line_no, record in enumerate(reader, start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if header is None:
-                header = tuple(cell.strip().lower() for cell in record)
-                if header != DATASET_HEADER:
+        line_no = 0
+        try:
+            for line_no, record in enumerate(csv.reader(handle), start=1):
+                if not "".join(record).strip():
+                    continue
+                if header is None:
+                    header = tuple(cell.strip().lower() for cell in record)
+                    if header != DATASET_HEADER:
+                        raise MalformedRow(
+                            f"{path}: expected header {','.join(DATASET_HEADER)}, "
+                            f"got {','.join(header)}",
+                            line=line_no,
+                        )
+                    continue
+                if len(record) != len(DATASET_HEADER):
                     raise MalformedRow(
-                        f"{path}: expected header {','.join(DATASET_HEADER)}, "
-                        f"got {','.join(header)}",
+                        f"{path} line {line_no}: expected {len(DATASET_HEADER)} "
+                        f"fields, got {len(record)}",
                         line=line_no,
                     )
-                continue
-            if len(record) != len(DATASET_HEADER):
-                raise MalformedRow(
-                    f"{path} line {line_no}: expected {len(DATASET_HEADER)} fields, "
-                    f"got {len(record)}",
-                    line=line_no,
-                )
-            rows.append(
-                (line_no, dict(zip(DATASET_HEADER, (cell.strip() for cell in record))))
-            )
+                alternative, criterion, source, left, right = record
+                rows.append((line_no, alternative.strip(), criterion.strip(),
+                             source.strip(), left.strip(), right.strip()))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            line_no += 1
+            raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
     return rows
 
 
-def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
+def _read_json_rows(path: Path) -> list[tuple]:
     with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(f"{path}: invalid JSON ({exc})") from exc
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise MalformedRow(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, list):
         raise MalformedRow(f"{path}: expected a JSON array of row objects")
     rows = []
@@ -276,13 +283,21 @@ def _read_json_rows(path: Path) -> list[tuple[int, dict]]:
                 f"{path} row {index}: expected keys {', '.join(DATASET_HEADER)}",
                 line=index,
             )
-        if isinstance(entry["left"], bool) or isinstance(entry["right"], bool):
+        left, right = entry["left"], entry["right"]
+        if isinstance(left, bool) or isinstance(right, bool):
             raise MalformedRow(
                 f"{path} row {index}: bounds must be numbers, got "
-                f"({entry['left']!r}, {entry['right']!r})",
+                f"({left!r}, {right!r})",
                 line=index,
             )
-        rows.append((index, {key: entry[key] for key in DATASET_HEADER}))
+        labels = tuple(str(entry[key]) for key in DATASET_HEADER[:3])
+        try:
+            "".join(labels).encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate escape, "\ud800"
+            raise MalformedRow(
+                f"{path} row {index}: labels must be valid Unicode text", line=index
+            ) from exc
+        rows.append((index, *labels, left, right))
     return rows
 
 
@@ -302,37 +317,34 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     """Load a long-format CSV (or JSON mirror) dataset and validate it.
 
     Rows are grouped per (alternative, criterion) cell and ordered by source
-    label inside each cell. Alternatives and criteria keep first-appearance
-    order. Every bound is validated against the scale. Differing source
-    counts across one alternative's criteria raise a RaggedCellWarning only:
-    the aggregation accepts any number of sources per cell.
+    label inside each cell; a source repeated within a cell is a MalformedRow
+    naming both lines. Alternatives and criteria keep first-appearance order.
+    Every bound is validated against the scale. Differing source counts
+    across one alternative's criteria raise a RaggedCellWarning only: the
+    aggregation accepts any number of sources per cell.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        raw_rows = _read_json_rows(path)
-    else:
-        raw_rows = _read_csv_rows(path)
+    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
+    try:
+        raw_rows = read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc})") from exc
     if not raw_rows:
         raise EmptyDataset(f"{path} contains no data rows")
 
-    alternatives: list[str] = []
-    criteria: list[str] = []
-    grouped: dict[tuple[str, str], list[tuple[str, Interval]]] = {}
-    for line_no, row in raw_rows:
-        alternative = str(row["alternative"])
-        criterion = str(row["criterion"])
-        source = str(row["source"])
-        try:
-            left = float(row["left"])
-            right = float(row["right"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedRow(
-                f"{path} line {line_no}: non-numeric bound "
-                f"({row['left']!r}, {row['right']!r})",
-                line=line_no,
-            ) from exc
+    grouped: defaultdict[tuple[str, str], list] = defaultdict(list)
+    for line_no, alternative, criterion, source, left, right in raw_rows:
         try:
             interval = Interval(left, right)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRow(
+                f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
+                line=line_no,
+            ) from exc
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise MalformedRow(
+                f"{path} line {line_no}: bound beyond the float range", line=line_no
+            ) from exc
         except InvertedBounds as exc:
             raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
         except MalformedInterval as exc:
@@ -343,17 +355,23 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
                 f"[{scale.scale_min}, {scale.scale_max}]",
                 line=line_no,
             )
-        if alternative not in alternatives:
-            alternatives.append(alternative)
-        if criterion not in criteria:
-            criteria.append(criterion)
-        grouped.setdefault((alternative, criterion), []).append((source, interval))
+        grouped[(alternative, criterion)].append((source, line_no, interval))
 
+    # Each alternative and criterion first appears with its first cell.
+    alternatives = tuple(dict.fromkeys(alternative for alternative, _ in grouped))
+    criteria = tuple(dict.fromkeys(criterion for _, criterion in grouped))
     cells = {}
     for (alternative, criterion), members in grouped.items():
-        members.sort(key=lambda item: item[0])
+        members.sort(key=itemgetter(0))
+        for (source, first, _), (again, line_no, _) in zip(members, members[1:]):
+            if source == again:
+                raise MalformedRow(
+                    f"{path} line {line_no}: repeats source {source!r} of line "
+                    f"{first} for alternative {alternative!r}, criterion {criterion!r}",
+                    line=line_no,
+                )
         cells[(alternative, criterion)] = IntervalSet(
-            tuple(interval for _, interval in members), label=alternative
+            tuple(interval for _, _, interval in members), label=alternative
         )
 
     for alternative in alternatives:
@@ -370,4 +388,4 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
                 stacklevel=2,
             )
 
-    return MultiCriteriaDataset(tuple(alternatives), tuple(criteria), cells, scale)
+    return MultiCriteriaDataset(alternatives, criteria, cells, scale)

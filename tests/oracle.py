@@ -194,3 +194,31 @@ def brute_combined_similarity(pairs_a, pairs_b, scale_min, scale_max):
         brute_jaccard(pairs_a, pairs_b)
         + brute_attribute_similarity(pairs_a, pairs_b, scale_min, scale_max)
     ) / 2
+
+
+def brute_load(rows):
+    """Group raw (alternative, criterion, source, left, right) rows naively.
+
+    Returns (alternatives, criteria, cells): labels in first-appearance order,
+    found by scanning lists, and each cell's (left, right) pairs in source
+    label order (file order among equal labels). Raises ValueError when a
+    source appears twice in one cell.
+    """
+    alternatives, criteria, keys, members = [], [], [], []
+    for alternative, criterion, source, left, right in rows:
+        if alternative not in alternatives:
+            alternatives.append(alternative)
+        if criterion not in criteria:
+            criteria.append(criterion)
+        if (alternative, criterion) not in keys:
+            keys.append((alternative, criterion))
+            members.append([])
+        members[keys.index((alternative, criterion))].append((source, left, right))
+    cells = {}
+    for key, entries in zip(keys, members):
+        sources = [source for source, _, _ in entries]
+        if len(set(sources)) != len(sources):
+            raise ValueError(f"repeated source in cell {key!r}")
+        ordered = sorted(entries, key=lambda entry: entry[0])
+        cells[key] = [(float(l), float(r)) for _, l, r in ordered]
+    return alternatives, criteria, cells

@@ -88,6 +88,37 @@ class TestBuild:
                          "--scale-min", "1", "--scale-max", "10")
         assert code == 2
 
+    def test_json_bound_beyond_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        row = {"alternative": "A", "criterion": "c", "source": "s", "left": 1}
+        path.write_text(json.dumps([{**row, "right": 10**400}]), encoding="utf-8")
+        code, out, err = run(capsys, "build", "--input", str(path),
+                             "--scale-min", "1", "--scale-max", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 1: bound beyond the float range\n"
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_undecodable_file_exits_2_naming_it(self, capsys, tmp_path, suffix):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(b"alternative,criterion,source,left,right\nCaf\xe9,c,s,1,2\n")
+        code, out, err = run(capsys, "build", "--input", str(path),
+                             "--scale-min", "1", "--scale-max", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+
+    def test_repeated_source_exits_2_naming_both_lines(self, capsys, tmp_path):
+        path = write_rows(tmp_path / "r.csv", "A,c,s1,1,2\nA,c,s2,2,3\nA,c,s1,4,5\n")
+        code, out, err = run(capsys, "build", "--input", path,
+                             "--scale-min", "1", "--scale-max", "10")
+        assert (code, out) == (2, "")
+        assert "line 4: repeats source 's1' of line 2" in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_epsilon_ignored_outside_rank_and_topsis(self, capsys, value):
+        code, out, _ = run(capsys, "build", *FILMS, "--epsilon", value)
+        assert code == 0
+        assert out == run(capsys, "build", *FILMS)[1]
+
 
 class TestRank:
     def test_universal_matches_reference_ranks(self, capsys):
@@ -224,6 +255,11 @@ class TestTopsisCommand:
     def test_bad_weights_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
         assert code == 3
+
+    @pytest.mark.parametrize("value,message", [("-1", "non-negative"), ("inf", "finite")])
+    def test_bad_epsilon_exits_3(self, capsys, value, message):
+        code, out, err = run(capsys, "topsis", *SYNTH, "--epsilon", value)
+        assert (code, out, err) == (3, "", f"error: --epsilon must be {message}\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])

@@ -1,0 +1,284 @@
+"""The dataset loader against a naive grouping, and hostile dataset text."""
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from iaarank import ScaleConfig, load_dataset
+from iaarank.cli import main
+from iaarank.errors import MalformedRow, RaggedCellWarning
+
+import oracle
+
+WIDE = ScaleConfig(0, 10)
+HEADER = ("alternative", "criterion", "source", "left", "right")
+
+# Labels mix CSV metacharacters, surrounding whitespace and other text; NUL
+# is left out because Python 3.10's csv module rejects it.
+label_chars = st.one_of(
+    st.sampled_from(' ,"\n\r\t'),
+    st.characters(min_codepoint=1, max_codepoint=0x2FFF, blacklist_categories=("Cs",)),
+)
+labels = st.text(label_chars, max_size=6)
+bounds = st.one_of(
+    st.integers(0, 40).map(lambda k: k / 4),
+    st.floats(0, 10, allow_nan=False, allow_infinity=False),
+)
+intervals = st.tuples(bounds, bounds).map(lambda ab: (min(ab), max(ab)))
+
+
+@st.composite
+def grids(draw, unique_sources=False, names=labels):
+    """Rows of a full alternatives x criteria grid, in a drawn order.
+
+    Unless unique_sources is set, a cell may name one source twice.
+    """
+    alternatives = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    criteria = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    rows = []
+    for alternative in alternatives:
+        for criterion in criteria:
+            sources = draw(st.lists(names, min_size=1, max_size=4,
+                                    unique=unique_sources))
+            for source in sources:
+                rows.append((alternative, criterion, source, *draw(intervals)))
+    return draw(st.permutations(rows))
+
+
+def csv_text(rows):
+    # The default "\r\n" terminator makes the writer quote both "\r" and "\n".
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(HEADER)
+    writer.writerows((a, c, s, repr(l), repr(r)) for a, c, s, l, r in rows)
+    return buffer.getvalue()
+
+
+def json_text(rows):
+    return json.dumps([dict(zip(HEADER, row)) for row in rows])
+
+
+def load_text(text, suffix):
+    """load_dataset on text written to a fresh file, or the MalformedRow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"data{suffix}"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RaggedCellWarning)
+                return load_dataset(path, WIDE)
+        except MalformedRow as exc:
+            return exc
+
+
+def assert_matches_oracle(loaded, rows):
+    try:
+        alternatives, criteria, cells = oracle.brute_load(rows)
+    except ValueError:
+        assert isinstance(loaded, MalformedRow) and "repeats source" in str(loaded)
+        return
+    assert not isinstance(loaded, Exception), loaded
+    assert loaded.alternatives == tuple(alternatives)
+    assert loaded.criteria == tuple(criteria)
+    assert {
+        key: [(iv.left, iv.right) for iv in cell.intervals]
+        for key, cell in loaded.cells.items()
+    } == cells
+
+
+def stripped(rows):
+    return [(a.strip(), c.strip(), s.strip(), l, r) for a, c, s, l, r in rows]
+
+
+class TestAgainstBruteLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(grids())
+    def test_csv_equals_brute_load(self, rows):
+        # The CSV reader strips each field, so labels that differ only in
+        # surrounding whitespace meet in one cell (and may repeat a source).
+        assert_matches_oracle(load_text(csv_text(rows), ".csv"), stripped(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids())
+    def test_json_mirror_equals_brute_load(self, rows):
+        assert_matches_oracle(load_text(json_text(rows), ".json"), rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(unique_sources=True), st.randoms(use_true_random=False))
+    def test_row_order_leaves_cells_unchanged(self, rows, rng):
+        rows = stripped(rows)
+        first = load_text(csv_text(rows), ".csv")
+        assume(not isinstance(first, MalformedRow))  # a source repeated by stripping
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        again = load_text(csv_text(shuffled), ".csv")
+        assert set(again.alternatives) == set(first.alternatives)
+        assert again.cells == first.cells
+        for key, cell in first.cells.items():
+            members = sorted((s, (l, r)) for a, c, s, l, r in rows if (a, c) == key)
+            assert [(iv.left, iv.right) for iv in cell.intervals] == [
+                pair for _, pair in members
+            ]
+
+
+class TestHostileInput:
+    def test_repeated_source_names_both_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            ",".join(HEADER) + "\nA,c,s1,1,2\nA,c,s2,2,3\nB,c,s1,3,4\nA,c,s1,4,5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as excinfo:
+            load_dataset(path, WIDE)
+        assert excinfo.value.line == 5
+        assert str(excinfo.value) == (
+            f"{path} line 5: repeats source 's1' of line 2 "
+            "for alternative 'A', criterion 'c'"
+        )
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_undecodable_file_names_the_file(self, tmp_path, suffix):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(",".join(HEADER).encode() + b"\nCaf\xe9,c,s,1,2\n")
+        with pytest.raises(MalformedRow, match="not UTF-8 text") as excinfo:
+            load_dataset(path, WIDE)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_json_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '[{"alternative": "A", "criterion": "c", "source": "s", '
+            '"left": 1, "right": 1' + "0" * 400 + "}]",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="beyond the float range") as excinfo:
+            load_dataset(path, WIDE)
+        assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,  # nesting deeper than the recursion limit
+            '[{"left": 1' + "0" * 5000 + "}]",  # past the int-from-text digit limit
+        ],
+    )
+    def test_json_parser_limits(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRow, match="invalid JSON"):
+            load_dataset(path, WIDE)
+
+    def test_json_lone_surrogate_label(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(
+            '[{"alternative": "\\ud800", "criterion": "c", "source": "s", '
+            '"left": 1, "right": 2}]',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="row 1: labels must be valid Unicode"):
+            load_dataset(path, WIDE)
+
+    def test_csv_field_over_size_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        field = "x" * (csv.field_size_limit() + 1)
+        path.write_text(",".join(HEADER) + f"\nA,c,s,1,2\nA,c,{field},1,2\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRow, match="line 3: field larger") as excinfo:
+            load_dataset(path, WIDE)
+        assert excinfo.value.line == 3
+
+
+# Dataset text built from pieces that are valid, slightly wrong or hostile.
+csv_cells = st.one_of(
+    labels,
+    st.sampled_from(["0", "1", "2.5", "10", "11", "-1", "nan", "inf", "1e400",
+                     "one", "", " 3 ", "1_0", "0x1"]),
+)
+csv_records = st.lists(csv_cells, min_size=0, max_size=7)
+csv_documents = st.builds(
+    lambda header, records, newline: newline.join(
+        [",".join(header)] + [",".join(record) for record in records]
+    ),
+    st.one_of(st.just(HEADER), csv_records),
+    st.lists(st.one_of(csv_records, st.just(["A", "c", "s", "1", "2"])), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400),
+    st.floats(), labels,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(HEADER + ("extra",)), inner, max_size=6),
+    ),
+    max_leaves=20,
+)
+json_rows = st.fixed_dictionaries(
+    {key: st.one_of(st.sampled_from(["A", "B", "c", "s1", "s2"]), json_values)
+     for key in HEADER[:3]}
+    | {key: st.one_of(bounds, json_scalars) for key in HEADER[3:]}
+)
+json_documents = st.one_of(
+    # valid grids, some with a lone surrogate escape in a label
+    grids(names=st.one_of(labels, st.just("\ud800"))).map(json_text),
+    st.lists(st.one_of(json_rows, json_values), max_size=6).map(
+        lambda payload: json.dumps(payload, allow_nan=True)
+    ),
+    json_values.map(json.dumps),
+    st.text(max_size=40),
+)
+raw_bytes = st.binary(max_size=80)
+
+COMMANDS = [
+    ["build", "--format", "json"],
+    ["attributes", "--format", "csv"],
+    ["plotdata"],
+    ["rank", "--format", "text"],
+    ["similarity", "--matrix", "--format", "csv"],
+    ["topsis", "--format", "json"],
+]
+
+
+def run_main(data: bytes, suffix: str, command):
+    """Exit code of cli.main on a file holding data; exceptions propagate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input{suffix}"
+        path.write_bytes(data)
+        argv = [*command, "--input", str(path), "--scale-min", "0", "--scale-max", "10"]
+        # Output is encoded as the real stdout encodes it, so text the CLI
+        # cannot write fails here too.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RaggedCellWarning)
+            return main(argv)
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzzThroughCli:
+    @FUZZ
+    @given(st.one_of(csv_documents.map(lambda t: t.encode("utf-8")),
+                     grids().map(lambda rows: csv_text(rows).encode("utf-8")),
+                     raw_bytes),
+           st.sampled_from(COMMANDS))
+    def test_csv_text_ends_in_a_documented_exit(self, data, command):
+        assert run_main(data, ".csv", command) in (0, 2, 3)
+
+    @FUZZ
+    @given(st.one_of(json_documents.map(lambda t: t.encode("utf-8")), raw_bytes),
+           st.sampled_from(COMMANDS))
+    def test_json_text_ends_in_a_documented_exit(self, data, command):
+        assert run_main(data, ".json", command) in (0, 2, 3)
