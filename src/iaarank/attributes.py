@@ -1,7 +1,10 @@
 """Geometric attributes of fuzzy numbers and the pairwise feature vector.
 
-Attributes are derived from the region list and the step profile stored on
-each fuzzy number. ``attribute_vector`` computes them once per instance, the
+Attributes are read from the step profile, the one state a fuzzy number
+stores: centroid, area and quartiles from the (left, right, height) region
+triples the profile yields, height from its point memberships, perimeter and
+support length from one walk over its breakpoints, with no region objects
+built on the way. ``attribute_vector`` computes them once per instance, the
 first time they are asked for, and keeps them on that instance; there is no
 global cache, so a number and its attributes are freed together. The feature
 vector compares two fuzzy numbers on a shared scale and normalizes every
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScaleMismatch
-from .fuzzy import FuzzyNumber, check_same_scale
+from .fuzzy import FuzzyNumber, check_same_scale, region_triples
 from .intervals import ScaleConfig
 
 _ZERO = 1e-12
@@ -49,26 +52,25 @@ def centroid(fz: FuzzyNumber) -> tuple[float, float]:
     """Centre of mass of the region list, weighing certainty and uncertainty.
 
     The x coordinate is the height-weighted average of region midpoints; the
-    y coordinate is the mean half-height over regions of non-zero height
-    (stored regions always have positive height, the guard is defensive).
+    y coordinate is the mean half-height over the regions.
     """
-    total_height = sum(r.height for r in fz.regions)
-    centroid_x = sum(r.height * (r.left + r.right) for r in fz.regions) / (
+    regions = list(region_triples(fz.profile))
+    total_height = sum(h for _, _, h in regions)
+    centroid_x = sum(h * (left + right) for left, right, h in regions) / (
         2 * total_height
     )
-    non_zero = sum(1 for r in fz.regions if r.height > 0)
-    centroid_y = sum(r.height / 2 for r in fz.regions) / non_zero
+    centroid_y = sum(h / 2 for _, _, h in regions) / len(regions)
     return centroid_x, centroid_y
 
 
 def area(fz: FuzzyNumber) -> float:
     """Total rectangle area of the regions; line regions contribute nothing."""
-    return sum(r.height * r.width for r in fz.regions)
+    return sum(h * (right - left) for left, right, h in region_triples(fz.profile))
 
 
 def height(fz: FuzzyNumber) -> float:
     """Maximum membership degree attained."""
-    return max(r.height for r in fz.regions)
+    return max(fz.profile[1])
 
 
 def _components(fz: FuzzyNumber):
@@ -130,38 +132,35 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
     negligible (all mass in spikes) the quarters fall back to the discrete
     height-weighted distribution over region positions.
     """
-    low = fz.support_min
-    high = fz.support_max
-    segments = [r for r in fz.regions if not r.is_line]
-    total = sum(r.height * r.width for r in segments)
-    points = [low]
+    regions = list(region_triples(fz.profile))
+    segments = [(left, right, h) for left, right, h in regions if left != right]
+    total = sum(h * (right - left) for left, right, h in segments)
+    points = [fz.support_min]
     if total > _ZERO:
         for fraction in _QUARTILE_FRACTIONS:
             target = fraction * total
             cumulative = 0.0
-            position = segments[-1].right
-            for seg in segments:
-                seg_area = seg.height * seg.width
+            position = segments[-1][1]
+            for left, right, h in segments:
+                seg_area = h * (right - left)
                 if cumulative + seg_area >= target:
-                    position = min(
-                        seg.left + (target - cumulative) / seg.height, seg.right
-                    )
+                    position = min(left + (target - cumulative) / h, right)
                     break
                 cumulative += seg_area
             points.append(position)
     else:
-        weight = sum(r.height for r in fz.regions)
+        weight = sum(h for _, _, h in regions)
         for fraction in _QUARTILE_FRACTIONS:
             target = fraction * weight
             cumulative = 0.0
-            position = fz.regions[-1].left
-            for region in fz.regions:
-                cumulative += region.height
+            position = regions[-1][0]
+            for left, right, h in regions:
+                cumulative += h
                 if cumulative >= target:
-                    position = (region.left + region.right) / 2
+                    position = (left + right) / 2
                     break
             points.append(position)
-    points.append(high)
+    points.append(fz.support_max)
     return tuple(points)
 
 

@@ -106,11 +106,18 @@ def _json_lines(records) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    # With its default "\r\n" row end, csv.writer quotes every field holding
+    # "\r" or "\n" (with "\n" alone, Python 3.11 leaves a bare "\r" unquoted);
+    # each row end is then cut back to "\n".
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer = csv.writer(buffer)
+    lines = []
+    for row in (header, *rows):
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+    return "".join(lines)
 
 
 def _cell_records(args, payload) -> list[dict]:
@@ -370,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="multi-criteria closeness ranking")
     p_topsis.add_argument("--measure", choices=SEPARATION_MEASURES, default="combined")
     p_topsis.add_argument("--weights", default=None,
-                          help="comma-separated per-criterion weights")
+                          help="comma-separated per-criterion weights; write "
+                          "--weights=-1,1 when the list starts with a minus sign")
     p_topsis.add_argument("--directions", default=None,
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)

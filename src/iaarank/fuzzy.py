@@ -3,20 +3,24 @@
 Membership at x is the fraction of source intervals containing x, so the
 membership function is piecewise constant: it steps at interval bounds and
 can carry isolated spikes where point coverage exceeds the surrounding
-plateaus (several intervals sharing a bound, or point intervals). The
-canonical representation stores one (left, right, height) region per
-constant-membership stretch plus zero-width line regions for the spikes,
-ordered by position; membership at x is the maximum height over the regions
-containing x.
+plateaus (several intervals sharing a bound, or point intervals).
 
-Every fuzzy number also keeps its step profile, derived from the regions in
-one sweep: the sorted breakpoints (region bounds), the membership at each
-breakpoint, and the membership on each open stretch between them, padded
-with the zero outside the support at both ends. Membership is resolved by
-one bisection: the point height on an exact breakpoint hit, else the height
-of the stretch the bisection lands in. Construction takes the same profile
-from a running count of open intervals over the sorted bounds, so it costs
-O(n log n) for n intervals.
+A fuzzy number stores that function once, as its step profile: the sorted
+breakpoints, the membership at each breakpoint, and the membership on each
+open stretch between them, padded with the zero outside the support at both
+ends. The profile is canonical: no breakpoint has the membership of both
+neighbouring stretches, so one membership function has exactly one profile,
+and equality and hash compare it. Membership is resolved by one bisection:
+the point height on an exact breakpoint hit, else the height of the stretch
+the bisection lands in.
+
+Every other view is derived from the profile. The canonical region list
+holds one (left, right, height) region per constant-membership stretch plus
+zero-width line regions for the spikes, ordered by position; membership at x
+is the maximum height over the regions containing x. Construction takes the
+profile from a running count of open intervals over the sorted bounds, so it
+costs O(n log n) for n intervals; a number given as a region list is swept
+into its profile once.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ScaleMismatch
 from .intervals import IntervalSet, ScaleConfig
@@ -66,111 +71,128 @@ def membership_at(interval_set: IntervalSet, x: float) -> float:
     return hits / interval_set.n
 
 
-def _assemble_regions(
-    xs: Sequence[float], points: Sequence[float], segments: Sequence[float]
-) -> tuple[Region, ...]:
-    """Emit the canonical region list of a step profile.
+def region_triples(
+    profile: tuple[tuple[float, ...], ...]
+) -> Iterator[tuple[float, float, float]]:
+    """Yield (left, right, height) of each region of a canonical step profile.
 
-    xs are the sorted breakpoints and points the membership at each of them;
-    segments[i] is the membership on the open stretch left of xs[i], with
-    segments[len(xs)] right of the last breakpoint (zero outside the support).
-    A line region is emitted only where the point membership exceeds both
-    neighbouring segments, so redundant spikes vanish. A segment extends the
-    previous one when both have the height of the breakpoint they share,
-    which keeps the list maximal.
+    In position order: a line region where the point membership exceeds both
+    neighbouring segments, then the segment right of each breakpoint where
+    the membership is positive. A canonical profile has no flat breakpoint,
+    so neighbouring segments never share a height and every region is
+    maximal.
     """
-    regions: list[Region] = []
+    xs, points, segments = profile
     for i, x in enumerate(xs):
         left, point, right = segments[i], points[i], segments[i + 1]
         if point > left and point > right:
-            regions.append(Region(x, x, point))
-        if right == 0:
-            continue
-        if point == left == right:
-            regions[-1] = Region(regions[-1].left, xs[i + 1], right)
-        else:
-            regions.append(Region(x, xs[i + 1], right))
-    return tuple(regions)
+            yield x, x, point
+        if right > 0:
+            yield x, xs[i + 1], right
 
 
 def _region_profile(regions: Sequence[Region]) -> tuple[tuple[float, ...], ...]:
-    """Step profile (breakpoints, points, segments) of regions sorted by left.
+    """Canonical step profile (breakpoints, points, segments) of regions
+    sorted by left.
 
     One sweep over the distinct bounds keeps the regions reaching the current
     breakpoint in a heap ordered by height; the tallest one still containing
     the breakpoint gives the point membership, and the tallest one reaching
     past it gives the segment to its right. Overlapping regions resolve by
-    the maximum-height rule.
+    the maximum-height rule. A bound where the membership equals both
+    neighbouring segments is not a breakpoint.
     """
-    xs = sorted({r.left for r in regions} | {r.right for r in regions})
+    xs: list[float] = []
     points: list[float] = []
     segments = [0.0]
     active: list[tuple[float, float]] = []  # (-height, right)
     pending = iter(regions)
     region = next(pending, None)
-    for x in xs:
+    for x in sorted({r.left for r in regions} | {r.right for r in regions}):
         while region is not None and region.left <= x:
             heappush(active, (-region.height, region.right))
             region = next(pending, None)
         while active[0][1] < x:
             heappop(active)
-        points.append(-active[0][0])
+        point = -active[0][0]
         while active and active[0][1] <= x:
             heappop(active)
-        segments.append(-active[0][0] if active else 0.0)
+        right = -active[0][0] if active else 0.0
+        if point == segments[-1] == right:
+            continue
+        xs.append(x)
+        points.append(point)
+        segments.append(right)
     return tuple(xs), tuple(points), tuple(segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuzzyNumber:
-    """Piecewise-constant fuzzy number in canonical region-list form.
+    """Piecewise-constant fuzzy number, stored as its canonical step profile.
 
-    Retains the sorted deduplicated source interval bounds: similarity
-    measures evaluate on those, not on region bounds.
+    Built from a region list sorted by position whose segments have disjoint
+    interiors; a line region may sit inside a segment, and the tallest region
+    at x gives the membership. Retains the sorted deduplicated source
+    interval bounds: similarity measures evaluate on those, not on
+    breakpoints.
     """
 
-    regions: tuple[Region, ...]
+    profile: tuple[tuple[float, ...], ...]
     endpoints: tuple[float, ...]
     n: int
     scale: ScaleConfig
     label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "endpoints", tuple(float(x) for x in self.endpoints))
-        if not self.regions:
+    def __init__(self, regions: Iterable[Region], endpoints: Iterable[float],
+                 n: int, scale: ScaleConfig, label: str = ""):
+        regions = tuple(regions)
+        if not regions:
             raise ValueError("a fuzzy number needs at least one region")
         ordered = all(
             (a.left, a.right) <= (b.left, b.right)
-            for a, b in zip(self.regions, self.regions[1:])
+            for a, b in zip(regions, regions[1:])
         )
         if not ordered:
             raise ValueError("regions must be sorted by position")
         previous_segment_right = None
-        for region in self.regions:
+        for region in regions:
             if region.is_line:
                 continue
             if previous_segment_right is not None and region.left < previous_segment_right:
                 raise ValueError("segment regions must have disjoint interiors")
             previous_segment_right = region.right
-        object.__setattr__(self, "_profile", _region_profile(self.regions))
+        vars(self).update(  # frozen: the fields are written past __setattr__
+            profile=_region_profile(regions),
+            endpoints=tuple(float(x) for x in endpoints),
+            n=n,
+            scale=scale,
+            label=label,
+        )
 
-    @property
-    def profile(self) -> tuple[tuple[float, ...], ...]:
-        """(breakpoints, points, segments) as described in the module docstring."""
-        return self._profile
+    @classmethod
+    def _from_profile(cls, **fields) -> FuzzyNumber:
+        """A number from its stored fields, unchecked: the profile must be
+        canonical and the endpoints floats."""
+        number = object.__new__(cls)
+        vars(number).update(fields)
+        return number
+
+    @cached_property
+    def regions(self) -> tuple[Region, ...]:
+        """Canonical region list, derived from the profile on first access."""
+        return tuple(Region(*t) for t in region_triples(self.profile))
 
     @property
     def support_min(self) -> float:
-        return self.regions[0].left
+        return self.profile[0][0]
 
     @property
     def support_max(self) -> float:
-        return self._profile[0][-1]
+        return self.profile[0][-1]
 
     def membership(self, x: float) -> float:
         """Maximum region height at x; 0 outside every region."""
-        xs, points, segments = self._profile
+        xs, points, segments = self.profile
         i = bisect_left(xs, x)
         return points[i] if i < len(xs) and xs[i] == x else segments[i]
 
@@ -178,7 +200,7 @@ class FuzzyNumber:
         return {
             "label": self.label,
             "n": self.n,
-            "regions": [[r.left, r.right, r.height] for r in self.regions],
+            "regions": [list(t) for t in region_triples(self.profile)],
             "endpoints": list(self.endpoints),
         }
 
@@ -214,7 +236,8 @@ def construct_fuzzy(
     taken, and those that end there leave it before the membership of the
     next open segment is taken. The reconstruction
     ``max height over regions containing x`` then equals the direct count
-    at every real x.
+    at every real x. Every breakpoint starts or ends an interval, so none is
+    flat and the profile is canonical as it stands.
     """
     interval_set.validate_scale(scale)
     starts = Counter(iv.left for iv in interval_set.intervals)
@@ -229,8 +252,8 @@ def construct_fuzzy(
         points.append(covering / n)
         covering -= ends[x]
         segments.append(covering / n)
-    return FuzzyNumber(
-        regions=_assemble_regions(xs, points, segments),
+    return FuzzyNumber._from_profile(
+        profile=(xs, tuple(points), tuple(segments)),
         endpoints=xs,
         n=n,
         scale=scale,
@@ -247,7 +270,7 @@ def canonicalize(regions: Iterable[Region]) -> tuple[Region, ...]:
     regs = sorted(regions, key=lambda r: r.left)
     if not regs:
         return ()
-    return _assemble_regions(*_region_profile(regs))
+    return tuple(Region(*t) for t in region_triples(_region_profile(regs)))
 
 
 def evaluation_points(a: FuzzyNumber, b: FuzzyNumber) -> tuple[float, ...]:

@@ -238,9 +238,11 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         header = None
-        line_no = 0
+        reader = csv.reader(handle)
+        start = 1  # physical line on which the next record starts
         try:
-            for line_no, record in enumerate(csv.reader(handle), start=1):
+            for record in reader:
+                line_no, start = start, reader.line_num + 1
                 if not "".join(record).strip():
                     continue
                 if header is None:
@@ -262,8 +264,7 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
                 rows.append((line_no, alternative.strip(), criterion.strip(),
                              source.strip(), left.strip(), right.strip()))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            line_no += 1
-            raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
+            raise MalformedRow(f"{path} line {start}: {exc}", line=start) from exc
     return rows
 
 

@@ -256,6 +256,12 @@ class TestTopsisCommand:
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
         assert code == 3
 
+    def test_negative_weight_given_with_equals_sign_exits_3(self, capsys):
+        # "--weights -1,1" is read by argparse as an unknown option (exit 2)
+        code, out, err = run(capsys, "topsis", *SYNTH, "--weights=-1,1")
+        assert (code, out) == (3, "")
+        assert "non-negative" in err
+
     @pytest.mark.parametrize("value,message", [("-1", "non-negative"), ("inf", "finite")])
     def test_bad_epsilon_exits_3(self, capsys, value, message):
         code, out, err = run(capsys, "topsis", *SYNTH, "--epsilon", value)
@@ -353,7 +359,7 @@ class TestDeterminismAndOutput:
 
 
 class TestCsvRoundTrip:
-    ALTERNATIVES = ("Acme, Inc.", 'The "Best" One', "Line\nBreak")
+    ALTERNATIVES = ("Acme, Inc.", 'The "Best" One', "Line\nBreak", "Bare\rReturn")
     CRITERIA = ("price, net", 'say "hi"')
     ALTS, CRITS = set(ALTERNATIVES), set(CRITERIA)
     # argv after the subcommand, and the label set expected in each label column
@@ -373,7 +379,8 @@ class TestCsvRoundTrip:
     @pytest.fixture
     def dataset(self, tmp_path):
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        # QUOTE_ALL: with "\n" row ends, Python 3.11 leaves a bare "\r" unquoted
+        writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(("alternative", "criterion", "source", "left", "right"))
         for a, alternative in enumerate(self.ALTERNATIVES):
             for c, criterion in enumerate(self.CRITERIA):

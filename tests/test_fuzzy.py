@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -9,10 +10,13 @@ from iaarank import (
     IntervalSet,
     Region,
     ScaleConfig,
+    attribute_similarity,
+    attribute_vector,
     canonicalize,
     construct_fuzzy,
     evaluation_points,
     membership_at,
+    universal_compare,
 )
 
 import oracle
@@ -242,3 +246,34 @@ class TestFuzzyNumberType:
         payload = {"label": "p", "n": 1, "regions": [region], "endpoints": [2]}
         with pytest.raises(ValueError, match="outside the scale"):
             FuzzyNumber.from_dict(payload, WIDE)
+
+
+# Region lists that differ but describe one membership function
+SAME_MEMBERSHIP = {
+    "spike inside a segment": (
+        [(0, 4, 0.5), (2, 2, 0.8)],
+        [(0, 2, 0.5), (2, 2, 0.8), (2, 4, 0.5)],
+    ),
+    "touching equal segments": ([(0, 1, 0.5), (1, 2, 0.5)], [(0, 2, 0.5)]),
+}
+
+
+class TestOneNumberPerMembership:
+    @pytest.mark.parametrize("case", SAME_MEMBERSHIP)
+    def test_same_membership_is_the_same_number(self, case):
+        a, b = (
+            FuzzyNumber(tuple(Region(*t) for t in regs), (0, 1, 2, 4), n=5, scale=WIDE)
+            for regs in SAME_MEMBERSHIP[case]
+        )
+        assert a == b
+        assert hash(a) == hash(b)
+        assert attribute_vector(a) == attribute_vector(b)
+        assert attribute_similarity(a, b) == 1.0
+        assert universal_compare(a, b) == 0
+
+    def test_only_the_profile_is_stored(self, film_numbers):
+        fields = [f.name for f in dataclasses.fields(FuzzyNumber)]
+        assert fields == ["profile", "endpoints", "n", "scale", "label"]
+        fz = film_numbers["Film B"]
+        assert fz.regions is fz.regions
+        assert fz.regions == tuple(Region(*t) for t in fz.to_dict()["regions"])

@@ -144,6 +144,24 @@ class TestHostileInput:
             "for alternative 'A', criterion 'c'"
         )
 
+    @pytest.mark.parametrize(
+        "rows,line,message",
+        [
+            ('"Two\nLines",c,s,1,2\nB,c,s,one,2\n', 4, "non-numeric bound"),
+            ('A,c,s,1,2\n"Two\nLines",c,s,1,2\nA,c,s,2,3\n', 5,
+             "repeats source 's' of line 2"),
+        ],
+        ids=["bad bound", "repeated source"],
+    )
+    def test_csv_lines_count_inside_quoted_fields(self, tmp_path, rows, line, message):
+        # the quoted label spans two physical lines
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(HEADER) + "\n" + rows, encoding="utf-8")
+        with pytest.raises(MalformedRow, match=message) as excinfo:
+            load_dataset(path, WIDE)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"{path} line {line}: ")
+
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_undecodable_file_names_the_file(self, tmp_path, suffix):
         path = tmp_path / f"latin1{suffix}"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iaarank import FuzzyNumber, Region, ScaleConfig, canonicalize, construct_fuzzy
 from iaarank.attributes import (
     agreement_ratio,
+    attribute_vector,
     membership_polyline,
     perimeter,
     support_length,
@@ -107,6 +108,37 @@ def test_canonicalize_idempotent_and_preserves_membership(regs):
     for x in probe_points({b for r in regs for b in (r.left, r.right)}):
         direct = max((r.height for r in regs if r.left <= x <= r.right), default=0.0)
         assert fz.membership(x) == direct
+
+
+def constructible(regs):
+    """The regions the FuzzyNumber constructor accepts, in order: every line,
+    and each segment that starts at or after the end of the last one kept."""
+    kept, end = [], None
+    for r in sorted(regs, key=lambda r: (r.left, r.right)):
+        if r.is_line:
+            kept.append(r)
+        elif end is None or r.left >= end:
+            kept.append(r)
+            end = r.right
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_lists)
+@example([Region(0, 4, 0.5), Region(2, 2, 0.75)])
+@example([Region(0, 1, 0.5), Region(1, 1, 0.5), Region(1, 2, 0.5)])
+def test_regions_and_their_canonical_form_give_one_number(regs):
+    regs = constructible(regs)
+    given_as = FuzzyNumber(regs, endpoints=(), n=1, scale=WIDE)
+    canonical = FuzzyNumber(canonicalize(regs), endpoints=(), n=1, scale=WIDE)
+    assert given_as.profile == canonical.profile
+    _, points, segments = given_as.profile
+    flat = [left == point == right
+            for left, point, right in zip(segments, points, segments[1:])]
+    assert not any(flat)
+    assert given_as == canonical and hash(given_as) == hash(canonical)
+    assert attribute_vector(given_as) == attribute_vector(canonical)
+    assert given_as.regions == canonical.regions == canonicalize(regs)
 
 
 @settings(max_examples=150, deadline=None)
