@@ -14,7 +14,7 @@ component into [0, 1]; identical inputs yield the all-zero vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, check_same_scale, region_triples
@@ -37,15 +37,7 @@ class AttributeVector:
     agreement_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "quartiles": list(self.quartiles),
-            "centroid_x": self.centroid_x,
-            "centroid_y": self.centroid_y,
-            "area": self.area,
-            "height": self.height,
-            "perimeter": self.perimeter,
-            "agreement_ratio": self.agreement_ratio,
-        }
+        return {**asdict(self), "quartiles": list(self.quartiles)}
 
 
 def centroid(fz: FuzzyNumber) -> tuple[float, float]:
@@ -54,23 +46,18 @@ def centroid(fz: FuzzyNumber) -> tuple[float, float]:
     The x coordinate is the height-weighted average of region midpoints; the
     y coordinate is the mean half-height over the regions.
     """
-    regions = list(region_triples(fz.profile))
-    total_height = sum(h for _, _, h in regions)
-    centroid_x = sum(h * (left + right) for left, right, h in regions) / (
-        2 * total_height
-    )
-    centroid_y = sum(h / 2 for _, _, h in regions) / len(regions)
-    return centroid_x, centroid_y
+    vector = attribute_vector(fz)
+    return vector.centroid_x, vector.centroid_y
 
 
 def area(fz: FuzzyNumber) -> float:
     """Total rectangle area of the regions; line regions contribute nothing."""
-    return sum(h * (right - left) for left, right, h in region_triples(fz.profile))
+    return attribute_vector(fz).area
 
 
 def height(fz: FuzzyNumber) -> float:
     """Maximum membership degree attained."""
-    return max(fz.profile[1])
+    return attribute_vector(fz).height
 
 
 def _components(fz: FuzzyNumber):
@@ -100,10 +87,7 @@ def perimeter(fz: FuzzyNumber) -> float:
     tile the component, so they equal the baseline), and the vertical travel.
     An isolated line region contributes twice its height.
     """
-    total = 0.0
-    for span, vertical in _components(fz):
-        total += 2 * span + vertical
-    return total
+    return attribute_vector(fz).perimeter
 
 
 def membership_polyline(fz: FuzzyNumber) -> list[tuple[float, float]]:
@@ -132,7 +116,11 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
     negligible (all mass in spikes) the quarters fall back to the discrete
     height-weighted distribution over region positions.
     """
-    regions = list(region_triples(fz.profile))
+    return attribute_vector(fz).quartiles
+
+
+def _quartiles(fz: FuzzyNumber, regions, total_height: float):
+    """quartile_points from the region triples and their total height."""
     segments = [(left, right, h) for left, right, h in regions if left != right]
     total = sum(h * (right - left) for left, right, h in segments)
     points = [fz.support_min]
@@ -149,9 +137,8 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
                 cumulative += seg_area
             points.append(position)
     else:
-        weight = sum(h for _, _, h in regions)
         for fraction in _QUARTILE_FRACTIONS:
-            target = fraction * weight
+            target = fraction * total_height
             cumulative = 0.0
             position = regions[-1][0]
             for left, right, h in regions:
@@ -176,29 +163,37 @@ def agreement_ratio(fz: FuzzyNumber) -> float:
     overlap tightly scores high even when an outlier spike widens the hull.
     A support of zero width (all mass in spikes) carries no area and rates 0.
     """
-    length = support_length(fz)
-    if length <= _ZERO:
-        return 0.0
-    return area(fz) / length
+    return attribute_vector(fz).agreement_ratio
 
 
 def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     """All seven attributes of one fuzzy number, computed once per instance.
 
-    The vector is stored on the number as the private non-field attribute
-    ``_attributes``, so equality, hash and ``to_dict`` do not see it.
+    One pass lists the region triples and one walk visits the support
+    components; every attribute is read from those two. The vector is
+    stored on the number as the private non-field attribute ``_attributes``,
+    so equality, hash and ``to_dict`` do not see it.
     """
     vector = getattr(fz, "_attributes", None)
     if vector is None:
-        centroid_x, centroid_y = centroid(fz)
+        regions = list(region_triples(fz.profile))
+        total_height = sum(h for _, _, h in regions)
+        total_area = sum(h * (right - left) for left, right, h in regions)
+        outline = 0.0
+        spans = []
+        for span, vertical in _components(fz):
+            outline += 2 * span + vertical
+            spans.append(span)
+        length = sum(spans)
         vector = AttributeVector(
-            quartiles=quartile_points(fz),
-            centroid_x=centroid_x,
-            centroid_y=centroid_y,
-            area=area(fz),
-            height=height(fz),
-            perimeter=perimeter(fz),
-            agreement_ratio=agreement_ratio(fz),
+            quartiles=_quartiles(fz, regions, total_height),
+            centroid_x=sum(h * (left + right) for left, right, h in regions)
+            / (2 * total_height),
+            centroid_y=sum(h / 2 for _, _, h in regions) / len(regions),
+            area=total_area,
+            height=max(fz.profile[1]),
+            perimeter=outline,
+            agreement_ratio=0.0 if length <= _ZERO else total_area / length,
         )
         object.__setattr__(fz, "_attributes", vector)
     return vector

@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", default=None, help="write here instead of stdout")
     common.add_argument("--epsilon", type=float, default=1e-9,
-                        help="relative tie tolerance for comparisons")
+                        help="relative tie tolerance; ties are tolerance clusters")
 
     parser = argparse.ArgumentParser(
         prog="iaarank",

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .attributes import attribute_vector
@@ -20,15 +19,34 @@ from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import IntervalSet, midpoint_mean
 from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
 
-A_GREATER = 1
-EQUAL = 0
-B_GREATER = -1
-
 DEFAULT_EPSILON = 1e-9
 
 
 def _close(x: float, y: float, epsilon: float) -> bool:
-    return abs(x - y) <= epsilon * max(1.0, abs(x), abs(y))
+    """Within a relative tolerance; equal values, infinities too, are close."""
+    return x == y or abs(x - y) <= epsilon * max(1.0, abs(x), abs(y))
+
+
+def universal_levels(epsilon: float = DEFAULT_EPSILON, number=None):
+    """The universal order as sort levels for order_and_rank.
+
+    Keys in order: greater centroid-x first; then the lower perimeter (a
+    tighter outline means more certainty, so the centroid is more
+    trustworthy); then the greater centroid-y. Each key ties within a
+    relative tolerance of epsilon. number(item) gives the fuzzy number of an
+    item; by default the item is the number.
+    """
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and non-negative")
+
+    def vector(item):
+        return attribute_vector(item if number is None else number(item))
+
+    return (
+        (lambda item: -vector(item).centroid_x, epsilon),
+        (lambda item: vector(item).perimeter, epsilon),
+        (lambda item: -vector(item).centroid_y, epsilon),
+    )
 
 
 def universal_compare(
@@ -36,27 +54,15 @@ def universal_compare(
 ) -> int:
     """Compare two fuzzy numbers without external context.
 
-    Keys in order: greater centroid-x wins; on a tie the lower perimeter wins
-    (a tighter outline means more certainty, so the centroid is more
-    trustworthy); on a further tie the greater centroid-y wins. Returns 1
-    when a outranks b, -1 when b outranks a, 0 when all three keys tie.
-    Ties use a relative tolerance of epsilon per key.
+    Walks the keys of universal_levels. Returns 1 when a outranks b, -1 when
+    b outranks a, 0 when all three keys tie.
     """
     check_same_scale(a, b)
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and non-negative")
-    attrs_a = attribute_vector(a)
-    attrs_b = attribute_vector(b)
-    keys = (
-        (attrs_a.centroid_x, attrs_b.centroid_x, True),
-        (attrs_a.perimeter, attrs_b.perimeter, False),
-        (attrs_a.centroid_y, attrs_b.centroid_y, True),
-    )
-    for value_a, value_b, higher_wins in keys:
-        if _close(value_a, value_b, epsilon):
-            continue
-        return A_GREATER if (value_a > value_b) == higher_wins else B_GREATER
-    return EQUAL
+    for key, tolerance in universal_levels(epsilon):
+        value_a, value_b = key(a), key(b)
+        if not _close(value_a, value_b, tolerance):
+            return 1 if value_a < value_b else -1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,8 @@ class RankingEntry:
 class RankingResult:
     """Alternatives in rank order with competition-style 1-based ranks.
 
-    Entries compared equal share the smaller rank; ties lists the label
-    groups that compared equal.
+    The entries of one tie group share its smallest rank; ties lists the
+    label groups.
     """
 
     method: str
@@ -92,68 +98,76 @@ class RankingResult:
         }
 
 
-def competition_ranks(ordered, equal) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Competition ranks of a sorted sequence and its groups of tied positions.
+def order_and_rank(items, levels):
+    """Sort items best first on levels of (key, epsilon) and rank them.
 
-    equal is asked once for each pair of neighbours, in order. An item equal
-    to its predecessor shares its rank; any other item at 0-based position p
-    gets rank p + 1. Every run of two or more equal neighbours is one tie
-    group, listed by position.
-    """
-    ranks: list[int] = []
-    for position, item in enumerate(ordered):
-        if position == 0 or not equal(ordered[position - 1], item):
-            rank = position + 1
-        ranks.append(rank)
-    runs = (tuple(run) for _, run in groupby(range(len(ranks)), key=ranks.__getitem__))
-    return ranks, [run for run in runs if len(run) > 1]
-
-
-def descending(x: float, y: float) -> int:
-    """Comparator that puts the greater score first; 0 only when x == y."""
-    if x != y:
-        return -1 if x > y else 1
-    return 0
-
-
-def order_and_rank(items, compare):
-    """Sort items with compare, best first, and rank the sorted sequence.
-
-    compare(a, b) is negative when a belongs before b; two neighbours tie
-    exactly when it returns 0. Returns the sorted list with its competition
-    ranks and tie groups (see competition_ranks). The sort is stable.
+    A lower key ranks higher. The items are sorted (stably) on the first key
+    and cut into clusters: a cluster opens at its first item and takes each
+    next item whose key is within a relative tolerance of epsilon of the
+    opener's. Clusters of two or more items are sorted and cut again on the
+    next level; keys are computed once per item and level, and never for a
+    one-item cluster. The final clusters are the tie groups, so no result
+    depends on the input order. Returns the sorted list, its competition
+    ranks and the tie groups as tuples of positions.
     """
     if not items:
         raise ValueError("nothing to rank")
-    ordered = sorted(items, key=cmp_to_key(compare))
-    ranks, groups = competition_ranks(ordered, lambda a, b: compare(a, b) == 0)
+    clusters = [list(items)]
+    for key, epsilon in levels:
+        refined = []
+        for cluster in clusters:
+            if len(cluster) == 1:
+                refined.append(cluster)
+                continue
+            keyed = sorted(zip(map(key, cluster), cluster), key=itemgetter(0))
+            opener = None
+            for value, item in keyed:
+                if opener is None or not _close(opener, value, epsilon):
+                    opener = value
+                    refined.append([])
+                refined[-1].append(item)
+        clusters = refined
+    ordered, ranks, groups = [], [], []
+    for cluster in clusters:
+        ranks += [len(ordered) + 1] * len(cluster)
+        if len(cluster) > 1:
+            groups.append(tuple(range(len(ordered), len(ordered) + len(cluster))))
+        ordered += cluster
     return ordered, ranks, groups
 
 
-def _build_result(method, items, compare, scores) -> RankingResult:
-    """Rank items with compare and label each sorted item by scores."""
-    ordered, ranks, groups = order_and_rank(items, compare)
-    labeled = [scores(item) for item in ordered]
+def _by_score(item) -> float:
+    """Sort key of a (subject, score) pair: the greater score first."""
+    return -item[1]
+
+
+def _build_result(method, scored, levels) -> RankingResult:
+    """Rank (subject, score) pairs on levels; label entries by subject."""
+    ordered, ranks, groups = order_and_rank(scored, levels)
     entries = tuple(
-        RankingEntry(label=label, score=score, rank=rank)
-        for (label, score), rank in zip(labeled, ranks)
+        RankingEntry(label=subject.label, score=score, rank=rank)
+        for (subject, score), rank in zip(ordered, ranks)
     )
-    ties = tuple(tuple(labeled[i][0] for i in group) for group in groups)
+    ties = tuple(tuple(ordered[i][0].label for i in group) for group in groups)
     return RankingResult(method=method, entries=entries, ties=ties)
 
 
 def rank_universal(
     items: Sequence[FuzzyNumber], epsilon: float = DEFAULT_EPSILON
 ) -> RankingResult:
-    """Total order of the items under the universal comparison.
+    """Order the items on the universal keys (see universal_levels).
 
-    Stable: exact ties keep their input order and share a rank.
+    Ties are the tolerance clusters of order_and_rank: the result does not
+    depend on the input order, and items with equal keys keep their input
+    order and share a rank. Raises ScaleMismatch unless all items share
+    one scale.
     """
+    for fz in items:
+        check_same_scale(items[0], fz)
     return _build_result(
         "universal",
-        items,
-        lambda a, b: -universal_compare(a, b, epsilon),
-        scores=lambda fz: (fz.label, None),
+        [(fz, None) for fz in items],
+        universal_levels(epsilon, number=itemgetter(0)),
     )
 
 
@@ -191,17 +205,16 @@ def rank_by_ideal_ratio(
 ) -> RankingResult:
     """Rank by descending ideal-ratio score.
 
-    Exact score ties are ordered by the universal comparison and only stay
-    tied (sharing a rank) when that comparison is also equal.
+    Exact score ties are ordered on the universal keys (see universal_levels)
+    and only stay tied (sharing a rank) when they fall in one tolerance
+    cluster of those keys as well.
     """
     scored = [(fz, ideal_ratio(fz, ideal_best, ideal_worst, measure, weights))
               for fz in items]
     return _build_result(
         f"ideal_ratio({measure})",
         scored,
-        lambda a, b: descending(a[1], b[1])
-        or -universal_compare(a[0], b[0], epsilon),
-        scores=lambda item: (item[0].label, item[1]),
+        [(_by_score, 0.0), *universal_levels(epsilon, number=itemgetter(0))],
     )
 
 
@@ -210,6 +223,5 @@ def rank_baseline_mean(sets: Sequence[IntervalSet]) -> RankingResult:
     return _build_result(
         "baseline_mean",
         [(s, midpoint_mean(s)) for s in sets],
-        lambda a, b: descending(a[1], b[1]),
-        scores=lambda item: (item[0].label, item[1]),
+        [(_by_score, 0.0)],
     )

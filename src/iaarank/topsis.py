@@ -14,15 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fuzzy import FuzzyNumber, construct_fuzzy
+from .fuzzy import FuzzyNumber, check_same_scale, construct_fuzzy
 from .intervals import MultiCriteriaDataset, ScaleConfig
-from .ranking import (
-    DEFAULT_EPSILON,
-    EQUAL,
-    descending,
-    order_and_rank,
-    universal_compare,
-)
+from .ranking import DEFAULT_EPSILON, order_and_rank, universal_levels
 from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
 
 DIRECTIONS = ("benefit", "cost")
@@ -126,13 +120,17 @@ def select_ideals(
 
     The top alternative under the universal ranking is the positive ideal and
     the bottom one the negative ideal; cost criteria swap the two. A
-    criterion whose extremes compare equal is flagged degenerate.
+    criterion whose alternatives all fall in one universal tie group is
+    flagged degenerate. Raises ScaleMismatch unless each column shares one
+    scale.
     """
+    levels = universal_levels(epsilon)
     ideals = []
     for index, criterion in enumerate(matrix.criteria):
-        ordered, _, _ = order_and_rank(
-            matrix.column(criterion), lambda a, b: -universal_compare(a, b, epsilon)
-        )
+        column = matrix.column(criterion)
+        for fz in column:
+            check_same_scale(column[0], fz)
+        ordered, ranks, _ = order_and_rank(column, levels)
         top, bottom = ordered[0], ordered[-1]
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top
@@ -143,7 +141,7 @@ def select_ideals(
                 nis_label=bottom.label,
                 pis=top,
                 nis=bottom,
-                degenerate=universal_compare(top, bottom, epsilon) == EQUAL,
+                degenerate=ranks[-1] == 1,
             )
         )
     return tuple(ideals)
@@ -233,9 +231,10 @@ def topsis_rank(
 
     A vanishing denominator (the alternative coincides with both ideals)
     yields closeness 0.5 with a degenerate flag instead of failing, so batch
-    runs always complete. Exact closeness ties are ordered by the universal
-    comparison on the tie-break criterion when one is configured, otherwise
-    they share a rank and are reported in ties.
+    runs always complete. Exact closeness ties are ordered on the universal
+    keys of the tie-break criterion's cells when one is configured, and stay
+    tied only within one tolerance cluster of those keys; without one they
+    share a rank. Tied rows are reported in ties.
     """
     if tie_break_criterion not in (None, *matrix.criteria):
         raise ValueError(f"unknown tie-break criterion {tie_break_criterion!r}")
@@ -250,24 +249,14 @@ def topsis_rank(
             closeness, degenerate = 0.5, True
         rows.append((label, d_plus, d_minus, closeness, degenerate))
 
-    def compare(row_a, row_b):
-        order = descending(row_a[3], row_b[3])
-        if order or tie_break_criterion is None:
-            return order
-        a = matrix.cell(row_a[0], tie_break_criterion)
-        b = matrix.cell(row_b[0], tie_break_criterion)
-        return -universal_compare(a, b, epsilon)
-
-    ordered, ranks, groups = order_and_rank(rows, compare)
-    entries = tuple(
-        TopsisEntry(
-            label=label,
-            d_plus=d_plus,
-            d_minus=d_minus,
-            closeness=closeness,
-            rank=rank,
-            degenerate=degenerate,
+    levels = [(lambda row: -row[3], 0.0)]
+    if tie_break_criterion is not None:
+        levels += universal_levels(
+            epsilon, number=lambda row: matrix.cell(row[0], tie_break_criterion)
         )
+    ordered, ranks, groups = order_and_rank(rows, levels)
+    entries = tuple(
+        TopsisEntry(label, d_plus, d_minus, closeness, rank, degenerate)
         for (label, d_plus, d_minus, closeness, degenerate), rank in zip(ordered, ranks)
     )
     ties = tuple(tuple(ordered[i][0] for i in group) for group in groups)

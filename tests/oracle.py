@@ -222,3 +222,46 @@ def brute_load(rows):
         ordered = sorted(entries, key=lambda entry: entry[0])
         cells[key] = [(float(l), float(r)) for _, l, r in ordered]
     return alternatives, criteria, cells
+
+
+def brute_rank(values, epsilons):
+    """Competition ranks and tie groups of the cluster relation, by index loops.
+
+    values[i] holds the keys of item i, one per level (a lower key ranks
+    higher); epsilons holds one relative tolerance per level. Level by
+    level, each group is selection-sorted on its key and cut into clusters:
+    a cluster opens at an item and takes each following item within
+    tolerance of the opener. Returns the rank of each item in input order
+    and the tie groups as sets of input indices, best group first.
+    """
+    def close(x, y, eps):
+        return x == y or abs(x - y) <= eps * max(1.0, abs(x), abs(y))
+
+    groups = [list(range(len(values)))]
+    for level, eps in enumerate(epsilons):
+        split = []
+        for group in groups:
+            rest = list(group)
+            order = []
+            while rest:
+                least = 0
+                for j in range(1, len(rest)):
+                    if values[rest[j]][level] < values[rest[least]][level]:
+                        least = j
+                order.append(rest.pop(least))
+            opener = None
+            for index in order:
+                if opener is None or not close(
+                    values[opener][level], values[index][level], eps
+                ):
+                    opener = index
+                    split.append([])
+                split[-1].append(index)
+        groups = split
+    ranks = [0] * len(values)
+    position = 0
+    for group in groups:
+        for index in group:
+            ranks[index] = position + 1
+        position += len(group)
+    return ranks, [set(group) for group in groups if len(group) > 1]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from iaarank import (
     universal_compare,
 )
 from iaarank.errors import DivisionByZero, ScaleMismatch
-from iaarank.ranking import competition_ranks
+from iaarank.ranking import order_and_rank
 
 import oracle
 from conftest import (
@@ -289,20 +291,69 @@ class TestIdealExtremes:
             )
 
 
-class TestCompetitionRanks:
+class TestOrderAndRank:
     def test_ranks_and_tie_groups(self):
-        values = [9, 7, 7, 7, 5, 3, 3]
-        ranks, groups = competition_ranks(values, lambda a, b: a == b)
+        values = [3, 9, 7, 5, 7, 3, 7]
+        ordered, ranks, groups = order_and_rank(values, [(lambda v: -v, 0.0)])
+        assert ordered == [9, 7, 7, 7, 5, 3, 3]
         assert ranks == [1, 2, 2, 2, 5, 6, 6]
         assert groups == [(1, 2, 3), (5, 6)]
 
-    def test_asks_each_neighbour_pair_once(self):
-        asked = []
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nothing to rank"):
+            order_and_rank([], [(lambda v: v, 0.0)])
 
-        def equal(a, b):
-            asked.append((a, b))
-            return False
+    def test_each_key_once_per_item_and_none_for_a_lone_item(self):
+        asked = {"first": [], "second": []}
 
-        assert competition_ranks("abc", equal) == ([1, 2, 3], [])
-        assert asked == [("a", "b"), ("b", "c")]
-        assert competition_ranks([], equal) == ([], [])
+        def key(level):
+            def read(item):
+                asked[level].append(item[0])
+                return item[1 if level == "first" else 2]
+            return read
+
+        items = [("a", 1, 0), ("b", 2, 5), ("c", 2, 4), ("d", 3, 0)]
+        levels = [(key("first"), 0.0), (key("second"), 0.0)]
+        ordered, ranks, groups = order_and_rank(items, levels)
+        assert [item[0] for item in ordered] == ["a", "c", "b", "d"]
+        assert ranks == [1, 2, 3, 4] and groups == []
+        assert asked == {"first": ["a", "b", "c", "d"], "second": ["b", "c"]}
+        asked["first"].clear()
+        order_and_rank(items[:1], levels)
+        assert asked == {"first": [], "second": ["b", "c"]}
+
+    def test_cluster_is_measured_from_its_opener(self):
+        # 1.0 ~ 1.4 and 1.4 ~ 1.8 within 30%, but 1.8 is not close to 1.0
+        ordered, ranks, groups = order_and_rank([1.8, 1.4, 1.0], [(float, 0.3)])
+        assert ordered == [1.0, 1.4, 1.8]
+        assert ranks == [1, 1, 3]
+        assert groups == [(0, 1)]
+
+
+class TestToleranceClusters:
+    """Ties are tolerance clusters, so no result depends on the input order."""
+
+    OFFSETS = {"low": 0.0, "mid": 8e-9, "high": 1.6e-8}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(OFFSETS)))
+    def test_three_points_rank_alike_in_every_input_order(self, order):
+        numbers = [
+            construct_fuzzy(make_set(name, [(5.0 + self.OFFSETS[name],) * 2]), WIDE)
+            for name in order
+        ]
+        result = rank_universal(numbers, epsilon=2e-9)
+        assert result.labels() == ("high", "mid", "low")
+        assert [e.rank for e in result.entries] == [1, 1, 3]
+        assert result.ties == (("high", "mid"),)
+
+    def test_mixed_scales_rejected(self, film_numbers):
+        other = fn([(1, 2, 0.5)], label="other")
+        with pytest.raises(ScaleMismatch):
+            rank_universal([film_numbers["Film A"], film_numbers["Film J"], other])
+
+    def test_infinite_scores_tie(self):
+        sets = [make_set(f"s{i}", [(1e308, 1.7e308)]) for i in range(2)]
+        result = rank_baseline_mean(sets)
+        assert [e.score for e in result.entries] == [math.inf, math.inf]
+        assert [e.rank for e in result.entries] == [1, 1]
+        assert result.ties == (("s0", "s1"),)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from iaarank import (
     separations,
     topsis_rank,
 )
+from iaarank.errors import ScaleMismatch
 from iaarank.intervals import MultiCriteriaDataset
 
 import oracle
@@ -111,6 +113,34 @@ class TestSelectIdeals:
         m = DecisionMatrix.from_dataset(dataset_from(shifted_cells))
         ideals = select_ideals(m)
         assert [(i.pis_label, i.nis_label) for i in ideals] == [("X", "Z"), ("X", "Z")]
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("low", "mid", "high")))
+    )
+    def test_tolerance_chain_picks_the_same_ideals_in_every_order(self, order):
+        # mid is within 2e-9 of both neighbours, low and high are not close:
+        # high and mid form the first tie group, low the last
+        offsets = {"low": 0.0, "mid": 8e-9, "high": 1.6e-8}
+        dataset = dataset_from(
+            {(name, "c1"): [(5.0 + offsets[name],) * 2] for name in order}
+        )
+        (ideal,) = select_ideals(DecisionMatrix.from_dataset(dataset), 2e-9)
+        assert (ideal.pis_label, ideal.nis_label) == ("high", "low")
+        assert not ideal.degenerate
+
+    def test_mixed_scales_in_a_column_rejected(self):
+        near = construct_fuzzy(make_set("near", [(1, 2)]), SCALE)
+        far = construct_fuzzy(make_set("far", [(1, 2)]), ScaleConfig(0, 20))
+        m = DecisionMatrix(
+            alternatives=("near", "far"),
+            criteria=("c1",),
+            cells={("near", "c1"): near, ("far", "c1"): far},
+            scale=SCALE,
+            weights=(1.0,),
+            directions=("benefit",),
+        )
+        with pytest.raises(ScaleMismatch):
+            select_ideals(m)
 
 
 class TestSeparations:
