@@ -17,7 +17,7 @@ from .attributes import attribute_vector
 from .errors import DivisionByZero
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import IntervalSet, midpoint_mean
-from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
+from .similarity import DEFAULT_WEIGHTS, PairKernel, SimilarityWeights
 
 DEFAULT_EPSILON = 1e-9
 
@@ -171,6 +171,19 @@ def rank_universal(
     )
 
 
+def _ratio(kernel: PairKernel, number, best, worst) -> float:
+    """The ideal ratio of a prepared number against two prepared ideals."""
+    s_best = kernel(number, best)
+    s_worst = kernel(number, worst)
+    total = s_best + s_worst
+    if total == 0:
+        label = number[1].label  # a prepared number holds the FuzzyNumber second
+        raise DivisionByZero(
+            f"{label or 'alternative'}: zero similarity to both ideals", label=label
+        )
+    return s_best / total
+
+
 def ideal_ratio(
     fz: FuzzyNumber,
     ideal_best: FuzzyNumber,
@@ -184,15 +197,8 @@ def ideal_ratio(
     (possible under the pure overlap measure when the number touches neither
     ideal); the error carries the offending label.
     """
-    s_best = measure_similarity(measure, fz, ideal_best, weights)
-    s_worst = measure_similarity(measure, fz, ideal_worst, weights)
-    total = s_best + s_worst
-    if total == 0:
-        raise DivisionByZero(
-            f"{fz.label or 'alternative'}: zero similarity to both ideals",
-            label=fz.label,
-        )
-    return s_best / total
+    kernel = PairKernel(measure, weights, fz.scale)
+    return _ratio(kernel, *map(kernel.prepare, (fz, ideal_best, ideal_worst)))
 
 
 def rank_by_ideal_ratio(
@@ -205,12 +211,15 @@ def rank_by_ideal_ratio(
 ) -> RankingResult:
     """Rank by descending ideal-ratio score.
 
-    Exact score ties are ordered on the universal keys (see universal_levels)
-    and only stay tied (sharing a rank) when they fall in one tolerance
-    cluster of those keys as well.
+    Scores equal ``ideal_ratio`` item by item; the two ideals are prepared
+    for the similarity kernel once. Exact score ties are ordered on the
+    universal keys (see universal_levels) and only stay tied (sharing a
+    rank) when they fall in one tolerance cluster of those keys as well.
     """
-    scored = [(fz, ideal_ratio(fz, ideal_best, ideal_worst, measure, weights))
-              for fz in items]
+    kernel = PairKernel(measure, weights, ideal_best.scale)
+    best = kernel.prepare(ideal_best)
+    worst = kernel.prepare(ideal_worst)
+    scored = [(fz, _ratio(kernel, kernel.prepare(fz), best, worst)) for fz in items]
     return _build_result(
         f"ideal_ratio({measure})",
         scored,

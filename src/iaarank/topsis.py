@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fuzzy import FuzzyNumber, check_same_scale, construct_fuzzy
+from .errors import ScaleMismatch
+from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import MultiCriteriaDataset, ScaleConfig
 from .ranking import DEFAULT_EPSILON, order_and_rank, universal_levels
-from .similarity import DEFAULT_WEIGHTS, SimilarityWeights, measure_similarity
+from .similarity import DEFAULT_WEIGHTS, PairKernel, SimilarityWeights
 
 DIRECTIONS = ("benefit", "cost")
 SEPARATION_MEASURES = ("attribute", "combined")
@@ -25,7 +26,11 @@ SEPARATION_MEASURES = ("attribute", "combined")
 
 @dataclass(frozen=True)
 class DecisionMatrix:
-    """Alternatives x criteria grid of fuzzy numbers with weighted directions."""
+    """Alternatives x criteria grid of fuzzy numbers with weighted directions.
+
+    Every cell lies on the matrix's scale; a cell on another one raises
+    ScaleMismatch.
+    """
 
     alternatives: tuple[str, ...]
     criteria: tuple[str, ...]
@@ -57,11 +62,19 @@ class DecisionMatrix:
                 raise ValueError(
                     f"direction must be one of {DIRECTIONS}, got {direction!r}"
                 )
+        low, high = self.scale.scale_min, self.scale.scale_max
         for alternative in self.alternatives:
             for criterion in self.criteria:
-                if (alternative, criterion) not in self.cells:
+                cell = self.cells.get((alternative, criterion))
+                if cell is None:
                     raise ValueError(
                         f"missing cell ({alternative!r}, {criterion!r})"
+                    )
+                if cell.scale != self.scale:
+                    raise ScaleMismatch(
+                        f"cell ({alternative!r}, {criterion!r}) on "
+                        f"[{cell.scale.scale_min}, {cell.scale.scale_max}] does "
+                        f"not match the matrix scale [{low}, {high}]"
                     )
 
     @classmethod
@@ -119,19 +132,28 @@ def select_ideals(
     """Choose the per-criterion ideal solutions from the alternatives.
 
     The top alternative under the universal ranking is the positive ideal and
-    the bottom one the negative ideal; cost criteria swap the two. A
-    criterion whose alternatives all fall in one universal tie group is
-    flagged degenerate. Raises ScaleMismatch unless each column shares one
-    scale.
+    the bottom one the negative ideal; cost criteria swap the two. Where
+    several alternatives at an end have exactly equal universal keys (a shape
+    and its mirror image, say), the one with the smallest (profile,
+    endpoints, label) is taken, so the ideals do not depend on the row order.
+    A criterion whose alternatives all fall in one universal tie group is
+    flagged degenerate.
     """
     levels = universal_levels(epsilon)
+
+    def keys(fz):
+        return [key(fz) for key, _ in levels]
+
+    def content(fz):
+        return fz.profile, fz.endpoints, fz.label
+
     ideals = []
     for index, criterion in enumerate(matrix.criteria):
-        column = matrix.column(criterion)
-        for fz in column:
-            check_same_scale(column[0], fz)
-        ordered, ranks, _ = order_and_rank(column, levels)
-        top, bottom = ordered[0], ordered[-1]
+        ordered, ranks, _ = order_and_rank(matrix.column(criterion), levels)
+        top, bottom = (
+            min((fz for fz in ordered if keys(fz) == keys(end)), key=content)
+            for end in (ordered[0], ordered[-1])
+        )
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top
         ideals.append(
@@ -156,22 +178,25 @@ def separations(
     """Weighted dissimilarity of every alternative to the two ideal profiles.
 
     Returns (D+, D-) pairs aligned with matrix.alternatives; criterion terms
-    are summed in criterion order with normalized weights.
+    are summed in criterion order with normalized weights. Each cell and each
+    ideal is prepared for the similarity kernel once, on the matrix's scale.
     """
     if measure not in SEPARATION_MEASURES:
         raise ValueError(
             f"measure must be one of {SEPARATION_MEASURES}, got {measure!r}"
         )
+    kernel = PairKernel(measure, weights, matrix.scale)
+    prepared = [(kernel.prepare(ideal.pis), kernel.prepare(ideal.nis)) for ideal in ideals]
     pairs = []
     for alternative in matrix.alternatives:
         d_plus = 0.0
         d_minus = 0.0
         for index, criterion in enumerate(matrix.criteria):
-            cell = matrix.cell(alternative, criterion)
+            cell = kernel.prepare(matrix.cell(alternative, criterion))
             weight = matrix.weights[index]
-            ideal = ideals[index]
-            d_plus += weight * (1.0 - measure_similarity(measure, cell, ideal.pis, weights))
-            d_minus += weight * (1.0 - measure_similarity(measure, cell, ideal.nis, weights))
+            pis, nis = prepared[index]
+            d_plus += weight * (1.0 - kernel(cell, pis))
+            d_minus += weight * (1.0 - kernel(cell, nis))
         pairs.append((d_plus, d_minus))
     return pairs
 

@@ -1,7 +1,13 @@
-"""The merge-walk Jaccard, the symmetric similarity matrix, per-instance
-attributes, and the import footprint of the package."""
+"""The pair kernel, the symmetric similarity matrix, per-instance
+attributes, and the import footprint of the package.
+
+The kernel is checked against references that do not use it: the Jaccard of
+FuzzyNumber.membership at every point of evaluation_points, and one minus
+the squared-weight sum over feature_vector. Results must be equal bit for
+bit, and errors must be the same, raised on the same pair."""
 
 import gc
+import math
 import subprocess
 import sys
 import weakref
@@ -12,25 +18,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iaarank import (
+    DEFAULT_WEIGHTS,
+    MEASURES,
+    CriterionIdeals,
+    DecisionMatrix,
     FuzzyNumber,
     Region,
     ScaleConfig,
+    SimilarityWeights,
+    attribute_similarity,
     attribute_vector,
     canonicalize,
     combined_similarity,
     construct_fuzzy,
     evaluation_points,
+    feature_vector,
+    ideal_interval_set,
+    ideal_ratio,
     jaccard,
     measure_similarity,
+    rank_by_ideal_ratio,
+    separations,
     similarity_matrix,
 )
-from iaarank.errors import EmptyEvaluation
+from iaarank import attributes
+from iaarank.errors import DivisionByZero, EmptyEvaluation, ScaleMismatch
+from iaarank.fuzzy import check_same_scale
 
 import oracle
 from conftest import make_set
 from test_profile import interval_lists, intervals, region_lists
 
 WIDE = ScaleConfig(0, 10)
+OTHER = ScaleConfig(0, 20)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Endpoints drawn independently of the regions: inside stretches, outside
@@ -45,11 +65,11 @@ def build(label, pairs):
     return construct_fuzzy(make_set(label, pairs), WIDE)
 
 
-def unchecked(regs, endpoints, label):
+def unchecked(regs, endpoints, label, scale=WIDE):
     """A number with arbitrary endpoints: FuzzyNumber takes them unchecked,
     while from_dict rejects endpoints that are unsorted or off the scale."""
     return FuzzyNumber(
-        canonicalize(regs), endpoints=tuple(endpoints), n=1, scale=WIDE, label=label
+        canonicalize(regs), endpoints=tuple(endpoints), n=1, scale=scale, label=label
     )
 
 
@@ -61,6 +81,241 @@ def bisection_jaccard(a, b):
         numerator += min(mu_a, mu_b)
         denominator += max(mu_a, mu_b)
     return numerator, denominator
+
+
+def reference_attribute(a, b, weights=DEFAULT_WEIGHTS):
+    """One minus the squared-weight sum over the feature vector."""
+    features = feature_vector(a, b).as_tuple()
+    return 1.0 - sum(w2 * f for w2, f in zip(weights.squared(), features))
+
+
+def reference_similarity(measure, a, b, weights=DEFAULT_WEIGHTS):
+    """The pair without the kernel: the scale check, then the bisection
+    Jaccard, then the feature-vector attribute measure."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    check_same_scale(a, b)
+    if measure == "attribute":
+        return reference_attribute(a, b, weights)
+    numerator, denominator = bisection_jaccard(a, b)
+    if denominator <= 0:
+        raise EmptyEvaluation("zero membership at every evaluation point")
+    if measure == "jaccard":
+        return numerator / denominator
+    return (numerator / denominator + reference_attribute(a, b, weights)) / 2
+
+
+def reference_matrix(measure, numbers, weights=DEFAULT_WEIGHTS):
+    """Pairs i <= j in row-major order, each mirrored below the diagonal."""
+    size = len(numbers)
+    matrix = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            matrix[i][j] = matrix[j][i] = reference_similarity(
+                measure, numbers[i], numbers[j], weights
+            )
+    return matrix
+
+
+def reference_ratio(measure, fz, best, worst):
+    s_best = reference_similarity(measure, fz, best)
+    s_worst = reference_similarity(measure, fz, worst)
+    if s_best + s_worst == 0:
+        raise DivisionByZero(f"{fz.label or 'alternative'}: zero similarity to both ideals")
+    return s_best / (s_best + s_worst)
+
+
+def outcome(function, *args):
+    """The value of function(*args), or the type and message it raised."""
+    try:
+        return function(*args)
+    except (EmptyEvaluation, ScaleMismatch, DivisionByZero) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def number_lists(draw, min_size=1, max_size=6, mixed_scales=True):
+    """Constructed numbers and unchecked ones, labelled x0, x1, ...; a
+    quarter of the lists put some numbers on a second scale."""
+    mixed = mixed_scales and draw(st.booleans()) and draw(st.booleans())
+    numbers = []
+    for i in range(draw(st.integers(min_size, max_size))):
+        scale = OTHER if mixed and draw(st.booleans()) else WIDE
+        if draw(st.booleans()):
+            pairs = draw(st.lists(intervals, min_size=1, max_size=12))
+            numbers.append(construct_fuzzy(make_set(f"x{i}", pairs), scale))
+        else:
+            numbers.append(
+                unchecked(draw(region_lists), draw(endpoint_lists), f"x{i}", scale)
+            )
+    return numbers
+
+
+def _unit(values):
+    norm = math.sqrt(sum(v * v for v in values))
+    return SimilarityWeights(tuple(v / norm for v in values))
+
+
+weight_vectors = st.one_of(
+    st.just(DEFAULT_WEIGHTS),
+    st.lists(st.floats(-1, 1), min_size=6, max_size=6)
+    .filter(lambda values: max(map(abs, values)) > 1e-3)
+    .map(_unit),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(number_lists(min_size=2, max_size=2), weight_vectors)
+def test_pair_equals_references(numbers, weights):
+    a, b = numbers
+    for measure in MEASURES:
+        expected = outcome(reference_similarity, measure, a, b, weights)
+        assert outcome(measure_similarity, measure, a, b, weights) == expected
+    assert outcome(jaccard, a, b) == outcome(reference_similarity, "jaccard", a, b)
+    assert outcome(attribute_similarity, a, b, weights) == outcome(
+        reference_similarity, "attribute", a, b, weights
+    )
+    assert outcome(combined_similarity, a, b, weights) == outcome(
+        reference_similarity, "combined", a, b, weights
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(number_lists(), weight_vectors)
+def test_matrix_equals_reference_loop(numbers, weights):
+    for measure in MEASURES:
+        assert outcome(similarity_matrix, measure, numbers, weights) == outcome(
+            reference_matrix, measure, numbers, weights
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(number_lists(min_size=3))
+def test_ideal_ratio_equals_reference_loop(numbers):
+    best, worst, *items = numbers
+    for measure in MEASURES:
+        for fz in items:
+            assert outcome(ideal_ratio, fz, best, worst, measure) == outcome(
+                reference_ratio, measure, fz, best, worst
+            )
+
+        def scores(rank):
+            return lambda: {e.label: e.score for e in rank().entries}
+
+        def reference():
+            return {fz.label: reference_ratio(measure, fz, best, worst) for fz in items}
+
+        assert outcome(scores(lambda: rank_by_ideal_ratio(items, best, worst, measure))) == (
+            outcome(reference)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    number_lists(min_size=1, max_size=4, mixed_scales=False),
+    st.integers(1, 3),
+    number_lists(min_size=6, max_size=6),
+    st.lists(st.integers(1, 4), min_size=3, max_size=3),
+)
+def test_separations_equal_reference_loop(column, criteria, pool, weights):
+    names = [f"c{k}" for k in range(criteria)]
+    cells = {
+        (fz.label, name): fz for fz in column for name in names
+    }
+    matrix = DecisionMatrix(
+        alternatives=[fz.label for fz in column],
+        criteria=names,
+        cells=cells,
+        scale=WIDE,
+        weights=weights[:criteria],
+        directions=("benefit",) * criteria,
+    )
+    ideals = [
+        CriterionIdeals(name, pool[2 * k].label, pool[2 * k + 1].label,
+                        pool[2 * k], pool[2 * k + 1], False)
+        for k, name in enumerate(names)
+    ]
+    for measure in ("attribute", "combined"):
+
+        def reference():
+            pairs = []
+            for alternative in matrix.alternatives:
+                d_plus = d_minus = 0.0
+                for index, name in enumerate(names):
+                    cell, weight = matrix.cell(alternative, name), matrix.weights[index]
+                    d_plus += weight * (1.0 - reference_similarity(measure, cell, ideals[index].pis))
+                    d_minus += weight * (1.0 - reference_similarity(measure, cell, ideals[index].nis))
+                pairs.append((d_plus, d_minus))
+            return pairs
+
+        assert outcome(separations, matrix, ideals, measure) == outcome(reference)
+
+
+class TestErrorParity:
+    """Errors surface on the same pair, with the same message, as in a loop
+    over the pairs in row-major order."""
+
+    def test_mixed_scales_name_the_first_pair(self):
+        numbers = [
+            build("a", [(1, 2)]),
+            build("b", [(2, 3)]),
+            construct_fuzzy(make_set("c", [(1, 2)]), OTHER),
+            construct_fuzzy(make_set("d", [(3, 4)]), OTHER),
+        ]
+        for measure in MEASURES:
+            with pytest.raises(ScaleMismatch) as caught:
+                similarity_matrix(measure, numbers)
+            assert str(caught.value) == "'a' on [0.0, 10.0] vs 'c' on [0.0, 20.0]"
+
+    def test_empty_evaluation_surfaces_on_its_pair(self):
+        # empty has no endpoints: only its pair with itself has no
+        # evaluation point. Row-major order reaches (0, 2) before (1, 1).
+        empty = unchecked([Region(1, 2, 1.0)], [], "empty")
+        fine = build("fine", [(3, 4)])
+        far = construct_fuzzy(make_set("far", [(1, 2)]), OTHER)
+        for measure in ("jaccard", "combined"):
+            with pytest.raises(EmptyEvaluation):
+                similarity_matrix(measure, [empty, fine, far])
+            with pytest.raises(ScaleMismatch, match="'fine' on .* vs 'far'"):
+                similarity_matrix(measure, [fine, empty, far])
+
+    def test_division_by_zero_names_the_first_item(self, film_scale):
+        best = construct_fuzzy(ideal_interval_set(film_scale, 5, "best"), film_scale)
+        worst = construct_fuzzy(ideal_interval_set(film_scale, 5, "worst"), film_scale)
+        touching = construct_fuzzy(make_set("touching", [(1, 3)]), film_scale)
+        inside = [construct_fuzzy(make_set(label, [(4, 6)]), film_scale)
+                  for label in ("first", "second")]
+        with pytest.raises(DivisionByZero) as caught:
+            rank_by_ideal_ratio([touching, *inside], best, worst, "jaccard")
+        assert caught.value.label == "first"
+
+    def test_unknown_measure(self):
+        a, b = build("a", [(1, 2)]), build("b", [(3, 4)])
+        for call in (
+            lambda: measure_similarity("cosine", a, b),
+            lambda: similarity_matrix("cosine", [a, b]),
+            lambda: ideal_ratio(a, a, b, "cosine"),
+            lambda: rank_by_ideal_ratio([a, b], a, b, "cosine"),
+        ):
+            with pytest.raises(ValueError, match="unknown measure"):
+                call()
+
+
+def test_kernel_prepares_each_number_once(monkeypatch):
+    numbers = [build(f"x{i}", [(i, i + 2), (i + 1, i + 3)]) for i in range(6)]
+    vectors = []
+    squares = []
+    monkeypatch.setattr(
+        attributes, "attribute_vector",
+        lambda fz, original=attributes.attribute_vector: vectors.append(fz) or original(fz),
+    )
+    monkeypatch.setattr(
+        SimilarityWeights, "squared",
+        lambda self, original=SimilarityWeights.squared: squares.append(self) or original(self),
+    )
+    similarity_matrix("combined", numbers)
+    assert vectors == numbers
+    assert len(squares) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,7 +362,8 @@ def test_matrix_of_unknown_measure_or_no_numbers():
     numbers = [build("a", [(1, 2)]), build("b", [(3, 4)])]
     with pytest.raises(ValueError, match="unknown measure"):
         similarity_matrix("cosine", numbers)
-    assert similarity_matrix("jaccard", []) == []
+    for measure in (*MEASURES, "cosine"):
+        assert similarity_matrix(measure, []) == []
 
 
 class TestAttributesPerInstance:

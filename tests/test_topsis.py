@@ -5,6 +5,7 @@ import pytest
 
 from iaarank import (
     DecisionMatrix,
+    attribute_vector,
     ScaleConfig,
     bundled_path,
     construct_fuzzy,
@@ -128,19 +129,50 @@ class TestSelectIdeals:
         assert (ideal.pis_label, ideal.nis_label) == ("high", "low")
         assert not ideal.degenerate
 
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("left", "right", "other")))
+    )
+    def test_mirror_images_pick_the_same_ideals_in_every_order(self, order):
+        # left and right mirror each other about x = 5, so their three
+        # universal keys are exactly equal. They share the top of the benefit
+        # criterion c1 and the bottom of the cost criterion c2; right has the
+        # smaller profile, so it is the PIS of both in every row order.
+        cells = {
+            ("left", "c1"): [(4, 7), (4, 5)], ("left", "c2"): [(4, 7), (4, 5)],
+            ("right", "c1"): [(3, 6), (5, 6)], ("right", "c2"): [(3, 6), (5, 6)],
+            ("other", "c1"): [(1, 2)], ("other", "c2"): [(8, 9)],
+        }
+
+        def run(names):
+            dataset = dataset_from({(n, c): cells[(n, c)] for n in names for c in ("c1", "c2")})
+            m = DecisionMatrix.from_dataset(dataset, directions=("benefit", "cost"))
+            result = topsis_rank(m)
+            ideals = [(i.pis_label, i.nis_label) for i in result.ideals]
+            return ideals, {e.label: e.closeness for e in result.entries}
+
+        left, right = (
+            attribute_vector(construct_fuzzy(make_set(n, cells[(n, "c1")]), SCALE))
+            for n in ("left", "right")
+        )
+        assert (left.centroid_x, left.perimeter, left.centroid_y) == (
+            right.centroid_x, right.perimeter, right.centroid_y
+        )
+        ideals, closeness = run(order)
+        assert ideals == [("right", "other"), ("right", "other")]
+        assert closeness == run(("left", "right", "other"))[1]
+
     def test_mixed_scales_in_a_column_rejected(self):
         near = construct_fuzzy(make_set("near", [(1, 2)]), SCALE)
         far = construct_fuzzy(make_set("far", [(1, 2)]), ScaleConfig(0, 20))
-        m = DecisionMatrix(
-            alternatives=("near", "far"),
-            criteria=("c1",),
-            cells={("near", "c1"): near, ("far", "c1"): far},
-            scale=SCALE,
-            weights=(1.0,),
-            directions=("benefit",),
-        )
-        with pytest.raises(ScaleMismatch):
-            select_ideals(m)
+        with pytest.raises(ScaleMismatch, match=r"\('far', 'c1'\) on \[0.0, 20.0\]"):
+            DecisionMatrix(
+                alternatives=("near", "far"),
+                criteria=("c1",),
+                cells={("near", "c1"): near, ("far", "c1"): far},
+                scale=SCALE,
+                weights=(1.0,),
+                directions=("benefit",),
+            )
 
 
 class TestSeparations:
