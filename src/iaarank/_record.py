@@ -1,0 +1,48 @@
+"""The base of the package's frozen value records.
+
+A record class names its fields in ``_fields`` and writes its own
+``__init__``, which checks its arguments and then stores the fields with
+``_init``. Interval and IntervalSet, built once per row and once per cell,
+store theirs with one ``set_field`` call each instead: for two fields that
+is faster, and it keeps the values inline, with no ``__dict__`` object per
+instance until one is asked for.
+
+The base gives every record value semantics: equality only between
+instances of one class, on the field tuple; the hash of that tuple; a
+``Name(field=value, ...)`` repr; and assignment or deletion that raises
+AttributeError. Instances keep a ``__dict__``, so cached properties, weak
+references, pickle and copy work as on any plain object.
+"""
+
+from __future__ import annotations
+
+set_field = object.__setattr__  # stores a field past the record's __setattr__
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        """Store the field values, in _fields order, past __setattr__."""
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -14,8 +14,8 @@ component into [0, 1]; identical inputs yield the all-zero vector.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
+from ._record import Record
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, check_same_scale, region_triples
 from .intervals import ScaleConfig
@@ -24,20 +24,21 @@ _ZERO = 1e-12
 _QUARTILE_FRACTIONS = (0.25, 0.5, 0.75)
 
 
-@dataclass(frozen=True)
-class AttributeVector:
+class AttributeVector(Record):
     """The seven geometric attributes of one fuzzy number."""
 
-    quartiles: tuple[float, float, float, float, float]
-    centroid_x: float
-    centroid_y: float
-    area: float
-    height: float
-    perimeter: float
-    agreement_ratio: float
+    _fields = ("quartiles", "centroid_x", "centroid_y", "area", "height",
+               "perimeter", "agreement_ratio")
+
+    def __init__(self, quartiles: tuple[float, float, float, float, float],
+                 centroid_x: float, centroid_y: float, area: float, height: float,
+                 perimeter: float, agreement_ratio: float):
+        self._init(quartiles, centroid_x, centroid_y, area, height, perimeter,
+                   agreement_ratio)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "quartiles": list(self.quartiles)}
+        return {**dict(zip(self._fields, self._values())),
+                "quartiles": list(self.quartiles)}
 
 
 def centroid(fz: FuzzyNumber) -> tuple[float, float]:
@@ -199,26 +200,17 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     return vector
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Record):
     """Normalized pairwise differences, ordered as the weight vector expects."""
 
-    quartile: float
-    centroid: float
-    area: float
-    height: float
-    perimeter: float
-    agreement: float
+    _fields = ("quartile", "centroid", "area", "height", "perimeter", "agreement")
+
+    def __init__(self, quartile: float, centroid: float, area: float,
+                 height: float, perimeter: float, agreement: float):
+        self._init(quartile, centroid, area, height, perimeter, agreement)
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (
-            self.quartile,
-            self.centroid,
-            self.area,
-            self.height,
-            self.perimeter,
-            self.agreement,
-        )
+        return self._values()
 
 
 def _ratio_difference(u: float, v: float) -> float:

@@ -25,33 +25,30 @@ into its profile once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import ScaleMismatch
 from .intervals import IntervalSet, ScaleConfig
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Constant-membership region; left == right is a line (spike) region."""
 
-    left: float
-    right: float
-    height: float
+    _fields = ("left", "right", "height")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "right", float(self.right))
-        object.__setattr__(self, "height", float(self.height))
-        if self.left > self.right:
-            raise ValueError(f"region left {self.left} exceeds right {self.right}")
-        if not 0 < self.height <= 1:
-            raise ValueError(f"region height must be in (0, 1], got {self.height}")
+    def __init__(self, left: float, right: float, height: float):
+        left, right, height = float(left), float(right), float(height)
+        if left > right:
+            raise ValueError(f"region left {left} exceeds right {right}")
+        if not 0 < height <= 1:
+            raise ValueError(f"region height must be in (0, 1], got {height}")
+        self._init(left, right, height)
 
     @property
     def is_line(self) -> bool:
@@ -126,22 +123,18 @@ def _region_profile(regions: Sequence[Region]) -> tuple[tuple[float, ...], ...]:
     return tuple(xs), tuple(points), tuple(segments)
 
 
-@dataclass(frozen=True, init=False)
-class FuzzyNumber:
+class FuzzyNumber(Record):
     """Piecewise-constant fuzzy number, stored as its canonical step profile.
 
     Built from a region list sorted by position whose segments have disjoint
     interiors; a line region may sit inside a segment, and the tallest region
-    at x gives the membership. Retains the sorted deduplicated source
-    interval bounds: similarity measures evaluate on those, not on
-    breakpoints.
+    at x gives the membership. Retains the source interval bounds:
+    similarity measures evaluate on those, not on breakpoints. The
+    constructor requires them to be finite; from_dict also requires them to
+    ascend strictly within the scale.
     """
 
-    profile: tuple[tuple[float, ...], ...]
-    endpoints: tuple[float, ...]
-    n: int
-    scale: ScaleConfig
-    label: str = ""
+    _fields = ("profile", "endpoints", "n", "scale", "label")
 
     def __init__(self, regions: Iterable[Region], endpoints: Iterable[float],
                  n: int, scale: ScaleConfig, label: str = ""):
@@ -161,13 +154,10 @@ class FuzzyNumber:
             if previous_segment_right is not None and region.left < previous_segment_right:
                 raise ValueError("segment regions must have disjoint interiors")
             previous_segment_right = region.right
-        vars(self).update(  # frozen: the fields are written past __setattr__
-            profile=_region_profile(regions),
-            endpoints=tuple(float(x) for x in endpoints),
-            n=n,
-            scale=scale,
-            label=label,
-        )
+        endpoints = tuple(float(x) for x in endpoints)
+        if not all(map(math.isfinite, endpoints)):
+            raise ValueError("endpoints must be finite")
+        self._init(_region_profile(regions), endpoints, n, scale, label)
 
     @classmethod
     def _from_profile(cls, **fields) -> FuzzyNumber:

@@ -14,12 +14,11 @@ import json
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
-from importlib.resources import files
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
 
+from ._record import Record, set_field
 from .errors import (
     EmptyDataset,
     InvertedBounds,
@@ -38,24 +37,21 @@ BUNDLED_DATASETS = {
 }
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [left, right]; left == right is a point interval."""
 
-    left: float
-    right: float
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "right", float(self.right))
-        if not (math.isfinite(self.left) and math.isfinite(self.right)):
+    def __init__(self, left: float, right: float):
+        left, right = float(left), float(right)
+        if not (math.isfinite(left) and math.isfinite(right)):
             raise MalformedInterval(
-                f"interval bounds must be finite, got [{self.left}, {self.right}]"
+                f"interval bounds must be finite, got [{left}, {right}]"
             )
-        if self.left > self.right:
-            raise InvertedBounds(
-                f"left bound {self.left} exceeds right bound {self.right}"
-            )
+        if left > right:
+            raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     @property
     def width(self) -> float:
@@ -107,23 +103,21 @@ def format_interval(interval: Interval) -> str:
     return f"{interval.left!r}:{interval.right!r}"
 
 
-@dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(Record):
     """Measurement scale; every interval must lie within [scale_min, scale_max]."""
 
-    scale_min: float
-    scale_max: float
+    _fields = ("scale_min", "scale_max")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale_min", float(self.scale_min))
-        object.__setattr__(self, "scale_max", float(self.scale_max))
-        if not (math.isfinite(self.scale_min) and math.isfinite(self.scale_max)):
+    def __init__(self, scale_min: float, scale_max: float):
+        scale_min, scale_max = float(scale_min), float(scale_max)
+        if not (math.isfinite(scale_min) and math.isfinite(scale_max)):
             raise ValueError("scale bounds must be finite")
-        if self.scale_min >= self.scale_max:
+        if scale_min >= scale_max:
             raise ValueError(
                 f"scale_min must be strictly below scale_max, got "
-                f"[{self.scale_min}, {self.scale_max}]"
+                f"[{scale_min}, {scale_max}]"
             )
+        self._init(scale_min, scale_max)
 
     @property
     def range(self) -> float:
@@ -133,17 +127,17 @@ class ScaleConfig:
         return self.scale_min <= interval.left and interval.right <= self.scale_max
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Record):
     """Multiset of intervals gathered for one alternative."""
 
-    intervals: tuple[Interval, ...]
-    label: str = ""
+    _fields = ("intervals", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.intervals:
-            raise ZeroSources(f"interval set {self.label!r} has no intervals")
+    def __init__(self, intervals: Iterable[Interval], label: str = ""):
+        intervals = tuple(intervals)
+        if not intervals:
+            raise ZeroSources(f"interval set {label!r} has no intervals")
+        set_field(self, "intervals", intervals)
+        set_field(self, "label", label)
 
     @property
     def n(self) -> int:
@@ -184,19 +178,14 @@ def midpoint_mean(interval_set: IntervalSet) -> float:
     return sum(iv.midpoint for iv in interval_set.intervals) / interval_set.n
 
 
-@dataclass(frozen=True)
-class MultiCriteriaDataset:
+class MultiCriteriaDataset(Record):
     """Alternatives x criteria grid of interval sets on one scale."""
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    cells: Mapping[tuple[str, str], IntervalSet]
-    scale: ScaleConfig
+    _fields = ("alternatives", "criteria", "cells", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "cells", dict(self.cells))
+    def __init__(self, alternatives: Iterable[str], criteria: Iterable[str],
+                 cells: Mapping[tuple[str, str], IntervalSet], scale: ScaleConfig):
+        self._init(tuple(alternatives), tuple(criteria), dict(cells), scale)
         for alternative in self.alternatives:
             for criterion in self.criteria:
                 if (alternative, criterion) not in self.cells:
@@ -311,6 +300,10 @@ def bundled_path(name: str) -> Path:
             f"unknown bundled dataset {name!r}; choose from "
             f"{sorted(BUNDLED_DATASETS)}"
         ) from None
+    # Imported here, not at the top: it loads tempfile, shutil and more,
+    # which no other path needs.
+    from importlib.resources import files
+
     return Path(str(files("iaarank").joinpath("data", filename)))
 
 

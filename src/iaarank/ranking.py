@@ -9,10 +9,10 @@ on the raw interval sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Sequence
 
+from ._record import Record
 from .attributes import attribute_vector
 from .errors import DivisionByZero
 from .fuzzy import FuzzyNumber, check_same_scale
@@ -65,24 +65,25 @@ def universal_compare(
     return 0
 
 
-@dataclass(frozen=True)
-class RankingEntry:
-    label: str
-    score: float | None
-    rank: int
+class RankingEntry(Record):
+    _fields = ("label", "score", "rank")
+
+    def __init__(self, label: str, score: float | None, rank: int):
+        self._init(label, score, rank)
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(Record):
     """Alternatives in rank order with competition-style 1-based ranks.
 
     The entries of one tie group share its smallest rank; ties lists the
     label groups.
     """
 
-    method: str
-    entries: tuple[RankingEntry, ...]
-    ties: tuple[tuple[str, ...], ...] = ()
+    _fields = ("method", "entries", "ties")
+
+    def __init__(self, method: str, entries: tuple[RankingEntry, ...],
+                 ties: tuple[tuple[str, ...], ...] = ()):
+        self._init(method, entries, ties)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(entry.label for entry in self.entries)

@@ -23,10 +23,10 @@ the diagonal and mirrors each value below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import attributes
+from ._record import Record
 from .errors import EmptyEvaluation, ScaleMismatch
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import ScaleConfig
@@ -36,29 +36,34 @@ DEFAULT_WEIGHT_VALUES = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.
 MEASURES = ("jaccard", "attribute", "combined")
 
 
-@dataclass(frozen=True)
-class SimilarityWeights:
+class SimilarityWeights(Record):
     """Signed feature weights; only their squares enter the measure.
 
     The vector must have (near) unit norm: that bound keeps the attribute
     measure inside [0, 1].
     """
 
-    values: tuple[float, float, float, float, float, float] = DEFAULT_WEIGHT_VALUES
+    _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != 6:
+    def __init__(self, values: Iterable[float] = DEFAULT_WEIGHT_VALUES):
+        values = tuple(float(v) for v in values)
+        if len(values) != 6:
             raise ValueError("exactly six feature weights required")
-        norm = sum(v * v for v in self.values)
+        norm = sum(v * v for v in values)
         if abs(norm - 1.0) > 1e-4:
             raise ValueError(f"weight vector must have unit norm, got {norm:.6f}")
+        self._init(values)
 
     def squared(self) -> tuple[float, ...]:
         return tuple(v * v for v in self.values)
 
 
 DEFAULT_WEIGHTS = SimilarityWeights()
+
+
+def _check_measure(measure: str) -> None:
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
 
 
 def _overlap_profile(fz: FuzzyNumber):
@@ -168,8 +173,7 @@ class PairKernel:
     """
 
     def __init__(self, measure: str, weights: SimilarityWeights, scale: ScaleConfig):
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+        _check_measure(measure)
         self.overlap = measure != "attribute"
         self.attribute = measure != "jaccard"
         self.squared_weights = weights.squared()
@@ -292,6 +296,7 @@ def similarity_matrix(
     The diagonal is evaluated too, so an error surfaces on the same pair as
     in a full row-major loop.
     """
+    _check_measure(measure)
     if not numbers:
         return []
     kernel = PairKernel(measure, weights, numbers[0].scale)

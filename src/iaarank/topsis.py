@@ -11,9 +11,9 @@ reconstruction of the classic pipeline adapted to fuzzy-number cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import MultiCriteriaDataset, ScaleConfig
@@ -24,58 +24,51 @@ DIRECTIONS = ("benefit", "cost")
 SEPARATION_MEASURES = ("attribute", "combined")
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(Record):
     """Alternatives x criteria grid of fuzzy numbers with weighted directions.
 
     Every cell lies on the matrix's scale; a cell on another one raises
     ScaleMismatch.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    cells: Mapping[tuple[str, str], FuzzyNumber]
-    scale: ScaleConfig
-    weights: tuple[float, ...]
-    directions: tuple[str, ...]
+    _fields = ("alternatives", "criteria", "cells", "scale", "weights", "directions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "cells", dict(self.cells))
-        if len(self.weights) != len(self.criteria):
+    def __init__(self, alternatives: Iterable[str], criteria: Iterable[str],
+                 cells: Mapping[tuple[str, str], FuzzyNumber], scale: ScaleConfig,
+                 weights: Sequence[float], directions: Sequence[str]):
+        alternatives, criteria, cells = tuple(alternatives), tuple(criteria), dict(cells)
+        if len(weights) != len(criteria):
             raise ValueError("one weight per criterion required")
-        if len(self.directions) != len(self.criteria):
+        if len(directions) != len(criteria):
             raise ValueError("one direction per criterion required")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        total = sum(self.weights)
+        total = sum(weights)
         if not math.isfinite(total):
             raise ValueError("weights must be finite, with a finite sum")
         if total <= 0:
             raise ValueError("weights must not all be zero")
-        object.__setattr__(
-            self, "weights", tuple(float(w) / total for w in self.weights)
-        )
-        for direction in self.directions:
+        weights = tuple(float(w) / total for w in weights)
+        for direction in directions:
             if direction not in DIRECTIONS:
                 raise ValueError(
                     f"direction must be one of {DIRECTIONS}, got {direction!r}"
                 )
-        low, high = self.scale.scale_min, self.scale.scale_max
-        for alternative in self.alternatives:
-            for criterion in self.criteria:
-                cell = self.cells.get((alternative, criterion))
+        low, high = scale.scale_min, scale.scale_max
+        for alternative in alternatives:
+            for criterion in criteria:
+                cell = cells.get((alternative, criterion))
                 if cell is None:
                     raise ValueError(
                         f"missing cell ({alternative!r}, {criterion!r})"
                     )
-                if cell.scale != self.scale:
+                if cell.scale != scale:
                     raise ScaleMismatch(
                         f"cell ({alternative!r}, {criterion!r}) on "
                         f"[{cell.scale.scale_min}, {cell.scale.scale_max}] does "
                         f"not match the matrix scale [{low}, {high}]"
                     )
+        self._init(alternatives, criteria, cells, scale, weights, directions)
 
     @classmethod
     def from_dataset(
@@ -116,14 +109,12 @@ class DecisionMatrix:
         return self.cells[(alternative, criterion)]
 
 
-@dataclass(frozen=True)
-class CriterionIdeals:
-    criterion: str
-    pis_label: str
-    nis_label: str
-    pis: FuzzyNumber
-    nis: FuzzyNumber
-    degenerate: bool
+class CriterionIdeals(Record):
+    _fields = ("criterion", "pis_label", "nis_label", "pis", "nis", "degenerate")
+
+    def __init__(self, criterion: str, pis_label: str, nis_label: str,
+                 pis: FuzzyNumber, nis: FuzzyNumber, degenerate: bool):
+        self._init(criterion, pis_label, nis_label, pis, nis, degenerate)
 
 
 def select_ideals(
@@ -201,22 +192,21 @@ def separations(
     return pairs
 
 
-@dataclass(frozen=True)
-class TopsisEntry:
-    label: str
-    d_plus: float
-    d_minus: float
-    closeness: float
-    rank: int
-    degenerate: bool
+class TopsisEntry(Record):
+    _fields = ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate")
+
+    def __init__(self, label: str, d_plus: float, d_minus: float, closeness: float,
+                 rank: int, degenerate: bool):
+        self._init(label, d_plus, d_minus, closeness, rank, degenerate)
 
 
-@dataclass(frozen=True)
-class TopsisResult:
-    measure: str
-    entries: tuple[TopsisEntry, ...]
-    ideals: tuple[CriterionIdeals, ...]
-    ties: tuple[tuple[str, ...], ...] = ()
+class TopsisResult(Record):
+    _fields = ("measure", "entries", "ideals", "ties")
+
+    def __init__(self, measure: str, entries: tuple[TopsisEntry, ...],
+                 ideals: tuple[CriterionIdeals, ...],
+                 ties: tuple[tuple[str, ...], ...] = ()):
+        self._init(measure, entries, ideals, ties)
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -194,6 +193,19 @@ class TestFuzzyNumberType:
         with pytest.raises(ValueError):
             FuzzyNumber(regions=(), endpoints=(1,), n=1, scale=WIDE)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_endpoint(self, bad):
+        # a NaN endpoint has no place in the sorted evaluation order, so
+        # Jaccard on it depended on the evaluation code (0.2 or 0.333)
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            FuzzyNumber(regions=(Region(1, 3, 1.0),), endpoints=(2, bad, 1), n=1,
+                        scale=WIDE)
+
+    def test_keeps_unsorted_and_off_scale_endpoints(self):
+        fz = FuzzyNumber(regions=(Region(1, 3, 1.0),), endpoints=(3, 1, 20), n=1,
+                         scale=WIDE)
+        assert fz.endpoints == (3.0, 1.0, 20.0)
+
     def test_rejects_unsorted_regions(self):
         with pytest.raises(ValueError):
             FuzzyNumber(
@@ -271,9 +283,12 @@ class TestOneNumberPerMembership:
         assert attribute_similarity(a, b) == 1.0
         assert universal_compare(a, b) == 0
 
-    def test_only_the_profile_is_stored(self, film_numbers):
-        fields = [f.name for f in dataclasses.fields(FuzzyNumber)]
-        assert fields == ["profile", "endpoints", "n", "scale", "label"]
+    def test_only_the_profile_is_stored(self, film_sets, film_scale, film_numbers):
+        stored = ["profile", "endpoints", "n", "scale", "label"]
+        assert list(FuzzyNumber._fields) == stored
+        fresh = construct_fuzzy(film_sets["Film B"], film_scale)
+        rebuilt = FuzzyNumber.from_dict(fresh.to_dict(), film_scale)
+        assert list(vars(fresh)) == list(vars(rebuilt)) == stored
         fz = film_numbers["Film B"]
         assert fz.regions is fz.regions
         assert fz.regions == tuple(Region(*t) for t in fz.to_dict()["regions"])

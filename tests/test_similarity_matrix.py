@@ -360,9 +360,10 @@ def test_matrix_equals_nested_loop(cells):
 
 def test_matrix_of_unknown_measure_or_no_numbers():
     numbers = [build("a", [(1, 2)]), build("b", [(3, 4)])]
-    with pytest.raises(ValueError, match="unknown measure"):
-        similarity_matrix("cosine", numbers)
-    for measure in (*MEASURES, "cosine"):
+    for given in (numbers, []):
+        with pytest.raises(ValueError, match="unknown measure"):
+            similarity_matrix("cosine", given)
+    for measure in MEASURES:
         assert similarity_matrix(measure, []) == []
 
 
@@ -402,3 +403,15 @@ def test_import_does_not_load_the_cli():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == ""
+    # Under -S no site hook preloads modules, so every module listed below
+    # that is loaded was loaded by the package.
+    slow = ("dataclasses", "inspect", "typing", "importlib.resources")
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        f"import iaarank; print([m for m in {slow!r} if m in sys.modules]); "
+        f"import iaarank.cli; print([m for m in {slow!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["[]", "[]"]
