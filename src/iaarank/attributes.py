@@ -9,6 +9,10 @@ first time they are asked for, and keeps them on that instance; there is no
 global cache, so a number and its attributes are freed together. The feature
 vector compares two fuzzy numbers on a shared scale and normalizes every
 component into [0, 1]; identical inputs yield the all-zero vector.
+
+Floats are added left to right in plain loops, never with ``sum()``, which
+Python 3.12 and later compensate: so every attribute, and every output built
+on one, is the same on every supported Python.
 """
 
 from __future__ import annotations
@@ -123,7 +127,9 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
 def _quartiles(fz: FuzzyNumber, regions, total_height: float):
     """quartile_points from the region triples and their total height."""
     segments = [(left, right, h) for left, right, h in regions if left != right]
-    total = sum(h * (right - left) for left, right, h in segments)
+    total = 0.0
+    for left, right, h in segments:
+        total += h * (right - left)
     points = [fz.support_min]
     if total > _ZERO:
         for fraction in _QUARTILE_FRACTIONS:
@@ -154,7 +160,10 @@ def _quartiles(fz: FuzzyNumber, regions, total_height: float):
 
 def support_length(fz: FuzzyNumber) -> float:
     """Total width of the support: the sum of connected component spans."""
-    return sum(span for span, _ in _components(fz))
+    length = 0.0
+    for span, _ in _components(fz):
+        length += span
+    return length
 
 
 def agreement_ratio(fz: FuzzyNumber) -> float:
@@ -178,19 +187,20 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     vector = getattr(fz, "_attributes", None)
     if vector is None:
         regions = list(region_triples(fz.profile))
-        total_height = sum(h for _, _, h in regions)
-        total_area = sum(h * (right - left) for left, right, h in regions)
-        outline = 0.0
-        spans = []
+        total_height = total_area = moment = half_heights = 0.0
+        for left, right, h in regions:
+            total_height += h
+            total_area += h * (right - left)
+            moment += h * (left + right)
+            half_heights += h / 2
+        outline = length = 0.0
         for span, vertical in _components(fz):
             outline += 2 * span + vertical
-            spans.append(span)
-        length = sum(spans)
+            length += span
         vector = AttributeVector(
             quartiles=_quartiles(fz, regions, total_height),
-            centroid_x=sum(h * (left + right) for left, right, h in regions)
-            / (2 * total_height),
-            centroid_y=sum(h / 2 for _, _, h in regions) / len(regions),
+            centroid_x=moment / (2 * total_height),
+            centroid_y=half_heights / len(regions),
             area=total_area,
             height=max(fz.profile[1]),
             perimeter=outline,
@@ -239,9 +249,10 @@ def feature_vector(
     attrs_a = attribute_vector(a)
     attrs_b = attribute_vector(b)
     span = a.scale.range
-    quartile = sum(
-        abs(x - y) for x, y in zip(attrs_a.quartiles, attrs_b.quartiles)
-    ) / (5 * span)
+    quartile = 0.0
+    for x, y in zip(attrs_a.quartiles, attrs_b.quartiles):
+        quartile += abs(x - y)
+    quartile /= 5 * span
     centroid_distance = math.hypot(
         attrs_a.centroid_x - attrs_b.centroid_x,
         attrs_a.centroid_y - attrs_b.centroid_y,

@@ -14,7 +14,8 @@ and equality and hash compare it. Membership is resolved by one bisection:
 the point height on an exact breakpoint hit, else the height of the stretch
 the bisection lands in.
 
-Every other view is derived from the profile. The canonical region list
+Every other view is derived from the profile. The endpoints, at which the
+similarity measures evaluate, are its breakpoints. The canonical region list
 holds one (left, right, height) region per constant-membership stretch plus
 zero-width line regions for the spikes, ordered by position; membership at x
 is the maximum height over the regions containing x. Construction takes the
@@ -128,19 +129,21 @@ class FuzzyNumber(Record):
 
     Built from a region list sorted by position whose segments have disjoint
     interiors; a line region may sit inside a segment, and the tallest region
-    at x gives the membership. Retains the source interval bounds:
-    similarity measures evaluate on those, not on breakpoints. The
-    constructor requires them to be finite; from_dict also requires them to
-    ascend strictly within the scale.
+    at x gives the membership. The region bounds must be finite. The
+    endpoints, at which the similarity measures evaluate, are the profile's
+    breakpoints: for a number built from intervals, the distinct interval
+    bounds.
     """
 
-    _fields = ("profile", "endpoints", "n", "scale", "label")
+    _fields = ("profile", "n", "scale", "label")
 
-    def __init__(self, regions: Iterable[Region], endpoints: Iterable[float],
-                 n: int, scale: ScaleConfig, label: str = ""):
+    def __init__(self, regions: Iterable[Region], *, n: int, scale: ScaleConfig,
+                 label: str = ""):
         regions = tuple(regions)
         if not regions:
             raise ValueError("a fuzzy number needs at least one region")
+        if not all(math.isfinite(r.left) and math.isfinite(r.right) for r in regions):
+            raise ValueError("region bounds must be finite")
         ordered = all(
             (a.left, a.right) <= (b.left, b.right)
             for a, b in zip(regions, regions[1:])
@@ -154,18 +157,20 @@ class FuzzyNumber(Record):
             if previous_segment_right is not None and region.left < previous_segment_right:
                 raise ValueError("segment regions must have disjoint interiors")
             previous_segment_right = region.right
-        endpoints = tuple(float(x) for x in endpoints)
-        if not all(map(math.isfinite, endpoints)):
-            raise ValueError("endpoints must be finite")
-        self._init(_region_profile(regions), endpoints, n, scale, label)
+        self._init(_region_profile(regions), n, scale, label)
 
     @classmethod
     def _from_profile(cls, **fields) -> FuzzyNumber:
         """A number from its stored fields, unchecked: the profile must be
-        canonical and the endpoints floats."""
+        canonical."""
         number = object.__new__(cls)
         vars(number).update(fields)
         return number
+
+    @property
+    def endpoints(self) -> tuple[float, ...]:
+        """The sorted breakpoints of the profile."""
+        return self.profile[0]
 
     @cached_property
     def regions(self) -> tuple[Region, ...]:
@@ -197,22 +202,24 @@ class FuzzyNumber(Record):
     @classmethod
     def from_dict(cls, payload: dict, scale: ScaleConfig) -> FuzzyNumber:
         """Rebuild a number from to_dict output; ValueError unless its regions
-        and its strictly ascending endpoints lie on the scale."""
+        lie on the scale and its endpoints are the rebuilt breakpoints."""
         low, high = scale.scale_min, scale.scale_max
         regions = tuple(Region(l, r, h) for l, r, h in payload["regions"])
         if not all(low <= r.left and r.right <= high for r in regions):
             raise ValueError(f"a region lies outside the scale [{low}, {high}]")
-        endpoints = tuple(float(x) for x in payload["endpoints"])
-        ascending = all(a < b for a, b in zip(endpoints, endpoints[1:]))
-        if not ascending or not all(low <= x <= high for x in endpoints):
-            raise ValueError(f"endpoints must ascend strictly within [{low}, {high}]")
-        return cls(
-            regions=regions,
-            endpoints=endpoints,
+        number = cls(
+            regions,
             n=int(payload["n"]),
             scale=scale,
             label=str(payload.get("label", "")),
         )
+        endpoints = tuple(float(x) for x in payload["endpoints"])
+        if endpoints != number.endpoints:
+            raise ValueError(
+                f"endpoints {list(endpoints)} are not the breakpoints "
+                f"{list(number.endpoints)} of the regions"
+            )
+        return number
 
 
 def construct_fuzzy(
@@ -244,7 +251,6 @@ def construct_fuzzy(
         segments.append(covering / n)
     return FuzzyNumber._from_profile(
         profile=(xs, tuple(points), tuple(segments)),
-        endpoints=xs,
         n=n,
         scale=scale,
         label=interval_set.label if label is None else label,
@@ -264,7 +270,7 @@ def canonicalize(regions: Iterable[Region]) -> tuple[Region, ...]:
 
 
 def evaluation_points(a: FuzzyNumber, b: FuzzyNumber) -> tuple[float, ...]:
-    """Sorted, deduplicated union of both operands' source endpoints."""
+    """Sorted, deduplicated union of both operands' endpoints."""
     return tuple(sorted(set(a.endpoints) | set(b.endpoints)))
 
 

@@ -175,7 +175,10 @@ def ideal_interval_set(scale: ScaleConfig, n: int, which: str) -> IntervalSet:
 
 def midpoint_mean(interval_set: IntervalSet) -> float:
     """Mean of interval midpoints: the traditional preprocessing baseline."""
-    return sum(iv.midpoint for iv in interval_set.intervals) / interval_set.n
+    total = 0.0
+    for iv in interval_set.intervals:
+        total += iv.midpoint
+    return total / interval_set.n
 
 
 class MultiCriteriaDataset(Record):

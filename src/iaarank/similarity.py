@@ -1,23 +1,22 @@
 """Similarity measures between fuzzy numbers on a shared scale.
 
 Three measures: overlap (intersection over union of memberships at the
-source endpoints), attribute comparison (one minus the squared-weight
+endpoints of both operands), attribute comparison (one minus the squared-weight
 combination of the six feature differences), and their plain average.
 All return values in [0, 1] with 1 for identical operands.
 
 Every similarity, one pair or many, runs through one pair kernel. A
 ``PairKernel`` is built once per call for a measure, a weight vector and a
 scale, and computes the squared weights and the two scale normalisers then.
-Each number is prepared once per call: its profile restated on the sorted
-union of its breakpoints and its distinct endpoints, each breakpoint flagged
-when it is an endpoint, and its attribute row. The overlap measure then
-merges the two prepared breakpoint lists in one walk, evaluating at the
-flagged points, so one pair costs O(k_a + k_b) for k_a and k_b breakpoints
-and builds no set and sorts nothing. The attribute measure reads the two
-rows with the arithmetic and summation order of ``feature_vector``, so its
-results are bit-identical to it. All three measures are symmetric, so a
-similarity matrix over m numbers evaluates the m(m+1)/2 pairs on and above
-the diagonal and mirrors each value below it.
+Each number is prepared once per call: its step profile, whose breakpoints
+are its endpoints, and its attribute row. The overlap measure then merges
+the two breakpoint lists in one walk, evaluating at every point it meets,
+so one pair costs O(k_a + k_b) for k_a and k_b breakpoints and builds no set
+and sorts nothing. The attribute measure reads the two rows with the
+arithmetic and summation order of ``feature_vector``, so its results are
+bit-identical to it. All three measures are symmetric, so a similarity
+matrix over m numbers evaluates the m(m+1)/2 pairs on and above the
+diagonal and mirrors each value below it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ class SimilarityWeights(Record):
         values = tuple(float(v) for v in values)
         if len(values) != 6:
             raise ValueError("exactly six feature weights required")
-        norm = sum(v * v for v in values)
+        norm = 0.0
+        for v in values:
+            norm += v * v
         if abs(norm - 1.0) > 1e-4:
             raise ValueError(f"weight vector must have unit norm, got {norm:.6f}")
         self._init(values)
@@ -66,45 +67,17 @@ def _check_measure(measure: str) -> None:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
 
 
-def _overlap_profile(fz: FuzzyNumber):
-    """The profile of fz on the sorted union of its breakpoints and its
-    distinct endpoints: (breakpoints, points, segments, evaluated).
-
-    A breakpoint added for an endpoint inside a stretch takes the stretch's
-    membership as its point and on both sides. evaluated[i] tells whether
-    breakpoint i is one of the number's endpoints. For a constructed number
-    the endpoints are the breakpoints, and the profile stays as it is.
-    """
-    xs, points, segments = fz.profile
-    if fz.endpoints == xs:
-        return xs, points, segments, (True,) * len(xs)
-    ends = set(fz.endpoints)
-    grid = sorted(ends.union(xs))
-    grid_points: list[float] = []
-    grid_segments = [0.0]
-    i = 0
-    for x in grid:
-        if i < len(xs) and xs[i] == x:
-            grid_points.append(points[i])
-            grid_segments.append(segments[i + 1])
-            i += 1
-        else:
-            grid_points.append(segments[i])
-            grid_segments.append(segments[i])
-    return grid, grid_points, grid_segments, [x in ends for x in grid]
-
-
 def _overlap(a, b) -> float:
-    """Jaccard of two overlap profiles: one merge of their breakpoints.
+    """Jaccard of two step profiles: one merge of their breakpoints.
 
     At a breakpoint of one operand only, the other one reads its stretch
-    membership; past its last breakpoint, that is zero. The flagged points
-    are the union of both endpoint lists, visited once each in ascending
-    order, so the sums add the same terms in the same order as a walk over
-    ``evaluation_points``.
+    membership; past its last breakpoint, that is zero. The breakpoints are
+    the endpoints, so the merge visits each point of ``evaluation_points``
+    once, in ascending order, and the sums add the same terms in the same
+    order as a walk over it.
     """
-    xs_a, points_a, segments_a, evaluated_a = a
-    xs_b, points_b, segments_b, evaluated_b = b
+    xs_a, points_a, segments_a = a
+    xs_b, points_b, segments_b = b
     k_a = len(xs_a)
     k_b = len(xs_b)
     i = j = 0
@@ -114,36 +87,32 @@ def _overlap(a, b) -> float:
         x = xs_a[i]
         y = xs_b[j]
         if x < y:
-            evaluated = evaluated_a[i]
             mu_a = points_a[i]
             mu_b = segments_b[j]
             i += 1
         elif y < x:
-            evaluated = evaluated_b[j]
             mu_a = segments_a[i]
             mu_b = points_b[j]
             j += 1
         else:
-            evaluated = evaluated_a[i] or evaluated_b[j]
             mu_a = points_a[i]
             mu_b = points_b[j]
             i += 1
             j += 1
-        if evaluated:
-            if mu_a <= mu_b:
-                numerator += mu_a
-                denominator += mu_b
-            else:
-                numerator += mu_b
-                denominator += mu_a
+        if mu_a <= mu_b:
+            numerator += mu_a
+            denominator += mu_b
+        else:
+            numerator += mu_b
+            denominator += mu_a
     # Past the other operand's last breakpoint its membership is 0, the
     # minimum, so only the denominator grows.
     for p in range(i, k_a):
-        if evaluated_a[p]:
-            denominator += points_a[p]
+        denominator += points_a[p]
     for q in range(j, k_b):
-        if evaluated_b[q]:
-            denominator += points_b[q]
+        denominator += points_b[q]
+    # Unreachable from the public constructors, whose first breakpoint has
+    # a positive point membership; kept as division safety.
     if denominator <= 0:
         raise EmptyEvaluation("zero membership at every evaluation point")
     return numerator / denominator
@@ -181,12 +150,12 @@ class PairKernel:
         self.centroid_span = math.hypot(scale.range, 0.5)
 
     def prepare(self, fz: FuzzyNumber):
-        """(scale, number, overlap profile, attribute row); the parts the
+        """(scale, number, step profile, attribute row); the parts the
         measure does not read are None."""
         return (
             fz.scale,
             fz,
-            _overlap_profile(fz) if self.overlap else None,
+            fz.profile if self.overlap else None,
             _attribute_row(fz) if self.attribute else None,
         )
 
@@ -196,23 +165,23 @@ class PairKernel:
         qa0, qa1, qa2, qa3, qa4, xa, ya, area_a, height_a, perimeter_a, agree_a = a
         qb0, qb1, qb2, qb3, qb4, xb, yb, area_b, height_b, perimeter_b, agree_b = b
         w0, w1, w2, w3, w4, w5 = self.squared_weights
-        quartile = sum((
-            abs(qa0 - qb0), abs(qa1 - qb1), abs(qa2 - qb2), abs(qa3 - qb3),
-            abs(qa4 - qb4),
-        )) / self.quartile_span
+        quartile = (
+            abs(qa0 - qb0) + abs(qa1 - qb1) + abs(qa2 - qb2) + abs(qa3 - qb3)
+            + abs(qa4 - qb4)
+        ) / self.quartile_span
         centroid = math.hypot(xa - xb, ya - yb) / self.centroid_span
         # The ratio differences of _ratio_difference, inlined: 0/0 -> 0.
         area_max = max(area_a, area_b)
         perimeter_max = max(perimeter_a, perimeter_b)
-        return 1.0 - sum((
-            w0 * quartile,
-            w1 * centroid,
-            w2 * (abs(area_a - area_b) / area_max if area_max > 0 else 0.0),
-            w3 * abs(height_a - height_b),
-            w4 * (abs(perimeter_a - perimeter_b) / perimeter_max
-                  if perimeter_max > 0 else 0.0),
-            w5 * abs(agree_a - agree_b),
-        ))
+        return 1.0 - (
+            w0 * quartile
+            + w1 * centroid
+            + w2 * (abs(area_a - area_b) / area_max if area_max > 0 else 0.0)
+            + w3 * abs(height_a - height_b)
+            + w4 * (abs(perimeter_a - perimeter_b) / perimeter_max
+                    if perimeter_max > 0 else 0.0)
+            + w5 * abs(agree_a - agree_b)
+        )
 
     def __call__(self, a, b) -> float:
         scale_a, number_a, overlap_a, row_a = a
@@ -252,9 +221,8 @@ def jaccard(a: FuzzyNumber, b: FuzzyNumber) -> float:
     """Sum of minimum over sum of maximum memberships at the endpoint union.
 
     Zero exactly when the two numbers share no support at any evaluation
-    point. The denominator cannot vanish for properly constructed inputs
-    (each operand is positive at its own endpoints); if it does, the pair
-    raises EmptyEvaluation.
+    point. The denominator cannot vanish, as each operand is positive at its
+    own endpoints; were it zero, the pair would raise EmptyEvaluation.
     """
     return measure_similarity("jaccard", a, b)
 

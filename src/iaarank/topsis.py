@@ -43,7 +43,9 @@ class DecisionMatrix(Record):
             raise ValueError("one direction per criterion required")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        total = sum(weights)
+        total = 0.0
+        for w in weights:
+            total += w
         if not math.isfinite(total):
             raise ValueError("weights must be finite, with a finite sum")
         if total <= 0:
@@ -125,10 +127,10 @@ def select_ideals(
     The top alternative under the universal ranking is the positive ideal and
     the bottom one the negative ideal; cost criteria swap the two. Where
     several alternatives at an end have exactly equal universal keys (a shape
-    and its mirror image, say), the one with the smallest (profile,
-    endpoints, label) is taken, so the ideals do not depend on the row order.
-    A criterion whose alternatives all fall in one universal tie group is
-    flagged degenerate.
+    and its mirror image, say), the one with the smallest (profile, label)
+    is taken, so the ideals do not depend on the row order. A criterion
+    whose alternatives all fall in one universal tie group is flagged
+    degenerate.
     """
     levels = universal_levels(epsilon)
 
@@ -136,7 +138,7 @@ def select_ideals(
         return [key(fz) for key, _ in levels]
 
     def content(fz):
-        return fz.profile, fz.endpoints, fz.label
+        return fz.profile, fz.label
 
     ideals = []
     for index, criterion in enumerate(matrix.criteria):

@@ -85,7 +85,12 @@ def split_components(triples):
 
 
 def brute_area(triples):
-    return sum(h * (r - l) for l, r, h in triples)
+    # summed left to right, as the package sums, so the test comparing the
+    # two bit for bit holds on every Python
+    total = 0.0
+    for l, r, h in triples:
+        total += h * (r - l)
+    return total
 
 
 def brute_height(triples):
@@ -118,9 +123,10 @@ def brute_perimeter(triples):
 
 
 def brute_support_length(triples):
-    return sum(
-        max(r for _, r, _ in comp) - comp[0][0] for comp in split_components(triples)
-    )
+    total = 0.0  # left to right, as brute_area
+    for comp in split_components(triples):
+        total += max(r for _, r, _ in comp) - comp[0][0]
+    return total
 
 
 def brute_agreement(triples):

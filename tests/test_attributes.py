@@ -28,9 +28,7 @@ WIDE = ScaleConfig(0, 10)
 
 
 def fn(regions, n=5, scale=WIDE):
-    regs = tuple(Region(*t) for t in regions)
-    points = sorted({r.left for r in regs} | {r.right for r in regs})
-    return FuzzyNumber(regions=regs, endpoints=tuple(points), n=n, scale=scale)
+    return FuzzyNumber(tuple(Region(*t) for t in regions), n=n, scale=scale)
 
 
 @pytest.fixture

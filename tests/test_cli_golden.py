@@ -4,20 +4,24 @@ Each run calls ``cli.main`` in-process and compares the exit code and the
 sha256 of its stdout with the digest recorded in ``GOLDEN``. The runs cover
 every subcommand in text, JSON and CSV, the three rank methods, the three
 similarity measures for a pair and for ``--matrix``, both TOPSIS measures,
-and a few validation failures. From Python 3.12 on, ``sum()`` of floats is
-compensated, so the runs that print attributes have their own digests there,
-in ``GOLDEN_PY312``. A change that means to alter CLI output regenerates the
-tables, under Python 3.11 and then under 3.12, with
+and a few validation failures.
+
+One table holds on every supported Python. From 3.12 on, ``sum()`` of floats
+is compensated, so the package adds floats that reach its output in explicit
+left-to-right loops; a run with ``builtins.sum`` replaced by a model of the
+compensated sum checks that no output depends on it. A change that means to
+alter CLI output regenerates the table with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
 and says in its change note which runs moved and why.
 """
 
+import builtins
 import contextlib
 import hashlib
 import io
-import sys
+import math
 
 import pytest
 
@@ -169,76 +173,51 @@ GOLDEN = {
     'synthetic-3x2: rank without --criterion': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
-# From Python 3.12 on, sum() of floats is compensated (Neumaier), so the last
-# digits of some attributes differ, and with them every output that prints an
-# attribute or an attribute similarity.
-GOLDEN_PY312 = {
-    'films: attributes --format text': (0, 'f4b772c12f99b911eb9dfaaed20a91fd81429134b513acc7a2fb7b7334abde1e'),
-    'films: attributes --format json': (0, '1cb3df8164aa865e4445f3d923b19a8027a47093256acd895c61026196975e8e'),
-    'films: similarity Film B Film H --measure attribute --format json': (0, '9a76d910feedb305685c06efcd1401041e2df591298f2289097d5779034f3fa1'),
-    'films: similarity --matrix --measure attribute --format json': (0, '00129677716a459763c476e7fef01db7907f14281a3c1d21638bdf3506d0cf60'),
-    'films: rank --method ideal-ratio --measure attribute --format json': (0, 'a6b20f59b8649e8b1dc2b22515250141aed9fa224df58f7e51ff2829e371bcc4'),
-    'films: similarity Film B Film H --measure combined --format json': (0, '161229efdfdef4c0f90b97ade4516ae860e399350dc459241dcd8a98a465f518'),
-    'films: similarity --matrix --measure combined --format json': (0, 'b8bb04427bbdbb71d9090a0982268b4ddc2172e41b63c45ae73bdedb73d97d96'),
-    'films: rank --method ideal-ratio --measure combined --format json': (0, 'f9f3c750bd68e54539e7e96913e208d66d2783c7d846b5bb97707defb139e0ea'),
-    'films: topsis --measure attribute --format json': (0, '854205a3ee82fa326fb6c7a613049c7e4df586c76abc206af00dcb31176bb621'),
-    'films: topsis --measure combined --format json': (0, '1b13d24daf4b33c3a98c58f0bd93851c99ae3d2c8af74c17cf06e69a83d57593'),
-    'films: attributes --format csv': (0, '9b3b4eb8368673b0db5d2fc0e3fe5e296ac0bb89e411914ff7d00c0940e8121a'),
-    'films: similarity Film B Film H --measure attribute --format csv': (0, '216e891aa2902844dd620ef8459fc0c43d12bac1072af59a375508c248beb583'),
-    'films: similarity --matrix --measure attribute --format csv': (0, 'd6a9667b3a88402d96bbf57fd90732cf2f7c8925617646ef165ba61721847c65'),
-    'films: rank --method ideal-ratio --measure attribute --format csv': (0, '083398782ff6abda48b8da255720995c0594c1941940794c8432f83c35a87ad4'),
-    'films: similarity Film B Film H --measure combined --format csv': (0, '5f582df9bbcd51d66d000941f8829aa202259b0d9d23a46c2df981e2e9dfcb09'),
-    'films: similarity --matrix --measure combined --format csv': (0, '725600c68c34514b974595d73839f37b6ba37c718eb3ed4c434ce32bfef8b81f'),
-    'films: rank --method ideal-ratio --measure combined --format csv': (0, '5c821be04fa55a806b30957f1a3be2dc94c2c670d324269dbdeb79bb9d3d647a'),
-    'films: topsis --measure attribute --format csv': (0, 'd4fdfb48b4f24befd9a041647f658092faf4e2d3200655ceefe9666edfa72aa0'),
-    'films: topsis --measure combined --format csv': (0, '472e54492d9e17c784a0759d18b23317ddd88ad4d97ff570461a122f4326f18b'),
-    'synthetic-3x2: attributes --format text': (0, '49e388e6878d12f385734c939e85e5c049bbacdd344d410e1d995063d75b9af0'),
-    'synthetic-3x2: attributes --format json': (0, '1308f3c9dcc3032b06c9ef4c83cbb10329a9763db411e710c34eba79548abab8'),
-    'synthetic-3x2: similarity X Y --criterion c2 --measure attribute --format json': (0, '3d21cc120dbccabeab4fb1f43a49ff69ec1adff1b92e9a35a31e95a16c9cf548'),
-    'synthetic-3x2: similarity --matrix --criterion c2 --measure attribute --format json': (0, '1c5a0f08c1ae14f5525f7c064d77e60d33673f31191b4198f61f4325de53c36d'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure attribute --format json': (0, '67ade6966a01c07d2433109f7139700c375dca3c7566afab8013b2b147b32dfb'),
-    'synthetic-3x2: similarity X Y --criterion c2 --measure combined --format json': (0, '7293373e027770ff68ac4895a9650b82f5d99f5a72adef3a567a5c9088a97fc0'),
-    'synthetic-3x2: similarity --matrix --criterion c2 --measure combined --format json': (0, '4786b36797823d68919b7b3e5a127383e8834ebff8af13bbc9e2982abc3f3dd5'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure combined --format json': (0, '2e994b9a9ecee3bc9a01d9d1ac1d6d1df302983373511cf943604ef96082729d'),
-    'synthetic-3x2: topsis --measure attribute --format json': (0, 'd6553fb17bea7e47f7d39a324a3f65940641b9beb99e3a559f774976f9083329'),
-    'synthetic-3x2: topsis --measure combined --format json': (0, '1ebfcf45d9920d1b719366e243d17880aac62f8ea3ac54daa0102de6c1dbd10d'),
-    'synthetic-3x2: attributes --format csv': (0, '0f2a24b661a8ac7121f1ee3caf98bab75442f3eb1ce453efcbf4f6fb88c4602d'),
-    'synthetic-3x2: similarity X Y --criterion c2 --measure attribute --format csv': (0, 'd14419b17d958a34ca9de0880cdaf6548ed92505ced070993673aa345f6a5a01'),
-    'synthetic-3x2: similarity --matrix --criterion c2 --measure attribute --format csv': (0, '963dabb7b448729f107d1d41cd31c43dbc0d67b93ba69ef2eae6b1b6e157fbbe'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure attribute --format csv': (0, 'a71f26c6965b9a413f9f2154602f6cbe0397a6b5cd299898ccc3ed86edd5165f'),
-    'synthetic-3x2: similarity X Y --criterion c2 --measure combined --format csv': (0, 'f7046560cfbfe9fff3bfde9389e2cff30bfb1794dae207b47af1462073fce8e6'),
-    'synthetic-3x2: similarity --matrix --criterion c2 --measure combined --format csv': (0, 'f36599b392ce843718de34db0cd403829c90497ecc68325769d54d74a525a507'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure combined --format csv': (0, '59cb163f5b5edea27309fbf05a57b36b4b553d588baaa2e776b9eab5ba7f751d'),
-    'synthetic-3x2: topsis --measure attribute --format csv': (0, '31a69f31e6762f25418084b608db816e632c3269bcdf5d464f9809aa00734f9f'),
-    'synthetic-3x2: topsis --measure combined --format csv': (0, '46808011ed3cc8286e9968f17eb8037decb9e2ac77300d7c0369466ddefc65c9'),
-}
-
 RUNS = dict(runs())
 
 
-def expected(name):
-    if sys.version_info >= (3, 12):
-        return GOLDEN_PY312.get(name, GOLDEN[name])
-    return GOLDEN[name]
+def compensated_sum(iterable, /, start=0):
+    """builtins.sum as Python 3.12 computes it: floats added with Neumaier's
+    compensation, which is applied at the end only when it is finite, so an
+    infinite sum stays infinite instead of turning into NaN."""
+    total = start
+    compensation = 0.0
+    for item in iterable:
+        if type(total) is float and type(item) is float:
+            step = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - step) + item
+            else:
+                compensation += (item - step) + total
+            total = step
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            compensation = 0.0
+            total = total + item
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def test_every_run_is_pinned():
     assert sorted(RUNS) == sorted(GOLDEN)
-    assert set(GOLDEN_PY312) <= set(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_stdout_and_exit_code_unchanged(name):
-    assert digest(RUNS[name]) == expected(name)
+    assert digest(RUNS[name]) == GOLDEN[name]
+
+
+def test_output_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    assert compensated_sum([0.1] * 10) == 1.0  # 0.9999999999999999 unpatched
+    assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert {name: digest(argv) for name, argv in RUNS.items()} == GOLDEN
 
 
 if __name__ == "__main__":
-    # Before 3.12 this prints all of GOLDEN; from 3.12 on, the runs whose
-    # digests differ from GOLDEN, which make up GOLDEN_PY312.
-    compensated = sys.version_info >= (3, 12)
-    print("GOLDEN_PY312 = {" if compensated else "GOLDEN = {")
+    print("GOLDEN = {")
     for name, argv in RUNS.items():
-        value = digest(argv)
-        if not compensated or value != GOLDEN[name]:
-            print(f"    {name!r}: {value!r},")
+        print(f"    {name!r}: {digest(argv)!r},")
     print("}")

@@ -22,6 +22,7 @@ import oracle
 from conftest import make_set
 
 WIDE = ScaleConfig(0, 10)
+NAN, INF = float("nan"), float("inf")
 
 
 def triples(fz):
@@ -191,26 +192,36 @@ class TestFuzzyNumberType:
 
     def test_needs_regions(self):
         with pytest.raises(ValueError):
-            FuzzyNumber(regions=(), endpoints=(1,), n=1, scale=WIDE)
+            FuzzyNumber(regions=(), n=1, scale=WIDE)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_a_non_finite_endpoint(self, bad):
-        # a NaN endpoint has no place in the sorted evaluation order, so
-        # Jaccard on it depended on the evaluation code (0.2 or 0.333)
-        with pytest.raises(ValueError, match="endpoints must be finite"):
-            FuzzyNumber(regions=(Region(1, 3, 1.0),), endpoints=(2, bad, 1), n=1,
-                        scale=WIDE)
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (NAN, 3), (3, NAN), (NAN, NAN),
+            (-INF, 3), (3, INF), (-INF, INF),
+            (INF, INF), (-INF, -INF),
+        ],
+    )
+    def test_rejects_a_non_finite_region_bound(self, left, right):
+        # a NaN bound used to end the profile sweep in an IndexError
+        regions = (Region(0, 1, 0.5), Region(left, right, 1.0))
+        for given in (regions[1:], sorted(regions, key=lambda r: r.left)):
+            with pytest.raises(ValueError, match="region bounds must be finite"):
+                FuzzyNumber(given, n=1, scale=WIDE)
 
-    def test_keeps_unsorted_and_off_scale_endpoints(self):
-        fz = FuzzyNumber(regions=(Region(1, 3, 1.0),), endpoints=(3, 1, 20), n=1,
-                         scale=WIDE)
-        assert fz.endpoints == (3.0, 1.0, 20.0)
+    def test_old_call_forms_raise_type_error(self):
+        regions = (Region(0, 1, 1.0),)
+        with pytest.raises(TypeError):
+            FuzzyNumber(regions, (0, 1), n=1, scale=WIDE)
+        with pytest.raises(TypeError):
+            FuzzyNumber(regions, endpoints=(0, 1), n=1, scale=WIDE)
+        with pytest.raises(TypeError):
+            FuzzyNumber(regions, 1, WIDE)
 
     def test_rejects_unsorted_regions(self):
         with pytest.raises(ValueError):
             FuzzyNumber(
                 regions=(Region(2, 3, 0.5), Region(0, 1, 0.5)),
-                endpoints=(0, 3),
                 n=2,
                 scale=WIDE,
             )
@@ -219,7 +230,6 @@ class TestFuzzyNumberType:
         with pytest.raises(ValueError):
             FuzzyNumber(
                 regions=(Region(0, 2, 0.5), Region(1, 3, 0.5)),
-                endpoints=(0, 3),
                 n=2,
                 scale=WIDE,
             )
@@ -241,7 +251,9 @@ class TestFuzzyNumberType:
 
     @pytest.mark.parametrize(
         "endpoints",
-        [[2, float("nan"), 1], [2, 1], [1, 1], [0, float("inf")], [-1, 5], [5, 11]],
+        [[2, float("nan"), 1], [2, 1], [1, 1], [0, float("inf")], [-1, 5], [5, 11],
+         # sorted and on the scale, but not the breakpoints [1, 2]
+         [1, 1.5, 2], [1], [0, 1, 2]],
     )
     def test_from_dict_rejects_bad_endpoints(self, endpoints):
         payload = {"label": "p", "n": 1, "regions": [[1, 2, 1.0]],
@@ -274,7 +286,7 @@ class TestOneNumberPerMembership:
     @pytest.mark.parametrize("case", SAME_MEMBERSHIP)
     def test_same_membership_is_the_same_number(self, case):
         a, b = (
-            FuzzyNumber(tuple(Region(*t) for t in regs), (0, 1, 2, 4), n=5, scale=WIDE)
+            FuzzyNumber(tuple(Region(*t) for t in regs), n=5, scale=WIDE)
             for regs in SAME_MEMBERSHIP[case]
         )
         assert a == b
@@ -284,11 +296,14 @@ class TestOneNumberPerMembership:
         assert universal_compare(a, b) == 0
 
     def test_only_the_profile_is_stored(self, film_sets, film_scale, film_numbers):
-        stored = ["profile", "endpoints", "n", "scale", "label"]
+        stored = ["profile", "n", "scale", "label"]
         assert list(FuzzyNumber._fields) == stored
         fresh = construct_fuzzy(film_sets["Film B"], film_scale)
         rebuilt = FuzzyNumber.from_dict(fresh.to_dict(), film_scale)
         assert list(vars(fresh)) == list(vars(rebuilt)) == stored
+        assert fresh.endpoints is fresh.profile[0]
+        assert rebuilt.endpoints is rebuilt.profile[0]
+        assert "endpoints" not in repr(fresh)
         fz = film_numbers["Film B"]
         assert fz.regions is fz.regions
         assert fz.regions == tuple(Region(*t) for t in fz.to_dict()["regions"])

@@ -91,7 +91,7 @@ def test_support_length_and_agreement_equal_oracle_bit_exactly(pairs):
 @example([Region(0, 4, 0.5), Region(2, 2, 0.25)])
 @example([Region(0, 1, 0.5), Region(1, 1, 1.0), Region(3, 3, 0.25)])
 def test_support_length_and_agreement_of_canonical_lists_equal_oracle(regs):
-    fz = FuzzyNumber(canonicalize(regs), endpoints=(), n=1, scale=WIDE)
+    fz = FuzzyNumber(canonicalize(regs), n=1, scale=WIDE)
     triples = [(r.left, r.right, r.height) for r in fz.regions]
     assert support_length(fz) == oracle.brute_support_length(triples)
     assert agreement_ratio(fz) == oracle.brute_agreement(triples)
@@ -104,7 +104,7 @@ def test_support_length_and_agreement_of_canonical_lists_equal_oracle(regs):
 def test_canonicalize_idempotent_and_preserves_membership(regs):
     canonical = canonicalize(regs)
     assert canonicalize(canonical) == canonical
-    fz = FuzzyNumber(canonical, endpoints=(), n=1, scale=WIDE)
+    fz = FuzzyNumber(canonical, n=1, scale=WIDE)
     for x in probe_points({b for r in regs for b in (r.left, r.right)}):
         direct = max((r.height for r in regs if r.left <= x <= r.right), default=0.0)
         assert fz.membership(x) == direct
@@ -129,8 +129,8 @@ def constructible(regs):
 @example([Region(0, 1, 0.5), Region(1, 1, 0.5), Region(1, 2, 0.5)])
 def test_regions_and_their_canonical_form_give_one_number(regs):
     regs = constructible(regs)
-    given_as = FuzzyNumber(regs, endpoints=(), n=1, scale=WIDE)
-    canonical = FuzzyNumber(canonicalize(regs), endpoints=(), n=1, scale=WIDE)
+    given_as = FuzzyNumber(regs, n=1, scale=WIDE)
+    canonical = FuzzyNumber(canonicalize(regs), n=1, scale=WIDE)
     assert given_as.profile == canonical.profile
     _, points, segments = given_as.profile
     flat = [left == point == right
@@ -143,8 +143,11 @@ def test_regions_and_their_canonical_form_give_one_number(regs):
 
 @settings(max_examples=150, deadline=None)
 @given(interval_lists)
+@example([(1.0, 2.0), (2.0, 3.0)])  # touching intervals: 2 is still a breakpoint
+@example([(1.0, 3.0), (2.0, 2.0)])  # a point interval inside another
 def test_from_dict_round_trip_keeps_profile(pairs):
     fz = build(pairs)
+    assert fz.endpoints == make_set("p", pairs).endpoints()
     again = FuzzyNumber.from_dict(json.loads(json.dumps(fz.to_dict())), WIDE)
     assert again == fz
     assert again.profile == fz.profile

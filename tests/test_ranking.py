@@ -34,10 +34,8 @@ WIDE = ScaleConfig(0, 10)
 
 
 def fn(regions, n=2, scale=WIDE, label=""):
-    regs = tuple(Region(*t) for t in regions)
-    points = sorted({r.left for r in regs} | {r.right for r in regs})
     return FuzzyNumber(
-        regions=regs, endpoints=tuple(points), n=n, scale=scale, label=label
+        tuple(Region(*t) for t in regions), n=n, scale=scale, label=label
     )
 
 

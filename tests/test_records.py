@@ -56,7 +56,7 @@ RECORDS = {
     IntervalSet: (("intervals", "label"), _set),
     MultiCriteriaDataset: (("alternatives", "criteria", "cells", "scale"), _dataset),
     Region: (("left", "right", "height"), lambda: Region(1, 2, 0.5)),
-    FuzzyNumber: (("profile", "endpoints", "n", "scale", "label"), _number),
+    FuzzyNumber: (("profile", "n", "scale", "label"), _number),
     AttributeVector: (
         ("quartiles", "centroid_x", "centroid_y", "area", "height", "perimeter",
          "agreement_ratio"),
