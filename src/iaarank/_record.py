@@ -2,10 +2,7 @@
 
 A record class names its fields in ``_fields`` and writes its own
 ``__init__``, which checks its arguments and then stores the fields with
-``_init``. Interval and IntervalSet, built once per row and once per cell,
-store theirs with one ``set_field`` call each instead: for two fields that
-is faster, and it keeps the values inline, with no ``__dict__`` object per
-instance until one is asked for.
+``_init``.
 
 The base gives every record value semantics: equality only between
 instances of one class, on the field tuple; the hash of that tuple; a
@@ -15,8 +12,6 @@ references, pickle and copy work as on any plain object.
 """
 
 from __future__ import annotations
-
-set_field = object.__setattr__  # stores a field past the record's __setattr__
 
 
 class Record:

@@ -400,6 +400,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = args.handler(args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
     except DivisionByZero as exc:
         print(f"error: undefined ranking: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
@@ -409,9 +411,7 @@ def main(argv=None) -> int:
     except (IaaRankError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return EXIT_OK
 

@@ -63,8 +63,8 @@ class Region(Record):
 def membership_at(interval_set: IntervalSet, x: float) -> float:
     """Fraction of the set's intervals containing x (direct count)."""
     hits = 0
-    for iv in interval_set.intervals:
-        if iv.left <= x <= iv.right:
+    for left, right in zip(interval_set.lefts, interval_set.rights):
+        if left <= x <= right:
             hits += 1
     return hits / interval_set.n
 
@@ -87,6 +87,11 @@ def region_triples(
             yield x, x, point
         if right > 0:
             yield x, xs[i + 1], right
+
+
+def _check_finite(regions: Sequence[Region]) -> None:
+    if not all(math.isfinite(r.left) and math.isfinite(r.right) for r in regions):
+        raise ValueError("region bounds must be finite")
 
 
 def _region_profile(regions: Sequence[Region]) -> tuple[tuple[float, ...], ...]:
@@ -142,8 +147,7 @@ class FuzzyNumber(Record):
         regions = tuple(regions)
         if not regions:
             raise ValueError("a fuzzy number needs at least one region")
-        if not all(math.isfinite(r.left) and math.isfinite(r.right) for r in regions):
-            raise ValueError("region bounds must be finite")
+        _check_finite(regions)
         ordered = all(
             (a.left, a.right) <= (b.left, b.right)
             for a, b in zip(regions, regions[1:])
@@ -237,8 +241,8 @@ def construct_fuzzy(
     flat and the profile is canonical as it stands.
     """
     interval_set.validate_scale(scale)
-    starts = Counter(iv.left for iv in interval_set.intervals)
-    ends = Counter(iv.right for iv in interval_set.intervals)
+    starts = Counter(interval_set.lefts)
+    ends = Counter(interval_set.rights)
     xs = interval_set.endpoints()
     n = interval_set.n
     points: list[float] = []
@@ -262,8 +266,10 @@ def canonicalize(regions: Iterable[Region]) -> tuple[Region, ...]:
 
     Idempotent: applying it to an already-canonical list returns an equal
     list. Membership under the max-resolution rule is preserved exactly.
+    Raises ValueError for a NaN or infinite region bound.
     """
     regs = sorted(regions, key=lambda r: r.left)
+    _check_finite(regs)
     if not regs:
         return ()
     return tuple(Region(*t) for t in region_triples(_region_profile(regs)))

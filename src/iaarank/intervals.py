@@ -15,10 +15,11 @@ import math
 import warnings
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import (
     EmptyDataset,
     InvertedBounds,
@@ -50,8 +51,7 @@ class Interval(Record):
             )
         if left > right:
             raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
-        set_field(self, "left", left)
-        set_field(self, "right", right)
+        self._init(left, right)
 
     @property
     def width(self) -> float:
@@ -128,36 +128,61 @@ class ScaleConfig(Record):
 
 
 class IntervalSet(Record):
-    """Multiset of intervals gathered for one alternative."""
+    """Multiset of intervals gathered for one alternative.
 
-    _fields = ("intervals", "label")
+    The sources are stored as two float columns in source order: ``lefts``
+    holds the left bounds and ``rights`` the right bounds.
+    """
+
+    _fields = ("lefts", "rights", "label")
 
     def __init__(self, intervals: Iterable[Interval], label: str = ""):
         intervals = tuple(intervals)
         if not intervals:
             raise ZeroSources(f"interval set {label!r} has no intervals")
-        set_field(self, "intervals", intervals)
-        set_field(self, "label", label)
+        self._init(
+            tuple([iv.left for iv in intervals]),
+            tuple([iv.right for iv in intervals]),
+            label,
+        )
+
+    @classmethod
+    def _from_columns(cls, lefts: tuple[float, ...], rights: tuple[float, ...],
+                      label: str) -> IntervalSet:
+        """A set from its stored fields, unchecked: the columns must be
+        non-empty, of equal length, and hold finite floats with each left
+        bound at most its right bound."""
+        interval_set = object.__new__(cls)
+        interval_set._init(lefts, rights, label)
+        return interval_set
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The member intervals in source order, derived on first access."""
+        return tuple(map(Interval, self.lefts, self.rights))
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.lefts)
 
     def endpoints(self) -> tuple[float, ...]:
         """Sorted, deduplicated bounds of all member intervals."""
-        points = {iv.left for iv in self.intervals}
-        points.update(iv.right for iv in self.intervals)
+        points = set(self.lefts)
+        points.update(self.rights)
         return tuple(sorted(points))
 
     def shifted(self, delta: float) -> IntervalSet:
         return IntervalSet(tuple(iv.shifted(delta) for iv in self.intervals), self.label)
 
     def validate_scale(self, scale: ScaleConfig) -> None:
-        for iv in self.intervals:
-            if not scale.covers(iv):
+        low, high = scale.scale_min, scale.scale_max
+        if low <= min(self.lefts) and max(self.rights) <= high:
+            return
+        for left, right in zip(self.lefts, self.rights):
+            if not (low <= left and right <= high):
                 raise OutOfScale(
-                    f"interval {iv} of {self.label!r} outside scale "
-                    f"[{scale.scale_min}, {scale.scale_max}]"
+                    f"interval [{left}, {right}] of {self.label!r} outside scale "
+                    f"[{low}, {high}]"
                 )
 
 
@@ -167,17 +192,15 @@ def ideal_interval_set(scale: ScaleConfig, n: int, which: str) -> IntervalSet:
         raise ZeroSources("ideal interval set needs at least one source")
     if which not in ("best", "worst"):
         raise ValueError(f"which must be 'best' or 'worst', got {which!r}")
-    value = scale.scale_max if which == "best" else scale.scale_min
-    return IntervalSet(
-        tuple(Interval(value, value) for _ in range(n)), label=f"ideal {which}"
-    )
+    values = (scale.scale_max if which == "best" else scale.scale_min,) * n
+    return IntervalSet._from_columns(values, values, f"ideal {which}")
 
 
 def midpoint_mean(interval_set: IntervalSet) -> float:
     """Mean of interval midpoints: the traditional preprocessing baseline."""
     total = 0.0
-    for iv in interval_set.intervals:
-        total += iv.midpoint
+    for left, right in zip(interval_set.lefts, interval_set.rights):
+        total += (left + right) / 2
     return total / interval_set.n
 
 
@@ -310,15 +333,47 @@ def bundled_path(name: str) -> Path:
     return Path(str(files("iaarank").joinpath("data", filename)))
 
 
+def _reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig):
+    """Raise the error of a row whose bounds fail the loader's guard.
+
+    Reruns the full checks in their documented order: conversion to float,
+    finiteness and order (through Interval), then the scale. One of them
+    fails for every row the guard refuses.
+    """
+    try:
+        interval = Interval(left, right)
+    except (TypeError, ValueError) as exc:
+        raise MalformedRow(
+            f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
+            line=line_no,
+        ) from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise MalformedRow(
+            f"{path} line {line_no}: bound beyond the float range", line=line_no
+        ) from exc
+    except InvertedBounds as exc:
+        raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
+    except MalformedInterval as exc:
+        raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
+    if not scale.covers(interval):
+        raise OutOfScale(
+            f"{path} line {line_no}: interval {interval} outside scale "
+            f"[{scale.scale_min}, {scale.scale_max}]",
+            line=line_no,
+        )
+    raise AssertionError(f"line {line_no} failed the guard but no row check")
+
+
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     """Load a long-format CSV (or JSON mirror) dataset and validate it.
 
     Rows are grouped per (alternative, criterion) cell and ordered by source
     label inside each cell; a source repeated within a cell is a MalformedRow
     naming both lines. Alternatives and criteria keep first-appearance order.
-    Every bound is validated against the scale. Differing source counts
-    across one alternative's criteria raise a RaggedCellWarning only: the
-    aggregation accepts any number of sources per cell.
+    Each row is checked once: both bounds finite, left <= right, and both on
+    the scale; each cell's bounds are stored as two float columns. Differing
+    source counts across one alternative's criteria raise a RaggedCellWarning
+    only: the aggregation accepts any number of sources per cell.
     """
     path = Path(path)
     read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
@@ -329,30 +384,17 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     if not raw_rows:
         raise EmptyDataset(f"{path} contains no data rows")
 
+    scale_min, scale_max = scale.scale_min, scale.scale_max
     grouped: defaultdict[tuple[str, str], list] = defaultdict(list)
     for line_no, alternative, criterion, source, left, right in raw_rows:
         try:
-            interval = Interval(left, right)
-        except (TypeError, ValueError) as exc:
-            raise MalformedRow(
-                f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
-                line=line_no,
-            ) from exc
-        except OverflowError as exc:  # a JSON integer beyond the float range
-            raise MalformedRow(
-                f"{path} line {line_no}: bound beyond the float range", line=line_no
-            ) from exc
-        except InvertedBounds as exc:
-            raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
-        except MalformedInterval as exc:
-            raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
-        if not scale.covers(interval):
-            raise OutOfScale(
-                f"{path} line {line_no}: interval {interval} outside scale "
-                f"[{scale.scale_min}, {scale.scale_max}]",
-                line=line_no,
-            )
-        grouped[(alternative, criterion)].append((source, line_no, interval))
+            lo, hi = float(left), float(right)
+        except (TypeError, ValueError, OverflowError):
+            lo = hi = math.nan
+        # A NaN or infinite bound fails the guard too: the scale is finite.
+        if not scale_min <= lo <= hi <= scale_max:
+            _reject_row(path, line_no, left, right, scale)
+        grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.
     alternatives = tuple(dict.fromkeys(alternative for alternative, _ in grouped))
@@ -360,15 +402,18 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     cells = {}
     for (alternative, criterion), members in grouped.items():
         members.sort(key=itemgetter(0))
-        for (source, first, _), (again, line_no, _) in zip(members, members[1:]):
-            if source == again:
-                raise MalformedRow(
-                    f"{path} line {line_no}: repeats source {source!r} of line "
-                    f"{first} for alternative {alternative!r}, criterion {criterion!r}",
-                    line=line_no,
-                )
-        cells[(alternative, criterion)] = IntervalSet(
-            tuple(interval for _, _, interval in members), label=alternative
+        sources, _, lefts, rights = zip(*members)
+        if len(set(sources)) < len(sources):
+            for (source, first, *_), (again, line_no, *_) in zip(members, members[1:]):
+                if source == again:
+                    raise MalformedRow(
+                        f"{path} line {line_no}: repeats source {source!r} of line "
+                        f"{first} for alternative {alternative!r}, criterion "
+                        f"{criterion!r}",
+                        line=line_no,
+                    )
+        cells[(alternative, criterion)] = IntervalSet._from_columns(
+            lefts, rights, alternative
         )
 
     for alternative in alternatives:

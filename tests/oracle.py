@@ -230,6 +230,21 @@ def brute_load(rows):
     return alternatives, criteria, cells
 
 
+def brute_row_ok(left_text, right_text, scale_min, scale_max):
+    """Whether a row's two bound texts make an interval the loader keeps:
+    both parse as floats, both are finite, left <= right, and both lie on
+    [scale_min, scale_max]."""
+    try:
+        left, right = float(left_text), float(right_text)
+    except ValueError:
+        return False
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return False
+    if left > right:
+        return False
+    return scale_min <= left and right <= scale_max
+
+
 def brute_rank(values, epsilons):
     """Competition ranks and tie groups of the cluster relation, by index loops.
 

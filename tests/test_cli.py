@@ -351,6 +351,15 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert json.loads(target.read_text())["entries"][0]["label"] == "Film J"
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_exits_2_naming_the_path(self, capsys, tmp_path, target):
+        path = tmp_path / target  # a file in a missing directory, or a directory
+        code, out, err = run(capsys, "build", *FILMS, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_text_mode_scores_use_four_decimals(self, capsys):
         code, out, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio")
         for line in out.splitlines()[1:]:

@@ -17,6 +17,7 @@ from iaarank import (
     membership_at,
     universal_compare,
 )
+from iaarank.errors import OutOfScale
 
 import oracle
 from conftest import make_set
@@ -79,6 +80,14 @@ class TestConstruction:
         with pytest.raises(Exception):
             construct_fuzzy(iset, ScaleConfig(1, 10))
 
+    def test_out_of_scale_names_the_first_offending_interval(self):
+        iset = make_set("x", [(2, 3), (4, 12), (0, 5), (1, 10)])
+        with pytest.raises(OutOfScale) as excinfo:
+            construct_fuzzy(iset, ScaleConfig(1, 10))
+        assert str(excinfo.value) == (
+            "interval [4.0, 12.0] of 'x' outside scale [1.0, 10.0]"
+        )
+
     def test_heights_are_fifths(self, film_numbers):
         for fz in film_numbers.values():
             for region in fz.regions:
@@ -125,6 +134,12 @@ class TestCanonicalize:
 
     def test_zero_regions(self):
         assert canonicalize([]) == ()
+
+    @pytest.mark.parametrize("region", [Region(NAN, 3, 1.0), Region(3, INF, 1.0)])
+    def test_rejects_a_non_finite_region_bound(self, region):
+        # NaN used to end the sweep in an IndexError; inf came back unchecked
+        with pytest.raises(ValueError, match="region bounds must be finite"):
+            canonicalize([region])
 
     def test_idempotent_on_films(self, film_numbers):
         for fz in film_numbers.values():

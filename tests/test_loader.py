@@ -12,9 +12,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from iaarank import ScaleConfig, load_dataset
+from iaarank import Interval, ScaleConfig, load_dataset
 from iaarank.cli import main
-from iaarank.errors import MalformedRow, RaggedCellWarning
+from iaarank.errors import (
+    InvertedBounds,
+    MalformedInterval,
+    MalformedRow,
+    OutOfScale,
+    RaggedCellWarning,
+)
 
 import oracle
 
@@ -212,6 +218,74 @@ class TestHostileInput:
         with pytest.raises(MalformedRow, match="line 3: field larger") as excinfo:
             load_dataset(path, WIDE)
         assert excinfo.value.line == 3
+
+
+# Bound texts on and off the scale [0, 10], non-finite, signed zero, beyond
+# the float range, unparseable, and padded with whitespace.
+bound_texts = st.one_of(
+    st.floats(-5, 15, allow_nan=False).map(repr),
+    st.integers(-5, 15).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0", "-0.0",
+                     "0", "10", "1e309", "-1e309", "1e-320", "one", "1_0", ""]),
+)
+padded_texts = st.builds(
+    lambda before, text, after: before + text + after,
+    st.sampled_from(["", " ", "  ", "\t"]), bound_texts, st.sampled_from(["", " ", "\t"]),
+)
+# Independent draws are often inverted; the second branch is ordered.
+bound_pairs = st.one_of(
+    st.tuples(padded_texts, padded_texts),
+    st.tuples(st.floats(-1, 11), st.floats(-1, 11)).map(
+        lambda ab: (repr(min(ab)), repr(max(ab)))
+    ),
+)
+
+
+def interval_then_covers_error(path, left, right, scale):
+    """The error type and message the row checks give, in their order:
+    Interval(left, right), then scale.covers."""
+    where = f"{path} line 2"
+    try:
+        interval = Interval(left, right)
+    except ValueError:
+        return MalformedRow, f"{where}: non-numeric bound ({left!r}, {right!r})"
+    except InvertedBounds as exc:
+        return InvertedBounds, f"{where}: {exc}"
+    except MalformedInterval as exc:
+        return MalformedRow, f"{where}: {exc}"
+    assert not scale.covers(interval)
+    return OutOfScale, (f"{where}: interval {interval} outside scale "
+                        f"[{scale.scale_min}, {scale.scale_max}]")
+
+
+class TestRowGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(bound_pairs)
+    def test_row_loads_exactly_when_the_brute_predicate_holds(self, pair):
+        left, right = pair
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "row.csv"
+            path.write_text(",".join(HEADER) + f"\nA,c,s,{left},{right}\n",
+                            encoding="utf-8")
+            try:
+                loaded = load_dataset(path, WIDE)
+            except (MalformedRow, InvertedBounds, OutOfScale) as exc:
+                loaded = exc
+        if oracle.brute_row_ok(left, right, WIDE.scale_min, WIDE.scale_max):
+            assert not isinstance(loaded, Exception), loaded
+            cell = loaded.cell("A", "c")
+            # repr tells -0.0 from 0.0
+            assert [repr(cell.lefts), repr(cell.rights)] == [
+                repr((float(left),)), repr((float(right),))
+            ]
+        else:
+            assert isinstance(loaded, Exception), (left, right)
+            kind, message = interval_then_covers_error(
+                path, left.strip(), right.strip(), WIDE
+            )
+            assert type(loaded) is kind
+            assert str(loaded) == message
+            assert loaded.line == 2
 
 
 # Dataset text built from pieces that are valid, slightly wrong or hostile.

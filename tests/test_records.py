@@ -53,7 +53,7 @@ def _ideals():
 RECORDS = {
     Interval: (("left", "right"), lambda: Interval(1, 2)),
     ScaleConfig: (("scale_min", "scale_max"), lambda: ScaleConfig(0, 10)),
-    IntervalSet: (("intervals", "label"), _set),
+    IntervalSet: (("lefts", "rights", "label"), _set),
     MultiCriteriaDataset: (("alternatives", "criteria", "cells", "scale"), _dataset),
     Region: (("left", "right", "height"), lambda: Region(1, 2, 0.5)),
     FuzzyNumber: (("profile", "n", "scale", "label"), _number),
