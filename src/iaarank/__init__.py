@@ -9,7 +9,6 @@ centroid order, and run a multi-criteria closeness pipeline on top.
 from . import errors
 from .attributes import (
     AttributeVector,
-    FeatureVector,
     agreement_ratio,
     area,
     attribute_vector,
@@ -26,7 +25,6 @@ from .fuzzy import (
     canonicalize,
     construct_fuzzy,
     evaluation_points,
-    membership_at,
 )
 from .intervals import (
     Interval,
@@ -34,7 +32,6 @@ from .intervals import (
     MultiCriteriaDataset,
     ScaleConfig,
     bundled_path,
-    format_interval,
     ideal_interval_set,
     load_dataset,
     midpoint_mean,
@@ -76,7 +73,6 @@ __all__ = [
     "CriterionIdeals",
     "DEFAULT_WEIGHTS",
     "DecisionMatrix",
-    "FeatureVector",
     "FuzzyNumber",
     "Interval",
     "IntervalSet",
@@ -101,14 +97,12 @@ __all__ = [
     "errors",
     "evaluation_points",
     "feature_vector",
-    "format_interval",
     "height",
     "ideal_interval_set",
     "ideal_ratio",
     "jaccard",
     "load_dataset",
     "measure_similarity",
-    "membership_at",
     "membership_polyline",
     "midpoint_mean",
     "parse_interval",

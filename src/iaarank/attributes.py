@@ -1,4 +1,4 @@
-"""Geometric attributes of fuzzy numbers and the pairwise feature vector.
+"""Geometric attributes of fuzzy numbers and the six feature differences.
 
 Attributes are read from the step profile, the one state a fuzzy number
 stores: centroid, area and quartiles from the (left, right, height) region
@@ -6,9 +6,14 @@ triples the profile yields, height from its point memberships, perimeter and
 support length from one walk over its breakpoints, with no region objects
 built on the way. ``attribute_vector`` computes them once per instance, the
 first time they are asked for, and keeps them on that instance; there is no
-global cache, so a number and its attributes are freed together. The feature
-vector compares two fuzzy numbers on a shared scale and normalizes every
-component into [0, 1]; identical inputs yield the all-zero vector.
+global cache, so a number and its attributes are freed together.
+
+Two numbers are compared through their attribute rows, the eleven values
+``attribute_row`` lays out. ``feature_differences`` turns two rows into the
+six differences the attribute similarity weighs, each normalized into
+[0, 1]; identical inputs yield six zeros. It is the one definition of that
+arithmetic: ``feature_vector`` returns its result for one pair, and the
+pair kernel in ``similarity`` weighs it for every attribute pair.
 
 Floats are added left to right in plain loops, never with ``sum()``, which
 Python 3.12 and later compensate: so every attribute, and every output built
@@ -20,8 +25,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import ScaleMismatch
-from .fuzzy import FuzzyNumber, check_same_scale, region_triples
+from .fuzzy import FuzzyNumber, check_on_scale, check_same_scale, region_triples
 from .intervals import ScaleConfig
 
 _ZERO = 1e-12
@@ -210,58 +214,56 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     return vector
 
 
-class FeatureVector(Record):
-    """Normalized pairwise differences, ordered as the weight vector expects."""
-
-    _fields = ("quartile", "centroid", "area", "height", "perimeter", "agreement")
-
-    def __init__(self, quartile: float, centroid: float, area: float,
-                 height: float, perimeter: float, agreement: float):
-        self._init(quartile, centroid, area, height, perimeter, agreement)
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return self._values()
+def attribute_row(fz: FuzzyNumber) -> tuple[float, ...]:
+    """The eleven attribute values the feature differences read, in order:
+    five quartiles, centroid x and y, area, height, perimeter, agreement."""
+    # attribute_vector is read as a module global, so that a wrapper
+    # installed here (the benchmark's tracer) sees every attribute vector.
+    v = attribute_vector(fz)
+    return (*v.quartiles, v.centroid_x, v.centroid_y, v.area, v.height,
+            v.perimeter, v.agreement_ratio)
 
 
-def _ratio_difference(u: float, v: float) -> float:
-    # 0/0 -> 0: two zero-area (or zero-perimeter) inputs count as identical.
-    largest = max(u, v)
-    if largest <= 0:
-        return 0.0
-    return abs(u - v) / largest
+def feature_differences(
+    a: tuple[float, ...], b: tuple[float, ...], quartile_span: float,
+    centroid_span: float,
+) -> tuple[float, float, float, float, float, float]:
+    """The six unweighted feature differences of two attribute rows, in
+    weight order: quartile, centroid, area, height, perimeter, agreement.
+
+    The quartile sum is divided by ``quartile_span`` (five times the scale
+    range) and the centroid distance by ``centroid_span`` (``hypot(range,
+    0.5)``). Area and perimeter differ relative to the larger operand, and
+    two zeros count as identical (0/0 -> 0).
+    """
+    qa0, qa1, qa2, qa3, qa4, xa, ya, area_a, height_a, perimeter_a, agree_a = a
+    qb0, qb1, qb2, qb3, qb4, xb, yb, area_b, height_b, perimeter_b, agree_b = b
+    area_max = max(area_a, area_b)
+    perimeter_max = max(perimeter_a, perimeter_b)
+    return (
+        (abs(qa0 - qb0) + abs(qa1 - qb1) + abs(qa2 - qb2) + abs(qa3 - qb3)
+         + abs(qa4 - qb4)) / quartile_span,
+        math.hypot(xa - xb, ya - yb) / centroid_span,
+        abs(area_a - area_b) / area_max if area_max > 0 else 0.0,
+        abs(height_a - height_b),
+        abs(perimeter_a - perimeter_b) / perimeter_max if perimeter_max > 0 else 0.0,
+        abs(agree_a - agree_b),
+    )
 
 
 def feature_vector(
     a: FuzzyNumber, b: FuzzyNumber, scale: ScaleConfig | None = None
-) -> FeatureVector:
-    """Six comparison features of a pair of fuzzy numbers on one scale.
+) -> tuple[float, float, float, float, float, float]:
+    """Six comparison features of a pair of fuzzy numbers on one scale, in
+    weight order: quartile, centroid, area, height, perimeter, agreement.
 
     Quartile spread and centroid distance are normalized by the scale range,
     area and perimeter by the larger operand, height and agreement ratio are
     absolute differences of values already in [0, 1].
     """
     check_same_scale(a, b)
-    if scale is not None and a.scale != scale:
-        raise ScaleMismatch(
-            f"operands on [{a.scale.scale_min}, {a.scale.scale_max}] do not "
-            f"match scale [{scale.scale_min}, {scale.scale_max}]"
-        )
-    attrs_a = attribute_vector(a)
-    attrs_b = attribute_vector(b)
+    check_on_scale(a, scale)
     span = a.scale.range
-    quartile = 0.0
-    for x, y in zip(attrs_a.quartiles, attrs_b.quartiles):
-        quartile += abs(x - y)
-    quartile /= 5 * span
-    centroid_distance = math.hypot(
-        attrs_a.centroid_x - attrs_b.centroid_x,
-        attrs_a.centroid_y - attrs_b.centroid_y,
-    ) / math.hypot(span, 0.5)
-    return FeatureVector(
-        quartile=quartile,
-        centroid=centroid_distance,
-        area=_ratio_difference(attrs_a.area, attrs_b.area),
-        height=abs(attrs_a.height - attrs_b.height),
-        perimeter=_ratio_difference(attrs_a.perimeter, attrs_b.perimeter),
-        agreement=abs(attrs_a.agreement_ratio - attrs_b.agreement_ratio),
+    return feature_differences(
+        attribute_row(a), attribute_row(b), 5 * span, math.hypot(span, 0.5)
     )

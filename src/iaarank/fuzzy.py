@@ -55,19 +55,6 @@ class Region(Record):
     def is_line(self) -> bool:
         return self.left == self.right
 
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
-
-def membership_at(interval_set: IntervalSet, x: float) -> float:
-    """Fraction of the set's intervals containing x (direct count)."""
-    hits = 0
-    for left, right in zip(interval_set.lefts, interval_set.rights):
-        if left <= x <= right:
-            hits += 1
-    return hits / interval_set.n
-
 
 def region_triples(
     profile: tuple[tuple[float, ...], ...]
@@ -285,4 +272,14 @@ def check_same_scale(a: FuzzyNumber, b: FuzzyNumber) -> None:
         raise ScaleMismatch(
             f"{a.label!r} on [{a.scale.scale_min}, {a.scale.scale_max}] vs "
             f"{b.label!r} on [{b.scale.scale_min}, {b.scale.scale_max}]"
+        )
+
+
+def check_on_scale(fz: FuzzyNumber, scale: ScaleConfig | None) -> None:
+    """ScaleMismatch unless the number lies on the given scale; no scale
+    given passes."""
+    if scale is not None and fz.scale != scale:
+        raise ScaleMismatch(
+            f"operands on [{fz.scale.scale_min}, {fz.scale.scale_max}] do not "
+            f"match scale [{scale.scale_min}, {scale.scale_max}]"
         )

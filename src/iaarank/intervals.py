@@ -53,17 +53,6 @@ class Interval(Record):
             raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
         self._init(left, right)
 
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
-    @property
-    def midpoint(self) -> float:
-        return (self.left + self.right) / 2
-
-    def contains(self, x: float) -> bool:
-        return self.left <= x <= self.right
-
     def shifted(self, delta: float) -> Interval:
         return Interval(self.left + delta, self.right + delta)
 
@@ -96,11 +85,6 @@ def parse_interval(text: str) -> Interval:
         return Interval(float(parts[0]), float(parts[1]))
     except (ValueError, OverflowError) as exc:
         raise MalformedInterval(f"cannot parse interval from {text!r}") from exc
-
-
-def format_interval(interval: Interval) -> str:
-    """Inverse of parse_interval; round-trips bit-exactly."""
-    return f"{interval.left!r}:{interval.right!r}"
 
 
 class ScaleConfig(Record):

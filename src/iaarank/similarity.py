@@ -12,11 +12,12 @@ Each number is prepared once per call: its step profile, whose breakpoints
 are its endpoints, and its attribute row. The overlap measure then merges
 the two breakpoint lists in one walk, evaluating at every point it meets,
 so one pair costs O(k_a + k_b) for k_a and k_b breakpoints and builds no set
-and sorts nothing. The attribute measure reads the two rows with the
-arithmetic and summation order of ``feature_vector``, so its results are
-bit-identical to it. All three measures are symmetric, so a similarity
-matrix over m numbers evaluates the m(m+1)/2 pairs on and above the
-diagonal and mirrors each value below it.
+and sorts nothing. The attribute measure weighs the six differences
+``attributes.feature_differences`` computes from the two rows;
+``feature_vector`` returns the same six for one pair, so the feature
+arithmetic is written once. All three measures are symmetric, so a
+similarity matrix over m numbers evaluates the m(m+1)/2 pairs on and above
+the diagonal and mirrors each value below it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from . import attributes
 from ._record import Record
-from .errors import EmptyEvaluation, ScaleMismatch
-from .fuzzy import FuzzyNumber, check_same_scale
+from .attributes import attribute_row, feature_differences
+from .errors import EmptyEvaluation
+from .fuzzy import FuzzyNumber, check_on_scale, check_same_scale
 from .intervals import ScaleConfig
 
 DEFAULT_WEIGHT_VALUES = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.465218)
@@ -38,8 +39,8 @@ MEASURES = ("jaccard", "attribute", "combined")
 class SimilarityWeights(Record):
     """Signed feature weights; only their squares enter the measure.
 
-    The vector must have (near) unit norm: that bound keeps the attribute
-    measure inside [0, 1].
+    The vector must be finite and have (near) unit norm: that bound keeps
+    the attribute measure inside [0, 1].
     """
 
     _fields = ("values",)
@@ -48,6 +49,8 @@ class SimilarityWeights(Record):
         values = tuple(float(v) for v in values)
         if len(values) != 6:
             raise ValueError("exactly six feature weights required")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"feature weights must be finite, got {values}")
         norm = 0.0
         for v in values:
             norm += v * v
@@ -118,16 +121,6 @@ def _overlap(a, b) -> float:
     return numerator / denominator
 
 
-def _attribute_row(fz: FuzzyNumber) -> tuple[float, ...]:
-    """The eleven attribute values the feature differences read, in order:
-    five quartiles, centroid x and y, area, height, perimeter, agreement."""
-    # Looked up on the module, so that a wrapper installed there (the
-    # benchmark's tracer) sees every attribute vector.
-    v = attributes.attribute_vector(fz)
-    return (*v.quartiles, v.centroid_x, v.centroid_y, v.area, v.height,
-            v.perimeter, v.agreement_ratio)
-
-
 class PairKernel:
     """The similarity of prepared numbers under one measure, weight vector
     and scale.
@@ -156,32 +149,17 @@ class PairKernel:
             fz.scale,
             fz,
             fz.profile if self.overlap else None,
-            _attribute_row(fz) if self.attribute else None,
+            attribute_row(fz) if self.attribute else None,
         )
 
     def _attribute(self, a: tuple[float, ...], b: tuple[float, ...]) -> float:
-        """One minus the squared-weight sum of the feature differences, with
-        the arithmetic and summation order of ``feature_vector``."""
-        qa0, qa1, qa2, qa3, qa4, xa, ya, area_a, height_a, perimeter_a, agree_a = a
-        qb0, qb1, qb2, qb3, qb4, xb, yb, area_b, height_b, perimeter_b, agree_b = b
+        """One minus the squared-weight sum of the feature differences of
+        two attribute rows, added in weight order."""
         w0, w1, w2, w3, w4, w5 = self.squared_weights
-        quartile = (
-            abs(qa0 - qb0) + abs(qa1 - qb1) + abs(qa2 - qb2) + abs(qa3 - qb3)
-            + abs(qa4 - qb4)
-        ) / self.quartile_span
-        centroid = math.hypot(xa - xb, ya - yb) / self.centroid_span
-        # The ratio differences of _ratio_difference, inlined: 0/0 -> 0.
-        area_max = max(area_a, area_b)
-        perimeter_max = max(perimeter_a, perimeter_b)
-        return 1.0 - (
-            w0 * quartile
-            + w1 * centroid
-            + w2 * (abs(area_a - area_b) / area_max if area_max > 0 else 0.0)
-            + w3 * abs(height_a - height_b)
-            + w4 * (abs(perimeter_a - perimeter_b) / perimeter_max
-                    if perimeter_max > 0 else 0.0)
-            + w5 * abs(agree_a - agree_b)
+        f0, f1, f2, f3, f4, f5 = feature_differences(
+            a, b, self.quartile_span, self.centroid_span
         )
+        return 1.0 - (w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4 + w5 * f5)
 
     def __call__(self, a, b) -> float:
         scale_a, number_a, overlap_a, row_a = a
@@ -204,17 +182,13 @@ def measure_similarity(
 ) -> float:
     """Dispatch by measure name: 'jaccard', 'attribute', or 'combined'.
 
-    A scale given explicitly must be the operands' scale; the overlap
-    measure does not read it.
+    A scale given explicitly must be the operands' scale, checked before
+    anything is computed; the overlap measure does not read it.
     """
     kernel = PairKernel(measure, weights, a.scale)
-    value = kernel(kernel.prepare(a), kernel.prepare(b))
-    if scale is not None and measure != "jaccard" and a.scale != scale:
-        raise ScaleMismatch(
-            f"operands on [{a.scale.scale_min}, {a.scale.scale_max}] do not "
-            f"match scale [{scale.scale_min}, {scale.scale_max}]"
-        )
-    return value
+    if kernel.attribute:
+        check_on_scale(a, scale)
+    return kernel(kernel.prepare(a), kernel.prepare(b))
 
 
 def jaccard(a: FuzzyNumber, b: FuzzyNumber) -> float:

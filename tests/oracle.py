@@ -195,6 +195,24 @@ def brute_attribute_similarity(pairs_a, pairs_b, scale_min, scale_max):
     return 1.0 - sum(w2 * f for w2, f in zip(DEFAULT_WEIGHT_SQUARES, features))
 
 
+def feature_terms(u, v, span):
+    """The six feature differences of two AttributeVectors on a scale of
+    range span: a loop over the quartiles, hypot for the centroids, and a
+    ratio difference that takes 0/0 as 0."""
+    def ratio(x, y):
+        return abs(x - y) / max(x, y) if max(x, y) > 0 else 0.0
+
+    quartile = 0.0
+    for x, y in zip(u.quartiles, v.quartiles):
+        quartile += abs(x - y)
+    quartile /= 5 * span
+    centroid = math.hypot(u.centroid_x - v.centroid_x,
+                          u.centroid_y - v.centroid_y) / math.hypot(span, 0.5)
+    return (quartile, centroid, ratio(u.area, v.area), abs(u.height - v.height),
+            ratio(u.perimeter, v.perimeter),
+            abs(u.agreement_ratio - v.agreement_ratio))
+
+
 def brute_combined_similarity(pairs_a, pairs_b, scale_min, scale_max):
     return (
         brute_jaccard(pairs_a, pairs_b)

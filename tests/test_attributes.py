@@ -179,20 +179,20 @@ class TestFeatureVector:
     def test_spike_pair_far_apart(self, film_numbers, film_ideals):
         best, _ = film_ideals
         fv = feature_vector(film_numbers["Film A"], best)
-        assert fv.quartile == pytest.approx(1.0)
-        assert fv.centroid == pytest.approx(9 / math.sqrt(81.25))
-        assert fv.as_tuple()[2:] == (0.0, 0.0, 0.0, 0.0)
+        assert fv[0] == pytest.approx(1.0)
+        assert fv[1] == pytest.approx(9 / math.sqrt(81.25))
+        assert fv[2:] == (0.0, 0.0, 0.0, 0.0)
 
     def test_spike_pair_near(self, film_numbers, film_ideals):
         best, _ = film_ideals
         fv = feature_vector(film_numbers["Film I"], best)
-        assert fv.quartile == pytest.approx(10 / 45)
-        assert fv.centroid == pytest.approx(2 / math.sqrt(81.25))
-        assert fv.as_tuple()[2:] == (0.0, 0.0, 0.0, 0.0)
+        assert fv[0] == pytest.approx(10 / 45)
+        assert fv[1] == pytest.approx(2 / math.sqrt(81.25))
+        assert fv[2:] == (0.0, 0.0, 0.0, 0.0)
 
     def test_identity(self, film_numbers):
         fz = film_numbers["Film D"]
-        assert feature_vector(fz, fz).as_tuple() == (0,) * 6
+        assert feature_vector(fz, fz) == (0,) * 6
 
     def test_scale_mismatch(self, film_numbers):
         other = fn([(0, 2, 0.5)], scale=ScaleConfig(0, 100))
@@ -208,8 +208,17 @@ class TestFeatureVector:
         for trial in range(200):
             a = construct_fuzzy(make_set("a", oracle.random_pairs(rng)), WIDE)
             b = construct_fuzzy(make_set("b", oracle.random_pairs(rng)), WIDE)
-            for component in feature_vector(a, b).as_tuple():
+            for component in feature_vector(a, b):
                 assert 0.0 <= component <= 1.0
+
+    def test_equals_the_oracle_terms(self):
+        rng = random.Random(67)
+        for trial in range(200):
+            a = construct_fuzzy(make_set("a", oracle.random_pairs(rng)), WIDE)
+            b = construct_fuzzy(make_set("b", oracle.random_pairs(rng)), WIDE)
+            assert feature_vector(a, b) == oracle.feature_terms(
+                attribute_vector(a), attribute_vector(b), WIDE.range
+            )
 
 
 class TestTranslationEquivariance:

@@ -7,7 +7,6 @@ from iaarank import (
     Interval,
     IntervalSet,
     ScaleConfig,
-    format_interval,
     ideal_interval_set,
     load_dataset,
     midpoint_mean,
@@ -56,7 +55,7 @@ class TestParseInterval:
             left = rng.uniform(-1e6, 1e6) * rng.choice([1, 1e-7, 1e7])
             right = left + abs(rng.gauss(0, 10))
             interval = Interval(left, right)
-            again = parse_interval(format_interval(interval))
+            again = parse_interval(f"{interval.left!r}:{interval.right!r}")
             assert again.left == interval.left
             assert again.right == interval.right
 
@@ -67,7 +66,8 @@ class TestIntervalAndScale:
             Interval(2, 1)
 
     def test_point_interval_legal(self):
-        assert Interval(3, 3).width == 0
+        interval = Interval(3, 3)
+        assert (interval.left, interval.right) == (3.0, 3.0)
 
     def test_non_finite_bounds(self):
         with pytest.raises(MalformedInterval):

@@ -1,4 +1,4 @@
-"""Value semantics of the fifteen public record classes.
+"""Value semantics of the fourteen public record classes.
 
 Each record compares equal to one with equal fields and to no instance of
 another class, hashes as its field tuple, prints as Name(field=value, ...),
@@ -15,7 +15,6 @@ from iaarank import (
     AttributeVector,
     CriterionIdeals,
     DecisionMatrix,
-    FeatureVector,
     FuzzyNumber,
     Interval,
     IntervalSet,
@@ -29,7 +28,6 @@ from iaarank import (
     TopsisResult,
     attribute_vector,
     construct_fuzzy,
-    feature_vector,
 )
 
 
@@ -61,10 +59,6 @@ RECORDS = {
         ("quartiles", "centroid_x", "centroid_y", "area", "height", "perimeter",
          "agreement_ratio"),
         lambda: attribute_vector(_number()),
-    ),
-    FeatureVector: (
-        ("quartile", "centroid", "area", "height", "perimeter", "agreement"),
-        lambda: feature_vector(_number("a"), _number("b")),
     ),
     SimilarityWeights: (("values",), SimilarityWeights),
     RankingEntry: (("label", "score", "rank"), lambda: RankingEntry("a", 0.5, 1)),

@@ -3,8 +3,8 @@ attributes, and the import footprint of the package.
 
 The kernel is checked against references that do not use it: the Jaccard of
 FuzzyNumber.membership at every point of evaluation_points, and one minus
-the squared-weight sum over feature_vector. Results must be equal bit for
-bit, and errors must be the same, raised on the same pair."""
+the squared-weight sum over oracle.feature_terms of the two attribute
+vectors. Results must be equal bit for bit, and errors must be the same, raised on the same pair."""
 
 import gc
 import math
@@ -31,7 +31,6 @@ from iaarank import (
     combined_similarity,
     construct_fuzzy,
     evaluation_points,
-    feature_vector,
     ideal_interval_set,
     ideal_ratio,
     jaccard,
@@ -40,6 +39,7 @@ from iaarank import (
     separations,
     similarity_matrix,
 )
+import iaarank
 from iaarank import attributes
 from iaarank.errors import DivisionByZero, EmptyEvaluation, ScaleMismatch
 from iaarank.fuzzy import check_same_scale
@@ -73,8 +73,10 @@ def bisection_jaccard(a, b):
 
 
 def reference_attribute(a, b, weights=DEFAULT_WEIGHTS):
-    """One minus the squared-weight sum over the feature vector."""
-    features = feature_vector(a, b).as_tuple()
+    """One minus the squared-weight sum over the six feature terms."""
+    features = oracle.feature_terms(
+        attribute_vector(a), attribute_vector(b), a.scale.range
+    )
     total = 0.0
     for w2, f in zip(weights.squared(), features):
         total += w2 * f
@@ -83,7 +85,7 @@ def reference_attribute(a, b, weights=DEFAULT_WEIGHTS):
 
 def reference_similarity(measure, a, b, weights=DEFAULT_WEIGHTS):
     """The pair without the kernel: the scale check, then the bisection
-    Jaccard, then the feature-vector attribute measure."""
+    Jaccard, then the feature-term attribute measure."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     check_same_scale(a, b)
@@ -352,6 +354,26 @@ class TestAttributesPerInstance:
         del fz
         gc.collect()
         assert ref() is None
+
+
+def test_public_names():
+    assert sorted(iaarank.__all__) == [
+        "AttributeVector", "CriterionIdeals", "DEFAULT_WEIGHTS", "DecisionMatrix",
+        "FuzzyNumber", "Interval", "IntervalSet", "MEASURES",
+        "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
+        "ScaleConfig", "SimilarityWeights", "TopsisEntry", "TopsisResult",
+        "__version__", "agreement_ratio", "area", "attribute_similarity",
+        "attribute_vector", "bundled_path", "canonicalize", "centroid",
+        "combined_similarity", "construct_fuzzy", "errors", "evaluation_points",
+        "feature_vector", "height", "ideal_interval_set", "ideal_ratio", "jaccard",
+        "load_dataset", "measure_similarity", "membership_polyline",
+        "midpoint_mean", "parse_interval", "perimeter", "quartile_points",
+        "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal",
+        "select_ideals", "separations", "similarity_matrix", "topsis_rank",
+        "universal_compare",
+    ]
+    for name in iaarank.__all__:
+        assert getattr(iaarank, name) is not None
 
 
 def test_import_does_not_load_the_cli():
