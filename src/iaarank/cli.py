@@ -3,6 +3,13 @@
 Subcommands: build, attributes, similarity, rank, topsis, plotdata. Exit
 codes: 0 success, 2 I/O or parse failure, 3 validation failure, 4 undefined
 ranking (zero similarity to both ideals under the overlap measure).
+
+Each command returns (payload, header, rows, text) and never reads --format;
+one writer, _render, turns that into the output. json dumps the payload, csv
+writes the header and the rows (a generator), and text calls text(), or
+writes the payload list as JSON lines where a command has no text form
+(build, attributes). The rank, topsis and attributes CSV columns are the
+records' _fields. plotdata always writes CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .attributes import attribute_vector, membership_polyline
+from .attributes import AttributeVector, attribute_vector, membership_polyline
 from .errors import DivisionByZero, IaaRankError, MalformedInterval, MalformedRow
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
@@ -26,9 +33,9 @@ from .intervals import (
     ideal_interval_set,
     load_dataset,
 )
-from .ranking import rank_baseline_mean, rank_by_ideal_ratio, rank_universal
+from .ranking import RankingEntry, rank_baseline_mean, rank_by_ideal_ratio, rank_universal
 from .similarity import MEASURES, measure_similarity, similarity_matrix
-from .topsis import SEPARATION_MEASURES, DecisionMatrix, topsis_rank
+from .topsis import SEPARATION_MEASURES, DecisionMatrix, TopsisEntry, topsis_rank
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -97,12 +104,16 @@ def _plain(value: float) -> str:
     return repr(value)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _json_lines(records) -> str:
-    return "".join(json.dumps(record) + "\n" for record in records)
+def _field(value) -> str:
+    """A CSV field: text as is, None empty, a bool in lower case, a number as
+    its repr."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
 
 
 def _csv_text(header, rows) -> str:
@@ -113,11 +124,23 @@ def _csv_text(header, rows) -> str:
     writer = csv.writer(buffer)
     lines = []
     for row in (header, *rows):
-        writer.writerow(row)
+        writer.writerow([_field(value) for value in row])
         lines.append(buffer.getvalue()[:-2] + "\n")
         buffer.seek(0)
         buffer.truncate()
     return "".join(lines)
+
+
+def _render(fmt: str, payload, header, rows, text) -> str:
+    """The one writer: the payload as JSON, the header and rows as CSV, or
+    text(); with no text form, the payload list as JSON lines."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv_text(header, rows)
+    if text is None:
+        return "".join(json.dumps(record) + "\n" for record in payload)
+    return text()
 
 
 def _cell_records(args, payload) -> list[dict]:
@@ -129,101 +152,75 @@ def _cell_records(args, payload) -> list[dict]:
     ]
 
 
-def cmd_build(args) -> str:
+def cmd_build(args):
     records = _cell_records(args, FuzzyNumber.to_dict)
-    if args.format == "json":
-        return _json_text(records)
-    if args.format == "csv":
-        rows = [
-            (r["alternative"], r["criterion"], _plain(l), _plain(rt), repr(h))
-            for r in records
-            for l, rt, h in r["regions"]
-        ]
-        return _csv_text(("alternative", "criterion", "left", "right", "height"), rows)
-    return _json_lines(records)
+    rows = (
+        (r["alternative"], r["criterion"], _plain(left), _plain(right), height)
+        for r in records
+        for left, right, height in r["regions"]
+    )
+    return records, ("alternative", "criterion", "left", "right", "height"), rows, None
 
 
-def cmd_attributes(args) -> str:
+def cmd_attributes(args):
     records = _cell_records(args, lambda fz: attribute_vector(fz).to_dict())
-    if args.format == "json":
-        return _json_text(records)
-    if args.format == "csv":
-        rows = [
-            (
-                r["alternative"],
-                r["criterion"],
-                *(repr(q) for q in r["quartiles"]),
-                repr(r["centroid_x"]),
-                repr(r["centroid_y"]),
-                repr(r["area"]),
-                repr(r["height"]),
-                repr(r["perimeter"]),
-                repr(r["agreement_ratio"]),
-            )
-            for r in records
-        ]
-        header = (
-            "alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
-            "centroid_x", "centroid_y", "area", "height", "perimeter",
-            "agreement_ratio",
-        )
-        return _csv_text(header, rows)
-    return _json_lines(records)
+    header = ("alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
+              *AttributeVector._fields[1:])
+    # each record's values are the alternative, the criterion, then the
+    # vector's fields in _fields order, quartiles first
+    rows = (
+        (alternative, criterion, *quartiles, *rest)
+        for alternative, criterion, quartiles, *rest in map(dict.values, records)
+    )
+    return records, header, rows, None
 
 
-def cmd_similarity(args) -> str:
+def _matrix_text(labels, matrix) -> str:
+    width = max(len(label) for label in labels)
+    lines = [" " * width + "  " + "  ".join(f"{label:>6}" for label in labels)]
+    for label, row in zip(labels, matrix):
+        lines.append(f"{label:<{width}}  " + "  ".join(f"{v:6.4f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def cmd_similarity(args):
     dataset = _pick_criterion(_load(args), args.criterion)
     column = DecisionMatrix.from_dataset(dataset).column(dataset.criteria[0])
-    numbers = dict(zip(dataset.alternatives, column))
     if args.matrix:
+        if args.labels:
+            raise ValueError("similarity --matrix takes no alternative labels")
         labels = list(dataset.alternatives)
         matrix = similarity_matrix(args.measure, column)
-        if args.format == "json":
-            return _json_text(
-                {"measure": args.measure, "labels": labels, "matrix": matrix}
-            )
-        if args.format == "csv":
-            rows = [
-                (label, *(repr(v) for v in row)) for label, row in zip(labels, matrix)
-            ]
-            return _csv_text(("label", *labels), rows)
-        width = max(len(label) for label in labels)
-        lines = [" " * width + "  " + "  ".join(f"{label:>6}" for label in labels)]
-        for label, row in zip(labels, matrix):
-            lines.append(
-                f"{label:<{width}}  " + "  ".join(f"{v:6.4f}" for v in row)
-            )
-        return "\n".join(lines) + "\n"
+        return (
+            {"measure": args.measure, "labels": labels, "matrix": matrix},
+            ("label", *labels),
+            ((label, *row) for label, row in zip(labels, matrix)),
+            lambda: _matrix_text(labels, matrix),
+        )
     if len(args.labels) != 2:
         raise ValueError("similarity needs two alternative labels or --matrix")
+    numbers = dict(zip(dataset.alternatives, column))
     first, second = args.labels
     for label in (first, second):
         if label not in numbers:
             raise ValueError(f"unknown alternative {label!r}")
     value = measure_similarity(args.measure, numbers[first], numbers[second])
-    if args.format == "json":
-        return _json_text(
-            {"measure": args.measure, "a": first, "b": second, "similarity": value}
-        )
-    if args.format == "csv":
-        return _csv_text(("a", "b", "measure", "similarity"),
-                         [(first, second, args.measure, repr(value))])
-    return f"{value:.4f}\n"
+    return (
+        {"measure": args.measure, "a": first, "b": second, "similarity": value},
+        ("a", "b", "measure", "similarity"),
+        ((first, second, args.measure, value),),
+        lambda: f"{value:.4f}\n",
+    )
 
 
-def _render_ranking(result, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(result.to_dict())
-    if fmt == "csv":
-        rows = [
-            (
-                e.label,
-                "" if e.score is None else repr(e.score),
-                str(e.rank),
-            )
-            for e in result.entries
-        ]
-        return _csv_text(("label", "score", "rank"), rows)
+def _ranked(result, entry_type, text):
+    """A ranking or TOPSIS result: its to_dict, and one CSV row per entry in
+    entry_type._fields order."""
+    return (result.to_dict(), entry_type._fields,
+            (e._values() for e in result.entries), lambda: text(result))
+
+
+def _ranking_text(result) -> str:
     width = max(len(e.label) for e in result.entries)
     lines = [f"{'label':<{width}}  {'score':>8}  rank"]
     for e in result.entries:
@@ -232,7 +229,7 @@ def _render_ranking(result, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_rank(args) -> str:
+def cmd_rank(args):
     _check_epsilon(args.epsilon)
     dataset = _pick_criterion(_load(args), args.criterion)
     criterion = dataset.criteria[0]
@@ -254,50 +251,10 @@ def cmd_rank(args) -> str:
                 measure=args.measure,
                 epsilon=args.epsilon,
             )
-    return _render_ranking(result, args.format)
+    return _ranked(result, RankingEntry, _ranking_text)
 
 
-def cmd_topsis(args) -> str:
-    _check_epsilon(args.epsilon)
-    dataset = _load(args)
-    if args.exclude_criterion:
-        dataset = dataset.without_criterion(args.exclude_criterion)
-    weights = None
-    if args.weights:
-        weights = tuple(float(part) for part in args.weights.split(","))
-    directions = None
-    if args.directions:
-        mapping = {"b": "benefit", "c": "cost", "benefit": "benefit", "cost": "cost"}
-        try:
-            directions = tuple(
-                mapping[part.strip().lower()] for part in args.directions.split(",")
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown direction {exc.args[0]!r}") from None
-    matrix = DecisionMatrix.from_dataset(dataset, weights, directions)
-    result = topsis_rank(
-        matrix,
-        measure=args.measure,
-        epsilon=args.epsilon,
-        tie_break_criterion=args.tie_break_criterion,
-    )
-    if args.format == "json":
-        return _json_text(result.to_dict())
-    if args.format == "csv":
-        rows = [
-            (
-                e.label,
-                repr(e.d_plus),
-                repr(e.d_minus),
-                repr(e.closeness),
-                str(e.rank),
-                str(e.degenerate).lower(),
-            )
-            for e in result.entries
-        ]
-        return _csv_text(
-            ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate"), rows
-        )
+def _topsis_text(result) -> str:
     lines = []
     for ideal in result.ideals:
         note = " (degenerate)" if ideal.degenerate else ""
@@ -316,14 +273,42 @@ def cmd_topsis(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_plotdata(args) -> str:
+def cmd_topsis(args):
+    _check_epsilon(args.epsilon)
+    dataset = _load(args)
+    if args.exclude_criterion is not None:
+        dataset = dataset.without_criterion(args.exclude_criterion)
+    weights = None
+    if args.weights is not None:
+        weights = tuple(float(part) for part in args.weights.split(","))
+    directions = None
+    if args.directions is not None:
+        mapping = {"b": "benefit", "c": "cost", "benefit": "benefit", "cost": "cost"}
+        try:
+            directions = tuple(
+                mapping[part.strip().lower()] for part in args.directions.split(",")
+            )
+        except KeyError as exc:
+            raise ValueError(f"unknown direction {exc.args[0]!r}") from None
+    matrix = DecisionMatrix.from_dataset(dataset, weights, directions)
+    result = topsis_rank(
+        matrix,
+        measure=args.measure,
+        epsilon=args.epsilon,
+        tie_break_criterion=args.tie_break_criterion,
+    )
+    return _ranked(result, TopsisEntry, _topsis_text)
+
+
+def cmd_plotdata(args):
+    """CSV only: main renders it as CSV whatever --format says."""
     matrix = DecisionMatrix.from_dataset(_load(args))
-    rows = [
+    rows = (
         (alternative, criterion, _plain(x), _plain(mu))
         for (alternative, criterion), fz in matrix.cells.items()
         for x, mu in membership_polyline(fz)
-    ]
-    return _csv_text(("alternative", "criterion", "x", "mu"), rows)
+    )
+    return None, ("alternative", "criterion", "x", "mu"), rows, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,9 +383,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    fmt = "csv" if args.handler is cmd_plotdata else args.format
     try:
-        text = args.handler(args)
-        if args.output:
+        text = _render(fmt, *args.handler(args))
+        if args.output is not None:
             Path(args.output).write_text(text, encoding="utf-8")
     except DivisionByZero as exc:
         print(f"error: undefined ranking: {exc}", file=sys.stderr)
@@ -411,7 +397,7 @@ def main(argv=None) -> int:
     except (IaaRankError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
     return EXIT_OK
 

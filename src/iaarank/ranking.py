@@ -91,10 +91,7 @@ class RankingResult(Record):
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "entries": [
-                {"label": e.label, "score": e.score, "rank": e.rank}
-                for e in self.entries
-            ],
+            "entries": [dict(zip(e._fields, e._values())) for e in self.entries],
             "ties": [list(group) for group in self.ties],
         }
 

@@ -213,17 +213,7 @@ class TopsisResult(Record):
     def to_dict(self) -> dict:
         return {
             "measure": self.measure,
-            "entries": [
-                {
-                    "label": e.label,
-                    "d_plus": e.d_plus,
-                    "d_minus": e.d_minus,
-                    "closeness": e.closeness,
-                    "rank": e.rank,
-                    "degenerate": e.degenerate,
-                }
-                for e in self.entries
-            ],
+            "entries": [dict(zip(e._fields, e._values())) for e in self.entries],
             "ideals": [
                 {
                     "criterion": ideal.criterion,

@@ -220,6 +220,13 @@ class TestSimilarity:
         code, _, _ = run(capsys, "similarity", *FILMS, "Film A")
         assert code == 3
 
+    @pytest.mark.parametrize("labels", [["Film B"], ["Film A", "Film B"]])
+    def test_matrix_with_labels_exits_3(self, capsys, labels):
+        code, out, err = run(capsys, "similarity", *FILMS, "--matrix", *labels)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "--matrix" in err
+
 
 class TestAttributesCommand:
     def test_records(self, capsys):
@@ -360,6 +367,18 @@ class TestDeterminismAndOutput:
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["topsis", *SYNTH, "--weights="], 3),
+        (["topsis", *SYNTH, "--directions="], 3),
+        (["topsis", *SYNTH, "--exclude-criterion="], 3),
+        (["build", *FILMS, "--output="], 2),
+    ])
+    def test_empty_flag_value_is_an_error(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_text_mode_scores_use_four_decimals(self, capsys):
         code, out, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio")
         for line in out.splitlines()[1:]:
@@ -412,3 +431,70 @@ class TestCsvRoundTrip:
             assert {row[column] for row in rows} == expected
         if case == "similarity-matrix":
             assert header[1:] == list(self.ALTERNATIVES)
+
+
+class TestCsvMatchesJson:
+    """Every CSV cell equals the value the JSON run gives for it."""
+
+    CASES = {
+        "build": ("build", *FILMS),
+        "attributes": ("attributes", *FILMS),
+        "similarity-pair": ("similarity", *FILMS, "Film A", "Film B"),
+        "similarity-matrix": ("similarity", *FILMS, "--matrix"),
+        "rank-universal": ("rank", *FILMS, "--method", "universal"),
+        "rank-ideal-ratio": ("rank", *FILMS, "--method", "ideal-ratio"),
+        "rank-baseline": ("rank", *FILMS, "--method", "baseline"),
+        "topsis": ("topsis", *SYNTH),
+    }
+
+    @staticmethod
+    def json_rows(case, payload) -> list[dict]:
+        """The JSON payload as one {CSV column: value} dict per CSV row."""
+        if case == "build":
+            return [
+                {"alternative": r["alternative"], "criterion": r["criterion"],
+                 **dict(zip(("left", "right", "height"), region))}
+                for r in payload for region in r["regions"]
+            ]
+        if case == "attributes":
+            return [
+                {**{k: v for k, v in r.items() if k != "quartiles"},
+                 **{f"q{i}": q for i, q in enumerate(r["quartiles"], 1)}}
+                for r in payload
+            ]
+        if case == "similarity-pair":
+            return [payload]
+        if case == "similarity-matrix":
+            return [
+                {"label": label, **dict(zip(payload["labels"], row))}
+                for label, row in zip(payload["labels"], payload["matrix"])
+            ]
+        return payload["entries"]
+
+    @staticmethod
+    def agrees(cell: str, value) -> bool:
+        if value is None:
+            return cell == ""
+        if isinstance(value, bool):
+            return cell == ("true" if value else "false")
+        if isinstance(value, str):
+            return cell == value
+        return float(cell) == value
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_cell(self, capsys, case):
+        argv = self.CASES[case]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        expected = self.json_rows(case, json.loads(out))
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert len(rows) == len(expected)
+        if argv[0] in ("rank", "topsis"):
+            assert header == list(expected[0])
+        for row, want in zip(rows, expected):
+            assert len(row) == len(header) == len(want)
+            got = dict(zip(header, row))
+            for name, value in want.items():
+                assert self.agrees(got[name], value), (name, got[name], value)
