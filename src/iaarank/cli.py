@@ -5,11 +5,13 @@ codes: 0 success, 2 I/O or parse failure, 3 validation failure, 4 undefined
 ranking (zero similarity to both ideals under the overlap measure).
 
 Each command returns (payload, header, rows, text) and never reads --format;
-one writer, _render, turns that into the output. json dumps the payload, csv
-writes the header and the rows (a generator), and text calls text(), or
-writes the payload list as JSON lines where a command has no text form
-(build, attributes). The rank, topsis and attributes CSV columns are the
-records' _fields. plotdata always writes CSV.
+one writer, _render, turns that into the output. json writes the payload
+through _json_text, which gives json.dumps(payload, indent=2) byte for byte
+without the stdlib's pure-Python indent encoder; csv writes the header and
+the rows (a generator), and text calls text(), or writes the payload list as
+JSON lines where a command has no text form (build, attributes). The rank,
+topsis and attributes CSV columns are the records' _fields. plotdata always
+writes CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .attributes import AttributeVector, attribute_vector, membership_polyline
@@ -42,25 +45,37 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
 
-def _resolve_input(value: str) -> Path:
+def _path(value: str, flag: str) -> Path:
+    """The path a flag names; an empty value, which Path reads as '.', is an
+    I/O error naming the flag."""
+    if not value:
+        raise FileNotFoundError(f"{flag} needs a path, got an empty value")
+    return Path(value)
+
+
+def _resolve_input(value: str, flag: str) -> Path:
     if value in BUNDLED_DATASETS:
         return bundled_path(value)
-    return Path(value)
+    return _path(value, flag)
 
 
 def _load(args) -> MultiCriteriaDataset:
     scale = ScaleConfig(args.scale_min, args.scale_max)
-    return load_dataset(_resolve_input(args.input), scale)
+    return load_dataset(_resolve_input(args.input, "--input"), scale)
+
+
+def _check_criterion(dataset, requested: str) -> None:
+    if requested not in dataset.criteria:
+        raise ValueError(
+            f"criterion {requested!r} not in dataset "
+            f"(have: {', '.join(dataset.criteria)})"
+        )
 
 
 def _pick_criterion(dataset, requested: str | None) -> MultiCriteriaDataset:
     """The dataset narrowed to the requested criterion, or to its only one."""
     if requested is not None:
-        if requested not in dataset.criteria:
-            raise ValueError(
-                f"criterion {requested!r} not in dataset "
-                f"(have: {', '.join(dataset.criteria)})"
-            )
+        _check_criterion(dataset, requested)
         return dataset.only_criterion(requested)
     if len(dataset.criteria) > 1:
         raise ValueError(
@@ -77,7 +92,7 @@ def _auto_ideals(dataset, criterion) -> tuple[FuzzyNumber, FuzzyNumber]:
 
 
 def _file_ideals(path: str, scale: ScaleConfig) -> tuple[FuzzyNumber, FuzzyNumber]:
-    dataset = load_dataset(_resolve_input(path), scale)
+    dataset = load_dataset(_resolve_input(path, "--ideal"), scale)
     if set(dataset.alternatives) != {"best", "worst"} or len(dataset.criteria) != 1:
         raise ValueError(
             "ideal file must hold exactly the alternatives 'best' and 'worst' "
@@ -131,11 +146,99 @@ def _csv_text(header, rows) -> str:
     return "".join(lines)
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_FLOAT = {float}
+_STR = {str}
+
+
+class _FloatText(dict):
+    """float -> its JSON text, made for one _json_text call, so each distinct
+    value is formatted once. Only finite non-zero values become keys: 0.0
+    and -0.0 are equal keys with different texts, and a NaN equals nothing;
+    those and the infinities take the stdlib's text each time."""
+
+    def __missing__(self, value: float) -> str:
+        if 0.0 < abs(value) < math.inf:
+            text = self[value] = float.__repr__(value)
+            return text
+        return json.dumps(value)
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), byte for byte.
+
+    With indent, the stdlib encodes in pure Python, formatting every float
+    anew through layers of generators. This walk appends pieces to one list:
+    dicts with only str keys, lists and tuples by exact type, and the exact
+    str, int, float, bool and None leaves inline, strings through the
+    stdlib's own escaper. A list of floats is one join over the call's float
+    cache. Anything else (a subclass, a dict with a non-str key, a value
+    json cannot encode) goes to json.dumps for its subtree, re-indented to
+    its depth: JSON text holds no raw newline but its indentation. A cyclic
+    value raises RecursionError where json.dumps raises ValueError.
+    """
+    parts = []
+    append = parts.append
+    float_text = _FloatText().__getitem__
+    leaf = {
+        str: encode_basestring_ascii,
+        int: int.__repr__,
+        float: float_text,
+        bool: _CONSTANTS.__getitem__,
+        type(None): _CONSTANTS.__getitem__,
+    }.get
+
+    def write(value, pad):
+        """Append value's text; pad is the newline and indent of its line."""
+        kind = type(value)
+        text = leaf(kind)
+        if text is not None:
+            append(text(value))
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        if kind is list or kind is tuple:
+            if not value:
+                append("[]")
+            elif _FLOAT.issuperset(map(type, value)):
+                append(f"[{inner}{sep.join(map(float_text, value))}{pad}]")
+            else:
+                lead = "[" + inner
+                for item in value:
+                    append(lead)
+                    lead = sep
+                    text = leaf(type(item))
+                    if text is None:
+                        write(item, inner)
+                    else:
+                        append(text(item))
+                append(pad + "]")
+        elif kind is dict and _STR.issuperset(map(type, value)):
+            if not value:
+                append("{}")
+                return
+            lead = "{" + inner
+            for key, item in value.items():
+                append(f"{lead}{encode_basestring_ascii(key)}: ")
+                lead = sep
+                text = leaf(type(item))
+                if text is None:
+                    write(item, inner)
+                else:
+                    append(text(item))
+            append(pad + "}")
+        else:
+            append(json.dumps(value, indent=2).replace("\n", pad))
+
+    write(value, "\n")
+    return "".join(parts)
+
+
 def _render(fmt: str, payload, header, rows, text) -> str:
     """The one writer: the payload as JSON, the header and rows as CSV, or
     text(); with no text form, the payload list as JSON lines."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload) + "\n"
     if fmt == "csv":
         return _csv_text(header, rows)
     if text is None:
@@ -277,6 +380,7 @@ def cmd_topsis(args):
     _check_epsilon(args.epsilon)
     dataset = _load(args)
     if args.exclude_criterion is not None:
+        _check_criterion(dataset, args.exclude_criterion)
         dataset = dataset.without_criterion(args.exclude_criterion)
     weights = None
     if args.weights is not None:
@@ -387,14 +491,14 @@ def main(argv=None) -> int:
     try:
         text = _render(fmt, *args.handler(args))
         if args.output is not None:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _path(args.output, "--output").write_text(text, encoding="utf-8")
     except DivisionByZero as exc:
         print(f"error: undefined ranking: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except (OSError, MalformedRow, MalformedInterval) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (IaaRankError, ValueError, KeyError) as exc:
+    except (IaaRankError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.output is None:

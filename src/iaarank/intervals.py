@@ -234,7 +234,12 @@ class MultiCriteriaDataset(Record):
 
 
 def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
+    """(line, alternative, criterion, source, left, right) of each data row.
+
+    The labels are stripped; the bounds are not, because float ignores the
+    whitespace around a number (load_dataset strips them if they fail)."""
     rows = []
+    width = len(DATASET_HEADER)
     with open(path, newline="", encoding="utf-8") as handle:
         header = None
         reader = csv.reader(handle)
@@ -242,6 +247,15 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
         try:
             for record in reader:
                 line_no, start = start, reader.line_num + 1
+                if header is not None and len(record) == width:
+                    alternative, criterion, source, left, right = record
+                    alternative = alternative.strip()
+                    criterion = criterion.strip()
+                    source = source.strip()
+                    # a row of blank fields is skipped like a blank line
+                    if alternative or criterion or source or (left + right).strip():
+                        rows.append((line_no, alternative, criterion, source, left, right))
+                    continue
                 if not "".join(record).strip():
                     continue
                 if header is None:
@@ -253,15 +267,10 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
                             line=line_no,
                         )
                     continue
-                if len(record) != len(DATASET_HEADER):
-                    raise MalformedRow(
-                        f"{path} line {line_no}: expected {len(DATASET_HEADER)} "
-                        f"fields, got {len(record)}",
-                        line=line_no,
-                    )
-                alternative, criterion, source, left, right = record
-                rows.append((line_no, alternative.strip(), criterion.strip(),
-                             source.strip(), left.strip(), right.strip()))
+                raise MalformedRow(
+                    f"{path} line {line_no}: expected {width} fields, got {len(record)}",
+                    line=line_no,
+                )
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedRow(f"{path} line {start}: {exc}", line=start) from exc
     return rows
@@ -317,13 +326,18 @@ def bundled_path(name: str) -> Path:
     return Path(str(files("iaarank").joinpath("data", filename)))
 
 
-def _reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig):
-    """Raise the error of a row whose bounds fail the loader's guard.
+def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
+                    strip: bool) -> tuple[float, float]:
+    """The bounds of a row that failed the loader's guard, or the row's error.
 
     Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (through Interval), then the scale. One of them
-    fails for every row the guard refuses.
+    finiteness and order (through Interval), then the scale. With strip, as
+    for a CSV row, the bounds are stripped first, so the messages show them
+    stripped; a bound padded with one of the separators "\\x1c" to "\\x1f",
+    which str.strip removes and float does not, passes here.
     """
+    if strip:
+        left, right = left.strip(), right.strip()
     try:
         interval = Interval(left, right)
     except (TypeError, ValueError) as exc:
@@ -345,7 +359,7 @@ def _reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig):
             f"[{scale.scale_min}, {scale.scale_max}]",
             line=line_no,
         )
-    raise AssertionError(f"line {line_no} failed the guard but no row check")
+    return interval.left, interval.right
 
 
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
@@ -360,7 +374,8 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     only: the aggregation accepts any number of sources per cell.
     """
     path = Path(path)
-    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
+    from_csv = path.suffix.lower() != ".json"
+    read_rows = _read_csv_rows if from_csv else _read_json_rows
     try:
         raw_rows = read_rows(path)
     except UnicodeDecodeError as exc:
@@ -377,7 +392,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
             lo = hi = math.nan
         # A NaN or infinite bound fails the guard too: the scale is finite.
         if not scale_min <= lo <= hi <= scale_max:
-            _reject_row(path, line_no, left, right, scale)
+            lo, hi = _checked_bounds(path, line_no, left, right, scale, from_csv)
         grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.

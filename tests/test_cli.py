@@ -259,6 +259,11 @@ class TestTopsisCommand:
         assert code == 0
         assert "c2" not in out
 
+    def test_unknown_excluded_criterion_exits_3_naming_the_criteria(self, capsys):
+        code, out, err = run(capsys, "topsis", *SYNTH, "--exclude-criterion", "nope")
+        assert (code, out) == (3, "")
+        assert err == "error: criterion 'nope' not in dataset (have: c1, c2)\n"
+
     def test_bad_weights_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
         assert code == 3
@@ -367,17 +372,19 @@ class TestDeterminismAndOutput:
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv,expected", [
-        (["topsis", *SYNTH, "--weights="], 3),
-        (["topsis", *SYNTH, "--directions="], 3),
-        (["topsis", *SYNTH, "--exclude-criterion="], 3),
-        (["build", *FILMS, "--output="], 2),
+    @pytest.mark.parametrize("argv,expected,named", [
+        (["topsis", *SYNTH, "--weights="], 3, ""),
+        (["topsis", *SYNTH, "--directions="], 3, ""),
+        (["topsis", *SYNTH, "--exclude-criterion="], 3, "(have: c1, c2)"),
+        (["build", *FILMS, "--output="], 2, "--output"),
+        (["build", "--input=", *FILMS[2:]], 2, "--input"),
+        (["rank", *FILMS, "--method", "ideal-ratio", "--ideal="], 2, "--ideal"),
     ])
-    def test_empty_flag_value_is_an_error(self, capsys, argv, expected):
+    def test_empty_flag_value_is_an_error(self, capsys, argv, expected, named):
         code, out, err = run(capsys, *argv)
         assert code == expected
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and named in err
 
     def test_text_mode_scores_use_four_decimals(self, capsys):
         code, out, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio")

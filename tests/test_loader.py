@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from iaarank import Interval, ScaleConfig, load_dataset
 from iaarank.cli import main
 from iaarank.errors import (
+    EmptyDataset,
     InvertedBounds,
     MalformedInterval,
     MalformedRow,
@@ -286,6 +287,44 @@ class TestRowGuard:
             assert type(loaded) is kind
             assert str(loaded) == message
             assert loaded.line == 2
+
+
+class TestPaddedBounds:
+    """The CSV reader strips the labels only; a bound keeps its padding until
+    it fails the guard."""
+
+    def test_padded_bounds_load_as_the_same_floats(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(",".join(HEADER) + "\n A ,c,s1, 1.5 ,\t2\t\n"
+                        "A, c ,s2,\x1c3\x1f, 4\u2003\n", encoding="utf-8")
+        loaded = load_dataset(path, WIDE)
+        cell = loaded.cell("A", "c")
+        assert (cell.lefts, cell.rights) == ((1.5, 3.0), (2.0, 4.0))
+        assert (loaded.alternatives, loaded.criteria) == (("A",), ("c",))
+
+    @pytest.mark.parametrize("left,right,error,message", [
+        (" one ", "\t2", MalformedRow, "non-numeric bound ('one', '2')"),
+        (" ", " ", MalformedRow, "non-numeric bound ('', '')"),
+        ("\x1c5 ", " 4", InvertedBounds, "left bound 5.0 exceeds right bound 4.0"),
+        (" 1", "11\x1f", OutOfScale, "interval [1.0, 11.0] outside scale"),
+    ])
+    def test_padded_bad_bound_reports_the_stripped_text(self, tmp_path, left, right,
+                                                        error, message):
+        path = tmp_path / "padded.csv"
+        path.write_text(",".join(HEADER) + f"\nA,c,s,{left},{right}\n", encoding="utf-8")
+        with pytest.raises(error) as excinfo:
+            load_dataset(path, WIDE)
+        assert str(excinfo.value).startswith(f"{path} line 2: {message}")
+        assert excinfo.value.line == 2
+
+    def test_rows_of_blank_fields_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(" , , , , \n" + ",".join(HEADER) + "\n\t,,,,\nA,c,s,1,2\n , , , , \n",
+                        encoding="utf-8")
+        assert load_dataset(path, WIDE).cell("A", "c").lefts == (1.0,)
+        path.write_text(",".join(HEADER) + "\n , , , , \n", encoding="utf-8")
+        with pytest.raises(EmptyDataset):
+            load_dataset(path, WIDE)
 
 
 # Dataset text built from pieces that are valid, slightly wrong or hostile.
