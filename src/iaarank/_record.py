@@ -26,7 +26,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return other is self or self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -1,12 +1,12 @@
 """Geometric attributes of fuzzy numbers and the six feature differences.
 
 Attributes are read from the step profile, the one state a fuzzy number
-stores: centroid, area and quartiles from the (left, right, height) region
-triples the profile yields, height from its point memberships, perimeter and
-support length from one walk over its breakpoints, with no region objects
-built on the way. ``attribute_vector`` computes them once per instance, the
-first time they are asked for, and keeps them on that instance; there is no
-global cache, so a number and its attributes are freed together.
+stores. ``attribute_vector`` computes all seven in one walk over the
+breakpoints, which adds up the region terms and the outline of each support
+component, and one walk over the segments for the quartiles, with no region
+objects built on the way. It does so once per instance, the first time they
+are asked for, and keeps them on that instance; there is no global cache,
+so a number and its attributes are freed together.
 
 Two numbers are compared through their attribute rows, the eleven values
 ``attribute_row`` lays out. ``feature_differences`` turns two rows into the
@@ -69,32 +69,17 @@ def height(fz: FuzzyNumber) -> float:
     return attribute_vector(fz).height
 
 
-def _components(fz: FuzzyNumber):
-    """Yield (span, vertical travel) of each connected support component.
-
-    One walk over the step profile: a component opens at a breakpoint with
-    zero membership on its left and closes at one with zero on its right, so
-    regions touching at a single point share a component. The vertical
-    travel sums every excursion of the outline: the rise from zero at the
-    left edge, each interior height jump, each spike rising above its
-    neighbouring plateaus and back, and the drop to zero at the right edge.
-    """
-    xs, points, segments = fz.profile
-    for i, x in enumerate(xs):
-        left, top, right = segments[i], points[i], segments[i + 1]
-        if left == 0:
-            edge, vertical = x, 0.0
-        vertical += (top - left) + (top - right)
-        if right == 0:
-            yield x - edge, vertical
-
-
 def perimeter(fz: FuzzyNumber) -> float:
     """Length of the geometric outline of the profile, baseline included.
 
     Per connected support component: the baseline, the horizontal tops (which
-    tile the component, so they equal the baseline), and the vertical travel.
-    An isolated line region contributes twice its height.
+    tile the component, so they equal the baseline), and the vertical travel:
+    the rise from zero at its left edge, each interior height jump, each
+    spike rising above its neighbouring plateaus and back, and the drop to
+    zero at its right edge. An isolated line region contributes twice its
+    height. A component opens at a breakpoint with zero membership on its
+    left and closes at one with zero on its right, so regions touching at a
+    single point share a component.
     """
     return attribute_vector(fz).perimeter
 
@@ -128,45 +113,15 @@ def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]
     return attribute_vector(fz).quartiles
 
 
-def _quartiles(fz: FuzzyNumber, regions, total_height: float):
-    """quartile_points from the region triples and their total height."""
-    segments = [(left, right, h) for left, right, h in regions if left != right]
-    total = 0.0
-    for left, right, h in segments:
-        total += h * (right - left)
-    points = [fz.support_min]
-    if total > _ZERO:
-        for fraction in _QUARTILE_FRACTIONS:
-            target = fraction * total
-            cumulative = 0.0
-            position = segments[-1][1]
-            for left, right, h in segments:
-                seg_area = h * (right - left)
-                if cumulative + seg_area >= target:
-                    position = min(left + (target - cumulative) / h, right)
-                    break
-                cumulative += seg_area
-            points.append(position)
-    else:
-        for fraction in _QUARTILE_FRACTIONS:
-            target = fraction * total_height
-            cumulative = 0.0
-            position = regions[-1][0]
-            for left, right, h in regions:
-                cumulative += h
-                if cumulative >= target:
-                    position = (left + right) / 2
-                    break
-            points.append(position)
-    points.append(fz.support_max)
-    return tuple(points)
-
-
 def support_length(fz: FuzzyNumber) -> float:
     """Total width of the support: the sum of connected component spans."""
+    xs, _, segments = fz.profile
     length = 0.0
-    for span, _ in _components(fz):
-        length += span
+    for i, x in enumerate(xs):
+        if segments[i] == 0:
+            edge = x
+        if segments[i + 1] == 0:
+            length += x - edge
     return length
 
 
@@ -183,34 +138,73 @@ def agreement_ratio(fz: FuzzyNumber) -> float:
 def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     """All seven attributes of one fuzzy number, computed once per instance.
 
-    One pass lists the region triples and one walk visits the support
-    components; every attribute is read from those two. The vector is
-    stored on the number as the private non-field attribute ``_attributes``,
-    so equality, hash and ``to_dict`` do not see it.
+    One walk over the profile adds the region terms in ``region_triples``
+    order and closes each support component into the outline and the
+    support length; one walk over the segments finds the three inner
+    quartiles with one running area total. The vector is stored on the
+    number as the private non-field attribute ``_attributes``, so equality,
+    hash and ``to_dict`` do not see it.
     """
     vector = getattr(fz, "_attributes", None)
-    if vector is None:
+    if vector is not None:
+        return vector
+    xs, points, segments = fz.profile
+    count = 0
+    total_height = total_area = moment = half_heights = outline = length = 0.0
+    for i, x in enumerate(xs):
+        left, top, right = segments[i], points[i], segments[i + 1]
+        if left == 0:
+            edge, vertical = x, 0.0
+        vertical += (top - left) + (top - right)
+        if top > left and top > right:  # a line region: no area
+            count += 1
+            total_height += top
+            moment += top * (x + x)
+            half_heights += top / 2
+        if right > 0:
+            after = xs[i + 1]
+            count += 1
+            total_height += right
+            total_area += right * (after - x)
+            moment += right * (x + after)
+            half_heights += right / 2
+        else:
+            outline += 2 * (x - edge) + vertical
+            length += x - edge
+    quartiles = [xs[0]]
+    if total_area > _ZERO:
+        targets = [fraction * total_area for fraction in _QUARTILE_FRACTIONS]
+        cumulative = 0.0
+        # a gap adds no area, so no target is met there
+        for x, after, right in zip(xs, xs[1:], segments[1:]):
+            seg_area = right * (after - x)
+            while targets and cumulative + seg_area >= targets[0]:
+                target = targets.pop(0)
+                quartiles.append(min(x + (target - cumulative) / right, after))
+            cumulative += seg_area
+    else:  # all mass in spikes: the discrete height-weighted distribution
         regions = list(region_triples(fz.profile))
-        total_height = total_area = moment = half_heights = 0.0
-        for left, right, h in regions:
-            total_height += h
-            total_area += h * (right - left)
-            moment += h * (left + right)
-            half_heights += h / 2
-        outline = length = 0.0
-        for span, vertical in _components(fz):
-            outline += 2 * span + vertical
-            length += span
-        vector = AttributeVector(
-            quartiles=_quartiles(fz, regions, total_height),
-            centroid_x=moment / (2 * total_height),
-            centroid_y=half_heights / len(regions),
-            area=total_area,
-            height=max(fz.profile[1]),
-            perimeter=outline,
-            agreement_ratio=0.0 if length <= _ZERO else total_area / length,
-        )
-        object.__setattr__(fz, "_attributes", vector)
+        for fraction in _QUARTILE_FRACTIONS:
+            target = fraction * total_height
+            cumulative = 0.0
+            position = regions[-1][0]
+            for left, right, h in regions:
+                cumulative += h
+                if cumulative >= target:
+                    position = (left + right) / 2
+                    break
+            quartiles.append(position)
+    quartiles.append(xs[-1])
+    vector = AttributeVector(
+        quartiles=tuple(quartiles),
+        centroid_x=moment / (2 * total_height),
+        centroid_y=half_heights / count,
+        area=total_area,
+        height=max(points),
+        perimeter=outline,
+        agreement_ratio=0.0 if length <= _ZERO else total_area / length,
+    )
+    object.__setattr__(fz, "_attributes", vector)
     return vector
 
 

@@ -18,17 +18,16 @@ Every other view is derived from the profile. The endpoints, at which the
 similarity measures evaluate, are its breakpoints. The canonical region list
 holds one (left, right, height) region per constant-membership stretch plus
 zero-width line regions for the spikes, ordered by position; membership at x
-is the maximum height over the regions containing x. Construction takes the
-profile from a running count of open intervals over the sorted bounds, so it
-costs O(n log n) for n intervals; a number given as a region list is swept
-into its profile once.
+is the maximum height over the regions containing x. Construction sorts the
+left and the right bounds apart and merges them in one walk that counts the
+open intervals, so it costs O(n log n) for n intervals; a number given as a
+region list is swept into its profile once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from heapq import heappop, heappush
@@ -218,30 +217,37 @@ def construct_fuzzy(
 ) -> FuzzyNumber:
     """Build the canonical fuzzy number of an interval set.
 
-    Breakpoints are the distinct interval bounds. One sweep over them keeps
-    the count of intervals covering the sweep position: the intervals that
-    start at a breakpoint join the count before its point membership is
-    taken, and those that end there leave it before the membership of the
-    next open segment is taken. The reconstruction
-    ``max height over regions containing x`` then equals the direct count
-    at every real x. Every breakpoint starts or ends an interval, so none is
-    flat and the profile is canonical as it stands.
+    Breakpoints are the distinct interval bounds. The sorted left and right
+    bounds are merged in one two-pointer walk, and the intervals covering
+    the walk position number the lefts passed minus the rights passed: at a
+    breakpoint, the intervals starting there join before its point
+    membership is taken, and those ending there leave before the next open
+    segment's. The k-th smallest left bound is at most the k-th smallest
+    right one, so the lefts run out first. Every breakpoint starts or ends
+    an interval, so none is flat and the profile is canonical as it stands.
     """
-    interval_set.validate_scale(scale)
-    starts = Counter(interval_set.lefts)
-    ends = Counter(interval_set.rights)
-    xs = interval_set.endpoints()
-    n = interval_set.n
+    lefts = sorted(interval_set.lefts)
+    rights = sorted(interval_set.rights)
+    if not (scale.scale_min <= lefts[0] and rights[-1] <= scale.scale_max):
+        interval_set.validate_scale(scale)
+    n = len(lefts)
+    lefts.append(math.inf)  # sentinels: the bounds are finite
+    rights.append(math.inf)
+    xs: list[float] = []
     points: list[float] = []
     segments = [0.0]
-    covering = 0
-    for x in xs:
-        covering += starts[x]
-        points.append(covering / n)
-        covering -= ends[x]
-        segments.append(covering / n)
+    i = j = 0
+    while j < n:
+        x = lefts[i] if lefts[i] <= rights[j] else rights[j]
+        while lefts[i] == x:
+            i += 1
+        points.append((i - j) / n)
+        while rights[j] == x:
+            j += 1
+        segments.append((i - j) / n)
+        xs.append(x)
     return FuzzyNumber._from_profile(
-        profile=(xs, tuple(points), tuple(segments)),
+        profile=(tuple(xs), tuple(points), tuple(segments)),
         n=n,
         scale=scale,
         label=interval_set.label if label is None else label,

@@ -160,8 +160,6 @@ class IntervalSet(Record):
 
     def validate_scale(self, scale: ScaleConfig) -> None:
         low, high = scale.scale_min, scale.scale_max
-        if low <= min(self.lefts) and max(self.rights) <= high:
-            return
         for left, right in zip(self.lefts, self.rights):
             if not (low <= left and right <= high):
                 raise OutOfScale(

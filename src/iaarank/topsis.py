@@ -127,10 +127,10 @@ def select_ideals(
     The top alternative under the universal ranking is the positive ideal and
     the bottom one the negative ideal; cost criteria swap the two. Where
     several alternatives at an end have exactly equal universal keys (a shape
-    and its mirror image, say), the one with the smallest (profile, label)
-    is taken, so the ideals do not depend on the row order. A criterion
-    whose alternatives all fall in one universal tie group is flagged
-    degenerate.
+    and its mirror image, say), which always share the end's tie group, the
+    one with the smallest (profile, label) is taken, so the ideals do not
+    depend on the row order. A criterion whose alternatives all fall in one
+    universal tie group is flagged degenerate.
     """
     levels = universal_levels(epsilon)
 
@@ -143,9 +143,11 @@ def select_ideals(
     ideals = []
     for index, criterion in enumerate(matrix.criteria):
         ordered, ranks, _ = order_and_rank(matrix.column(criterion), levels)
+        ends = ((0, keys(ordered[0])), (-1, keys(ordered[-1])))
         top, bottom = (
-            min((fz for fz in ordered if keys(fz) == keys(end)), key=content)
-            for end in (ordered[0], ordered[-1])
+            min((fz for fz, rank in zip(ordered, ranks)
+                 if rank == ranks[end] and keys(fz) == end_keys), key=content)
+            for end, end_keys in ends
         )
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top

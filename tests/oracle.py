@@ -98,10 +98,12 @@ def brute_height(triples):
 
 
 def brute_centroid(triples):
-    weight = sum(h for _, _, h in triples)
-    cx = sum(h * (l + r) / 2 for l, r, h in triples) / weight
-    cy = sum(h / 2 for _, _, h in triples) / len(triples)
-    return cx, cy
+    weight = moment = half_heights = 0.0  # left to right, as brute_area
+    for l, r, h in triples:
+        weight += h
+        moment += h * (l + r)
+        half_heights += h / 2
+    return moment / (2 * weight), half_heights / len(triples)
 
 
 def brute_perimeter(triples):
@@ -137,8 +139,9 @@ def brute_agreement(triples):
 
 
 def brute_quartiles(triples):
-    segments = [t for t in sorted(triples) if t[0] != t[1]]
-    total = sum(h * (r - l) for l, r, h in segments)
+    ordered = sorted(triples)
+    segments = [t for t in ordered if t[0] != t[1]]
+    total = brute_area(segments)
     low = min(l for l, _, _ in triples)
     high = max(r for _, r, _ in triples)
     points = [low]
@@ -154,11 +157,13 @@ def brute_quartiles(triples):
                 cum += h * (r - l)
             points.append(x)
     else:
-        weight = sum(h for _, _, h in triples)
+        weight = 0.0
+        for _, _, h in ordered:
+            weight += h
         for fraction in (0.25, 0.5, 0.75):
             cum = 0.0
-            x = sorted(triples)[-1][0]
-            for l, r, h in sorted(triples):
+            x = ordered[-1][0]
+            for l, r, h in ordered:
                 cum += h
                 if cum >= fraction * weight:
                     x = (l + r) / 2
@@ -166,6 +171,20 @@ def brute_quartiles(triples):
             points.append(x)
     points.append(high)
     return points
+
+
+def brute_attributes(triples):
+    """The seven attributes of a canonical region list, in the field order
+    of AttributeVector: the five quartiles as a tuple, centroid x and y,
+    area, height, perimeter and agreement ratio.
+
+    Every float is added left to right over the triples in position order,
+    in plain loops and never with sum(), so the result can be compared with
+    the package's bit for bit on every Python.
+    """
+    return (tuple(brute_quartiles(triples)), *brute_centroid(triples),
+            brute_area(triples), brute_height(triples),
+            brute_perimeter(triples), brute_agreement(triples))
 
 
 def brute_jaccard(pairs_a, pairs_b):
@@ -250,10 +269,11 @@ def brute_load(rows):
 
 def brute_row_ok(left_text, right_text, scale_min, scale_max):
     """Whether a row's two bound texts make an interval the loader keeps:
-    both parse as floats, both are finite, left <= right, and both lie on
+    stripped with str.strip, as a CSV row's bounds are, both parse as
+    floats, both are finite, left <= right, and both lie on
     [scale_min, scale_max]."""
     try:
-        left, right = float(left_text), float(right_text)
+        left, right = float(left_text.strip()), float(right_text.strip())
     except ValueError:
         return False
     if not (math.isfinite(left) and math.isfinite(right)):

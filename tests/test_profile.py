@@ -2,17 +2,20 @@
 
 import json
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iaarank import FuzzyNumber, Region, ScaleConfig, canonicalize, construct_fuzzy
 from iaarank.attributes import (
+    AttributeVector,
     agreement_ratio,
     attribute_vector,
     membership_polyline,
     perimeter,
     support_length,
 )
+from iaarank.errors import OutOfScale
 
 import oracle
 from conftest import make_set
@@ -95,6 +98,44 @@ def test_support_length_and_agreement_of_canonical_lists_equal_oracle(regs):
     triples = [(r.left, r.right, r.height) for r in fz.regions]
     assert support_length(fz) == oracle.brute_support_length(triples)
     assert agreement_ratio(fz) == oracle.brute_agreement(triples)
+
+
+def from_pairs(pairs):
+    return build(pairs), oracle.brute_regions(pairs)
+
+
+def from_regions(regs):
+    regs = canonicalize(regs)
+    return FuzzyNumber(regs, n=1, scale=WIDE), [(r.left, r.right, r.height) for r in regs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(interval_lists.map(from_pairs), region_lists.map(from_regions)))
+@example(from_pairs([(2.0, 2.0), (2.0, 2.0), (7.0, 7.0)]))  # all spikes
+@example(from_pairs([(0.0, 2.0), (2.0, 4.0), (4.0, 10.0)]))  # two quartiles in [4, 10]
+@example(from_pairs([(0.0, 0.0), (5e-324, 5e-324)]))  # adjacent-double spikes
+@example(from_pairs([(1.0, 1.0 + 2 ** -52)]))  # area below 1e-12: discrete quartiles
+def test_attribute_vector_equals_oracle_bit_exactly(case):
+    fz, triples = case
+    assert repr(attribute_vector(fz)) == repr(
+        AttributeVector(*oracle.brute_attributes(triples))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5, 15), st.floats(-5, 15)).map(sorted),
+                min_size=1, max_size=20))
+@example([(0.0, 10.0), (-1.0, 3.0), (4.0, 11.0)])
+@example([(0.0, 5.0), (2.0, 11.0)])  # off on the right, behind an on-scale right
+def test_off_scale_interval_raises_the_first_offender(pairs):
+    outside = [(l, r) for l, r in pairs if not (0 <= l and r <= 10)]
+    assume(outside)
+    left, right = outside[0]
+    with pytest.raises(OutOfScale) as excinfo:
+        construct_fuzzy(make_set("p", pairs), WIDE)
+    assert str(excinfo.value) == (
+        f"interval [{left}, {right}] of 'p' outside scale [0.0, 10.0]"
+    )
 
 
 @settings(max_examples=300, deadline=None)

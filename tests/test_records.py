@@ -29,6 +29,7 @@ from iaarank import (
     attribute_vector,
     construct_fuzzy,
 )
+from iaarank._record import Record
 
 
 def _set(label="a"):
@@ -98,6 +99,18 @@ def test_equal_fields_are_equal(record):
     assert a is not b
     assert a == b
     assert not a != b
+
+
+def test_a_record_equals_itself_without_building_its_field_tuple(record, monkeypatch):
+    _, _, build = record
+    x = build()
+
+    def no_field_tuple(self):
+        raise AssertionError("field tuple built")
+
+    monkeypatch.setattr(Record, "_values", no_field_tuple)
+    assert x == x
+    assert not x != x
 
 
 def test_hash_is_the_field_tuple_hash(record):
