@@ -9,15 +9,9 @@ centroid order, and run a multi-criteria closeness pipeline on top.
 from . import errors
 from .attributes import (
     AttributeVector,
-    agreement_ratio,
-    area,
     attribute_vector,
-    centroid,
     feature_vector,
-    height,
     membership_polyline,
-    perimeter,
-    quartile_points,
 )
 from .fuzzy import (
     FuzzyNumber,
@@ -85,19 +79,15 @@ __all__ = [
     "SimilarityWeights",
     "TopsisEntry",
     "TopsisResult",
-    "agreement_ratio",
-    "area",
     "attribute_similarity",
     "attribute_vector",
     "bundled_path",
     "canonicalize",
-    "centroid",
     "combined_similarity",
     "construct_fuzzy",
     "errors",
     "evaluation_points",
     "feature_vector",
-    "height",
     "ideal_interval_set",
     "ideal_ratio",
     "jaccard",
@@ -106,8 +96,6 @@ __all__ = [
     "membership_polyline",
     "midpoint_mean",
     "parse_interval",
-    "perimeter",
-    "quartile_points",
     "rank_baseline_mean",
     "rank_by_ideal_ratio",
     "rank_universal",

@@ -25,15 +25,33 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .fuzzy import FuzzyNumber, check_on_scale, check_same_scale, region_triples
-from .intervals import ScaleConfig
+from .fuzzy import FuzzyNumber, check_same_scale, region_triples
 
 _ZERO = 1e-12
 _QUARTILE_FRACTIONS = (0.25, 0.5, 0.75)
 
 
 class AttributeVector(Record):
-    """The seven geometric attributes of one fuzzy number."""
+    """The seven geometric attributes of one fuzzy number, one field each:
+
+    - quartiles: where the cumulative area first reaches 0, 1/4, 1/2, 3/4 and
+      all of the total, interpolated linearly inside segments (spikes carry
+      no area); the outer two are the support bounds. A number of negligible
+      area (all mass in spikes) takes the discrete height-weighted
+      distribution over region positions instead.
+    - centroid_x: the height-weighted mean of the region midpoints.
+    - centroid_y: the mean half-height over the regions.
+    - area: the total rectangle area of the regions; spikes add nothing.
+    - height: the largest membership degree.
+    - perimeter: the length of the outline, baseline included. Per connected
+      support component: the baseline, the tops (which tile it, so they equal
+      the baseline), the rise at its left edge, each interior jump, each
+      spike above its neighbouring plateaus and back, and the drop at its
+      right edge; a lone spike adds twice its height. Regions touching at a
+      single point share a component.
+    - agreement_ratio: the mean membership over the support, which excludes
+      the gaps between components; 0 when the support has no width.
+    """
 
     _fields = ("quartiles", "centroid_x", "centroid_y", "area", "height",
                "perimeter", "agreement_ratio")
@@ -47,41 +65,6 @@ class AttributeVector(Record):
     def to_dict(self) -> dict:
         return {**dict(zip(self._fields, self._values())),
                 "quartiles": list(self.quartiles)}
-
-
-def centroid(fz: FuzzyNumber) -> tuple[float, float]:
-    """Centre of mass of the region list, weighing certainty and uncertainty.
-
-    The x coordinate is the height-weighted average of region midpoints; the
-    y coordinate is the mean half-height over the regions.
-    """
-    vector = attribute_vector(fz)
-    return vector.centroid_x, vector.centroid_y
-
-
-def area(fz: FuzzyNumber) -> float:
-    """Total rectangle area of the regions; line regions contribute nothing."""
-    return attribute_vector(fz).area
-
-
-def height(fz: FuzzyNumber) -> float:
-    """Maximum membership degree attained."""
-    return attribute_vector(fz).height
-
-
-def perimeter(fz: FuzzyNumber) -> float:
-    """Length of the geometric outline of the profile, baseline included.
-
-    Per connected support component: the baseline, the horizontal tops (which
-    tile the component, so they equal the baseline), and the vertical travel:
-    the rise from zero at its left edge, each interior height jump, each
-    spike rising above its neighbouring plateaus and back, and the drop to
-    zero at its right edge. An isolated line region contributes twice its
-    height. A component opens at a breakpoint with zero membership on its
-    left and closes at one with zero on its right, so regions touching at a
-    single point share a component.
-    """
-    return attribute_vector(fz).perimeter
 
 
 def membership_polyline(fz: FuzzyNumber) -> list[tuple[float, float]]:
@@ -100,39 +83,6 @@ def membership_polyline(fz: FuzzyNumber) -> list[tuple[float, float]]:
         elif left != right:
             vertices += [(x, left), (x, right)]
     return vertices
-
-
-def quartile_points(fz: FuzzyNumber) -> tuple[float, float, float, float, float]:
-    """Positions where the cumulative area fraction first reaches 0..1 quarters.
-
-    Interpolated linearly inside segment regions; line regions carry no area.
-    The outer points are pinned to the support bounds. When the total area is
-    negligible (all mass in spikes) the quarters fall back to the discrete
-    height-weighted distribution over region positions.
-    """
-    return attribute_vector(fz).quartiles
-
-
-def support_length(fz: FuzzyNumber) -> float:
-    """Total width of the support: the sum of connected component spans."""
-    xs, _, segments = fz.profile
-    length = 0.0
-    for i, x in enumerate(xs):
-        if segments[i] == 0:
-            edge = x
-        if segments[i + 1] == 0:
-            length += x - edge
-    return length
-
-
-def agreement_ratio(fz: FuzzyNumber) -> float:
-    """Mean membership over the support; pure-spike numbers rate zero.
-
-    The support excludes gaps between components, so a number whose sources
-    overlap tightly scores high even when an outlier spike widens the hull.
-    A support of zero width (all mass in spikes) carries no area and rates 0.
-    """
-    return attribute_vector(fz).agreement_ratio
 
 
 def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
@@ -246,7 +196,7 @@ def feature_differences(
 
 
 def feature_vector(
-    a: FuzzyNumber, b: FuzzyNumber, scale: ScaleConfig | None = None
+    a: FuzzyNumber, b: FuzzyNumber
 ) -> tuple[float, float, float, float, float, float]:
     """Six comparison features of a pair of fuzzy numbers on one scale, in
     weight order: quartile, centroid, area, height, perimeter, agreement.
@@ -256,7 +206,6 @@ def feature_vector(
     absolute differences of values already in [0, 1].
     """
     check_same_scale(a, b)
-    check_on_scale(a, scale)
     span = a.scale.range
     return feature_differences(
         attribute_row(a), attribute_row(b), 5 * span, math.hypot(span, 0.5)

@@ -362,8 +362,8 @@ def _topsis_text(result) -> str:
     for ideal in result.ideals:
         note = " (degenerate)" if ideal.degenerate else ""
         lines.append(
-            f"criterion {ideal.criterion}: PIS={ideal.pis_label} "
-            f"NIS={ideal.nis_label}{note}"
+            f"criterion {ideal.criterion}: PIS={ideal.pis.label} "
+            f"NIS={ideal.nis.label}{note}"
         )
     width = max(len(e.label) for e in result.entries)
     lines.append(f"{'label':<{width}}  {'D+':>8}  {'D-':>8}  {'CC':>8}  rank")
@@ -384,7 +384,10 @@ def cmd_topsis(args):
         dataset = dataset.without_criterion(args.exclude_criterion)
     weights = None
     if args.weights is not None:
-        weights = tuple(float(part) for part in args.weights.split(","))
+        try:
+            weights = tuple(float(part) for part in args.weights.split(","))
+        except ValueError as exc:  # float's message quotes the bad part
+            raise ValueError(f"--weights: {exc}") from None
     directions = None
     if args.directions is not None:
         mapping = {"b": "benefit", "c": "cost", "benefit": "benefit", "cost": "cost"}
@@ -393,7 +396,9 @@ def cmd_topsis(args):
                 mapping[part.strip().lower()] for part in args.directions.split(",")
             )
         except KeyError as exc:
-            raise ValueError(f"unknown direction {exc.args[0]!r}") from None
+            raise ValueError(
+                f"--directions: unknown direction {exc.args[0]!r}"
+            ) from None
     matrix = DecisionMatrix.from_dataset(dataset, weights, directions)
     result = topsis_rank(
         matrix,

@@ -167,14 +167,6 @@ class FuzzyNumber(Record):
         """Canonical region list, derived from the profile on first access."""
         return tuple(Region(*t) for t in region_triples(self.profile))
 
-    @property
-    def support_min(self) -> float:
-        return self.profile[0][0]
-
-    @property
-    def support_max(self) -> float:
-        return self.profile[0][-1]
-
     def membership(self, x: float) -> float:
         """Maximum region height at x; 0 outside every region."""
         xs, points, segments = self.profile
@@ -278,14 +270,4 @@ def check_same_scale(a: FuzzyNumber, b: FuzzyNumber) -> None:
         raise ScaleMismatch(
             f"{a.label!r} on [{a.scale.scale_min}, {a.scale.scale_max}] vs "
             f"{b.label!r} on [{b.scale.scale_min}, {b.scale.scale_max}]"
-        )
-
-
-def check_on_scale(fz: FuzzyNumber, scale: ScaleConfig | None) -> None:
-    """ScaleMismatch unless the number lies on the given scale; no scale
-    given passes."""
-    if scale is not None and fz.scale != scale:
-        raise ScaleMismatch(
-            f"operands on [{fz.scale.scale_min}, {fz.scale.scale_max}] do not "
-            f"match scale [{scale.scale_min}, {scale.scale_max}]"
         )

@@ -53,9 +53,6 @@ class Interval(Record):
             raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
         self._init(left, right)
 
-    def shifted(self, delta: float) -> Interval:
-        return Interval(self.left + delta, self.right + delta)
-
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"
 
@@ -148,15 +145,6 @@ class IntervalSet(Record):
     @property
     def n(self) -> int:
         return len(self.lefts)
-
-    def endpoints(self) -> tuple[float, ...]:
-        """Sorted, deduplicated bounds of all member intervals."""
-        points = set(self.lefts)
-        points.update(self.rights)
-        return tuple(sorted(points))
-
-    def shifted(self, delta: float) -> IntervalSet:
-        return IntervalSet(tuple(iv.shifted(delta) for iv in self.intervals), self.label)
 
     def validate_scale(self, scale: ScaleConfig) -> None:
         low, high = scale.scale_min, scale.scale_max

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from ._record import Record
 from .attributes import attribute_row, feature_differences
 from .errors import EmptyEvaluation
-from .fuzzy import FuzzyNumber, check_on_scale, check_same_scale
+from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import ScaleConfig
 
 DEFAULT_WEIGHT_VALUES = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.465218)
@@ -178,16 +178,13 @@ def measure_similarity(
     a: FuzzyNumber,
     b: FuzzyNumber,
     weights: SimilarityWeights = DEFAULT_WEIGHTS,
-    scale: ScaleConfig | None = None,
 ) -> float:
     """Dispatch by measure name: 'jaccard', 'attribute', or 'combined'.
 
-    A scale given explicitly must be the operands' scale, checked before
-    anything is computed; the overlap measure does not read it.
+    The scale is read from the operands; operands on two scales raise
+    ScaleMismatch.
     """
     kernel = PairKernel(measure, weights, a.scale)
-    if kernel.attribute:
-        check_on_scale(a, scale)
     return kernel(kernel.prepare(a), kernel.prepare(b))
 
 
@@ -205,24 +202,22 @@ def attribute_similarity(
     a: FuzzyNumber,
     b: FuzzyNumber,
     weights: SimilarityWeights = DEFAULT_WEIGHTS,
-    scale: ScaleConfig | None = None,
 ) -> float:
     """One minus the squared-weight combination of the six feature differences."""
-    return measure_similarity("attribute", a, b, weights, scale)
+    return measure_similarity("attribute", a, b, weights)
 
 
 def combined_similarity(
     a: FuzzyNumber,
     b: FuzzyNumber,
     weights: SimilarityWeights = DEFAULT_WEIGHTS,
-    scale: ScaleConfig | None = None,
 ) -> float:
     """Plain average of the overlap and attribute measures.
 
     The overlap term rewards actual intersection, the attribute term stays
     informative when there is none; averaging removes both degeneracies.
     """
-    return measure_similarity("combined", a, b, weights, scale)
+    return measure_similarity("combined", a, b, weights)
 
 
 def similarity_matrix(

@@ -112,11 +112,11 @@ class DecisionMatrix(Record):
 
 
 class CriterionIdeals(Record):
-    _fields = ("criterion", "pis_label", "nis_label", "pis", "nis", "degenerate")
+    _fields = ("criterion", "pis", "nis", "degenerate")
 
-    def __init__(self, criterion: str, pis_label: str, nis_label: str,
-                 pis: FuzzyNumber, nis: FuzzyNumber, degenerate: bool):
-        self._init(criterion, pis_label, nis_label, pis, nis, degenerate)
+    def __init__(self, criterion: str, pis: FuzzyNumber, nis: FuzzyNumber,
+                 degenerate: bool):
+        self._init(criterion, pis, nis, degenerate)
 
 
 def select_ideals(
@@ -154,8 +154,6 @@ def select_ideals(
         ideals.append(
             CriterionIdeals(
                 criterion=criterion,
-                pis_label=top.label,
-                nis_label=bottom.label,
                 pis=top,
                 nis=bottom,
                 degenerate=ranks[-1] == 1,
@@ -219,8 +217,8 @@ class TopsisResult(Record):
             "ideals": [
                 {
                     "criterion": ideal.criterion,
-                    "pis": ideal.pis_label,
-                    "nis": ideal.nis_label,
+                    "pis": ideal.pis.label,
+                    "nis": ideal.nis.label,
                     "degenerate": ideal.degenerate,
                 }
                 for ideal in self.ideals

@@ -32,6 +32,11 @@ def random_pairs(rng: random.Random, low=0.0, high=10.0, max_n=8,
     return pairs
 
 
+def shifted(pairs, delta):
+    """Each interval moved by delta."""
+    return [(left + delta, right + delta) for left, right in pairs]
+
+
 def count_membership(pairs, x):
     return sum(1 for left, right in pairs if left <= x <= right) / len(pairs)
 

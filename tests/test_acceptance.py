@@ -13,8 +13,8 @@ from iaarank import (
     DEFAULT_WEIGHTS,
     DecisionMatrix,
     ScaleConfig,
+    attribute_vector,
     bundled_path,
-    centroid,
     construct_fuzzy,
     ideal_interval_set,
     ideal_ratio,
@@ -123,8 +123,8 @@ def test_criterion_4_ideal_ratio_column(film_numbers, film_ideals):
 def test_criterion_5_universal_ranking(film_numbers):
     result = rank_universal(list(film_numbers.values()))
     assert list(result.labels()) == UNIVERSAL_ORDER
-    cx_b, _ = centroid(film_numbers["Film B"])
-    cx_h, _ = centroid(film_numbers["Film H"])
+    cx_b = attribute_vector(film_numbers["Film B"]).centroid_x
+    cx_h = attribute_vector(film_numbers["Film H"]).centroid_x
     assert cx_b == pytest.approx(5.9375, abs=1e-9)
     # the convention that reproduces the 5.9375 value exactly yields
     # ~6.0477 here; the ranking consequence is what matters
@@ -198,16 +198,19 @@ def test_criterion_6e_translation_monotonicity():
     rng = random.Random(60605)
     scale = ScaleConfig(0, 20)
     for _ in range(200):
-        sets = [
-            make_set(f"alt{i}", oracle.random_pairs(rng, low=0, high=8))
-            for i in range(rng.randint(2, 6))
+        pair_lists = [
+            oracle.random_pairs(rng, low=0, high=8) for _ in range(rng.randint(2, 6))
         ]
-        numbers = [construct_fuzzy(s, scale) for s in sets]
-        target = rng.randrange(len(sets))
+        numbers = [
+            construct_fuzzy(make_set(f"alt{i}", pairs), scale)
+            for i, pairs in enumerate(pair_lists)
+        ]
+        target = rng.randrange(len(pair_lists))
         before = rank_universal(numbers).labels().index(f"alt{target}")
         delta = rng.uniform(0.5, 2.0)
+        moved = make_set(f"alt{target}", oracle.shifted(pair_lists[target], delta))
         shifted = list(numbers)
-        shifted[target] = construct_fuzzy(sets[target].shifted(delta), scale)
+        shifted[target] = construct_fuzzy(moved, scale)
         after = rank_universal(shifted).labels().index(f"alt{target}")
         assert after <= before
     print("CRITERION 6e PASS: shifting one alternative upward never worsens "
@@ -283,13 +286,13 @@ def test_criterion_7_topsis_fixture():
         expected_plus = sum(
             matrix.weights[j]
             * (1 - oracle.brute_combined_similarity(
-                raw[(label, crit)], raw[(ideals[j].pis_label, crit)], 0, 10))
+                raw[(label, crit)], raw[(ideals[j].pis.label, crit)], 0, 10))
             for j, crit in enumerate(matrix.criteria)
         )
         expected_minus = sum(
             matrix.weights[j]
             * (1 - oracle.brute_combined_similarity(
-                raw[(label, crit)], raw[(ideals[j].nis_label, crit)], 0, 10))
+                raw[(label, crit)], raw[(ideals[j].nis.label, crit)], 0, 10))
             for j, crit in enumerate(matrix.criteria)
         )
         assert d_plus == pytest.approx(expected_plus, abs=1e-9)

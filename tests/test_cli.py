@@ -373,8 +373,12 @@ class TestDeterminismAndOutput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,expected,named", [
-        (["topsis", *SYNTH, "--weights="], 3, ""),
-        (["topsis", *SYNTH, "--directions="], 3, ""),
+        (["topsis", *SYNTH, "--weights="], 3, "--weights"),
+        (["topsis", *SYNTH, "--directions="], 3, "--directions"),
+        (["topsis", *SYNTH, "--weights", "1,x"], 3,
+         "--weights: could not convert string to float: 'x'"),
+        (["topsis", *SYNTH, "--directions", "b,x"], 3,
+         "--directions: unknown direction 'x'"),
         (["topsis", *SYNTH, "--exclude-criterion="], 3, "(have: c1, c2)"),
         (["build", *FILMS, "--output="], 2, "--output"),
         (["build", "--input=", *FILMS[2:]], 2, "--input"),

@@ -205,8 +205,8 @@ class TestFuzzyNumberType:
 
     def test_support_bounds(self, film_numbers):
         fz = film_numbers["Film B"]
-        assert fz.support_min == 3
-        assert fz.support_max == 10
+        assert fz.endpoints[0] == 3
+        assert fz.endpoints[-1] == 10
 
     def test_needs_regions(self):
         with pytest.raises(ValueError):

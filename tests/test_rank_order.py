@@ -208,8 +208,8 @@ def test_select_ideals_take_the_first_and_last_tie_group(drawn, step, epsilon, d
         last = {fz.label for fz, rank in zip(column, ranks) if rank == max(ranks)}
         if direction == "cost":
             first, last = last, first
-        assert ideal.pis_label in first
-        assert ideal.nis_label in last
+        assert ideal.pis.label in first
+        assert ideal.nis.label in last
         assert ideal.degenerate == (max(ranks) == 1)
 
 

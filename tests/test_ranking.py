@@ -144,16 +144,17 @@ class TestRankUniversal:
         rng = random.Random(89)
         scale = ScaleConfig(0, 20)
         for _ in range(150):
-            sets = [
-                make_set(f"alt{i}", oracle.random_pairs(rng, low=0, high=8))
-                for i in range(5)
+            pair_lists = [oracle.random_pairs(rng, low=0, high=8) for _ in range(5)]
+            numbers = [
+                construct_fuzzy(make_set(f"alt{i}", pairs), scale)
+                for i, pairs in enumerate(pair_lists)
             ]
-            numbers = [construct_fuzzy(s, scale) for s in sets]
             target = rng.randrange(5)
             before = rank_universal(numbers).labels().index(f"alt{target}")
             delta = rng.uniform(0.5, 2.0)
+            moved = make_set(f"alt{target}", oracle.shifted(pair_lists[target], delta))
             shifted = list(numbers)
-            shifted[target] = construct_fuzzy(sets[target].shifted(delta), scale)
+            shifted[target] = construct_fuzzy(moved, scale)
             after = rank_universal(shifted).labels().index(f"alt{target}")
             assert after <= before
 

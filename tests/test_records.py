@@ -45,7 +45,7 @@ def _dataset():
 
 
 def _ideals():
-    return CriterionIdeals("c", "a", "b", _number("a"), _number("b"), False)
+    return CriterionIdeals("c", _number("a"), _number("b"), False)
 
 
 # class -> (field names in order, a factory that builds a new equal instance)
@@ -72,7 +72,7 @@ RECORDS = {
         lambda: DecisionMatrix.from_dataset(_dataset()),
     ),
     CriterionIdeals: (
-        ("criterion", "pis_label", "nis_label", "pis", "nis", "degenerate"), _ideals
+        ("criterion", "pis", "nis", "degenerate"), _ideals
     ),
     TopsisEntry: (
         ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate"),

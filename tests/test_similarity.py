@@ -10,11 +10,9 @@ from iaarank import (
     combined_similarity,
     construct_fuzzy,
     evaluation_points,
-    feature_vector,
     jaccard,
     measure_similarity,
 )
-from iaarank import attributes
 from iaarank.errors import ScaleMismatch
 
 import oracle
@@ -146,32 +144,6 @@ class TestAttributeSimilarity:
         other = construct_fuzzy(make_set("o", [(1, 2)]), WIDE)
         with pytest.raises(ScaleMismatch):
             attribute_similarity(film_numbers["Film A"], other)
-
-
-class TestExplicitScale:
-    """An explicit scale that is not the operands' raises one message,
-    before any attribute is computed."""
-
-    MESSAGE = r"^operands on \[0\.0, 10\.0\] do not match scale \[0\.0, 100\.0\]$"
-
-    @pytest.mark.parametrize("call", [
-        feature_vector,
-        attribute_similarity,
-        combined_similarity,
-        lambda a, b, scale: measure_similarity("attribute", a, b, scale=scale),
-    ], ids=["feature_vector", "attribute", "combined", "measure"])
-    def test_mismatch_raises_before_computing(self, call, monkeypatch):
-        a = construct_fuzzy(make_set("a", [(1, 2), (2, 4)]), WIDE)
-        b = construct_fuzzy(make_set("b", [(3, 5)]), WIDE)
-        computed = []
-        monkeypatch.setattr(attributes, "attribute_vector", computed.append)
-        with pytest.raises(ScaleMismatch, match=self.MESSAGE):
-            call(a, b, scale=ScaleConfig(0, 100))
-        assert computed == []
-
-    def test_jaccard_ignores_it(self):
-        a = construct_fuzzy(make_set("a", [(1, 2)]), WIDE)
-        assert measure_similarity("jaccard", a, a, scale=ScaleConfig(0, 100)) == 1.0
 
 
 class TestCombined:

@@ -223,8 +223,7 @@ def test_separations_equal_reference_loop(column, criteria, pool, weights):
         directions=("benefit",) * criteria,
     )
     ideals = [
-        CriterionIdeals(name, pool[2 * k].label, pool[2 * k + 1].label,
-                        pool[2 * k], pool[2 * k + 1], False)
+        CriterionIdeals(name, pool[2 * k], pool[2 * k + 1], False)
         for k, name in enumerate(names)
     ]
     for measure in ("attribute", "combined"):
@@ -362,12 +361,11 @@ def test_public_names():
         "FuzzyNumber", "Interval", "IntervalSet", "MEASURES",
         "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
         "ScaleConfig", "SimilarityWeights", "TopsisEntry", "TopsisResult",
-        "__version__", "agreement_ratio", "area", "attribute_similarity",
-        "attribute_vector", "bundled_path", "canonicalize", "centroid",
-        "combined_similarity", "construct_fuzzy", "errors", "evaluation_points",
-        "feature_vector", "height", "ideal_interval_set", "ideal_ratio", "jaccard",
-        "load_dataset", "measure_similarity", "membership_polyline",
-        "midpoint_mean", "parse_interval", "perimeter", "quartile_points",
+        "__version__", "attribute_similarity", "attribute_vector",
+        "bundled_path", "canonicalize", "combined_similarity", "construct_fuzzy",
+        "errors", "evaluation_points", "feature_vector", "ideal_interval_set",
+        "ideal_ratio", "jaccard", "load_dataset", "measure_similarity",
+        "membership_polyline", "midpoint_mean", "parse_interval",
         "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal",
         "select_ideals", "separations", "similarity_matrix", "topsis_rank",
         "universal_compare",

@@ -86,22 +86,22 @@ class TestSelectIdeals:
     def test_dominant_and_dominated(self, matrix):
         ideals = select_ideals(matrix)
         for ideal in ideals:
-            assert ideal.pis_label == "X"
-            assert ideal.nis_label == "Z"
+            assert ideal.pis.label == "X"
+            assert ideal.nis.label == "Z"
             assert not ideal.degenerate
 
     def test_cost_direction_swaps(self, synthetic):
         m = DecisionMatrix.from_dataset(synthetic, directions=("cost", "benefit"))
         ideals = select_ideals(m)
-        assert ideals[0].pis_label == "Z"
-        assert ideals[0].nis_label == "X"
-        assert ideals[1].pis_label == "X"
+        assert ideals[0].pis.label == "Z"
+        assert ideals[0].nis.label == "X"
+        assert ideals[1].pis.label == "X"
 
     def test_single_alternative_degenerate(self):
         dataset = dataset_from({("only", "c1"): [(2, 4), (3, 5)]})
         m = DecisionMatrix.from_dataset(dataset)
         (ideal,) = select_ideals(m)
-        assert ideal.pis_label == ideal.nis_label == "only"
+        assert ideal.pis.label == ideal.nis.label == "only"
         assert ideal.degenerate
 
     def test_common_shift_keeps_labels(self, synthetic):
@@ -113,7 +113,7 @@ class TestSelectIdeals:
         }
         m = DecisionMatrix.from_dataset(dataset_from(shifted_cells))
         ideals = select_ideals(m)
-        assert [(i.pis_label, i.nis_label) for i in ideals] == [("X", "Z"), ("X", "Z")]
+        assert [(i.pis.label, i.nis.label) for i in ideals] == [("X", "Z"), ("X", "Z")]
 
     @pytest.mark.parametrize(
         "order", list(itertools.permutations(("low", "mid", "high")))
@@ -126,7 +126,7 @@ class TestSelectIdeals:
             {(name, "c1"): [(5.0 + offsets[name],) * 2] for name in order}
         )
         (ideal,) = select_ideals(DecisionMatrix.from_dataset(dataset), 2e-9)
-        assert (ideal.pis_label, ideal.nis_label) == ("high", "low")
+        assert (ideal.pis.label, ideal.nis.label) == ("high", "low")
         assert not ideal.degenerate
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestSelectIdeals:
             dataset = dataset_from({(n, c): cells[(n, c)] for n in names for c in ("c1", "c2")})
             m = DecisionMatrix.from_dataset(dataset, directions=("benefit", "cost"))
             result = topsis_rank(m)
-            ideals = [(i.pis_label, i.nis_label) for i in result.ideals]
+            ideals = [(i.pis.label, i.nis.label) for i in result.ideals]
             return ideals, {e.label: e.closeness for e in result.entries}
 
         left, right = (
@@ -198,8 +198,8 @@ class TestSeparations:
             for index, criterion in enumerate(matrix.criteria):
                 ideal = ideals[index]
                 cell_pairs = raw[(label, criterion)]
-                pis_pairs = raw[(ideal.pis_label, criterion)]
-                nis_pairs = raw[(ideal.nis_label, criterion)]
+                pis_pairs = raw[(ideal.pis.label, criterion)]
+                nis_pairs = raw[(ideal.nis.label, criterion)]
                 expected_plus += matrix.weights[index] * (
                     1 - oracle.brute_combined_similarity(cell_pairs, pis_pairs, 0, 10)
                 )
@@ -289,11 +289,11 @@ class TestTopsisRank:
             for label in m.alternatives:
                 s_plus = oracle.brute_combined_similarity(
                     cells[(label, "c")],
-                    cells[(ideals[0].pis_label, "c")], 0, 10,
+                    cells[(ideals[0].pis.label, "c")], 0, 10,
                 )
                 s_minus = oracle.brute_combined_similarity(
                     cells[(label, "c")],
-                    cells[(ideals[0].nis_label, "c")], 0, 10,
+                    cells[(ideals[0].nis.label, "c")], 0, 10,
                 )
                 d_plus, d_minus = 1 - s_plus, 1 - s_minus
                 if d_plus + d_minus > 0:
