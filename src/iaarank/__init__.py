@@ -29,7 +29,6 @@ from .intervals import (
     ideal_interval_set,
     load_dataset,
     midpoint_mean,
-    parse_interval,
 )
 from .ranking import (
     RankingEntry,
@@ -41,9 +40,7 @@ from .ranking import (
     universal_compare,
 )
 from .similarity import (
-    DEFAULT_WEIGHTS,
     MEASURES,
-    SimilarityWeights,
     attribute_similarity,
     combined_similarity,
     jaccard,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeVector",
     "CriterionIdeals",
-    "DEFAULT_WEIGHTS",
     "DecisionMatrix",
     "FuzzyNumber",
     "Interval",
@@ -76,7 +72,6 @@ __all__ = [
     "RankingResult",
     "Region",
     "ScaleConfig",
-    "SimilarityWeights",
     "TopsisEntry",
     "TopsisResult",
     "attribute_similarity",
@@ -95,7 +90,6 @@ __all__ = [
     "measure_similarity",
     "membership_polyline",
     "midpoint_mean",
-    "parse_interval",
     "rank_baseline_mean",
     "rank_by_ideal_ratio",
     "rank_universal",

@@ -64,10 +64,10 @@ def _load(args) -> MultiCriteriaDataset:
     return load_dataset(_resolve_input(args.input, "--input"), scale)
 
 
-def _check_criterion(dataset, requested: str) -> None:
+def _check_criterion(dataset, flag: str, requested: str) -> None:
     if requested not in dataset.criteria:
         raise ValueError(
-            f"criterion {requested!r} not in dataset "
+            f"{flag}: criterion {requested!r} not in dataset "
             f"(have: {', '.join(dataset.criteria)})"
         )
 
@@ -75,7 +75,7 @@ def _check_criterion(dataset, requested: str) -> None:
 def _pick_criterion(dataset, requested: str | None) -> MultiCriteriaDataset:
     """The dataset narrowed to the requested criterion, or to its only one."""
     if requested is not None:
-        _check_criterion(dataset, requested)
+        _check_criterion(dataset, "--criterion", requested)
         return dataset.only_criterion(requested)
     if len(dataset.criteria) > 1:
         raise ValueError(
@@ -380,8 +380,10 @@ def cmd_topsis(args):
     _check_epsilon(args.epsilon)
     dataset = _load(args)
     if args.exclude_criterion is not None:
-        _check_criterion(dataset, args.exclude_criterion)
+        _check_criterion(dataset, "--exclude-criterion", args.exclude_criterion)
         dataset = dataset.without_criterion(args.exclude_criterion)
+    if args.tie_break_criterion is not None:
+        _check_criterion(dataset, "--tie-break-criterion", args.tie_break_criterion)
     weights = None
     if args.weights is not None:
         try:

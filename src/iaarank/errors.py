@@ -6,7 +6,7 @@ class IaaRankError(Exception):
 
 
 class MalformedInterval(IaaRankError):
-    """Interval text or bounds that cannot form a valid interval."""
+    """Interval bounds that are not both finite."""
 
 
 class _RowError(IaaRankError):

@@ -123,13 +123,15 @@ class FuzzyNumber(Record):
     at x gives the membership. The region bounds must be finite. The
     endpoints, at which the similarity measures evaluate, are the profile's
     breakpoints: for a number built from intervals, the distinct interval
-    bounds.
+    bounds. The source count n is a positive int.
     """
 
     _fields = ("profile", "n", "scale", "label")
 
     def __init__(self, regions: Iterable[Region], *, n: int, scale: ScaleConfig,
                  label: str = ""):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"source count n must be a positive integer, got {n!r}")
         regions = tuple(regions)
         if not regions:
             raise ValueError("a fuzzy number needs at least one region")
@@ -191,7 +193,7 @@ class FuzzyNumber(Record):
             raise ValueError(f"a region lies outside the scale [{low}, {high}]")
         number = cls(
             regions,
-            n=int(payload["n"]),
+            n=payload["n"],
             scale=scale,
             label=str(payload.get("label", "")),
         )

@@ -57,33 +57,6 @@ class Interval(Record):
         return f"[{self.left}, {self.right}]"
 
 
-def parse_interval(text: str) -> Interval:
-    """Parse ``L:R``, ``[L,R]``, or a bare number ``V`` (meaning [V, V]).
-
-    Raises MalformedInterval for unparseable text and InvertedBounds when
-    the left bound exceeds the right bound.
-    """
-    raw = text.strip()
-    if not raw:
-        raise MalformedInterval("empty interval text")
-    if raw.startswith("[") and raw.endswith("]"):
-        body, sep = raw[1:-1], ","
-    elif ":" in raw:
-        body, sep = raw, ":"
-    else:
-        body, sep = raw, None
-    try:
-        if sep is None:
-            value = float(body)
-            return Interval(value, value)
-        parts = body.split(sep)
-        if len(parts) != 2:
-            raise ValueError(body)
-        return Interval(float(parts[0]), float(parts[1]))
-    except (ValueError, OverflowError) as exc:
-        raise MalformedInterval(f"cannot parse interval from {text!r}") from exc
-
-
 class ScaleConfig(Record):
     """Measurement scale; every interval must lie within [scale_min, scale_max]."""
 

@@ -17,7 +17,7 @@ from .attributes import attribute_vector
 from .errors import DivisionByZero
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import IntervalSet, midpoint_mean
-from .similarity import DEFAULT_WEIGHTS, PairKernel, SimilarityWeights
+from .similarity import PairKernel
 
 DEFAULT_EPSILON = 1e-9
 
@@ -187,7 +187,6 @@ def ideal_ratio(
     ideal_best: FuzzyNumber,
     ideal_worst: FuzzyNumber,
     measure: str = "combined",
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
 ) -> float:
     """Similarity to the ideal best over total similarity to both ideals.
 
@@ -195,7 +194,7 @@ def ideal_ratio(
     (possible under the pure overlap measure when the number touches neither
     ideal); the error carries the offending label.
     """
-    kernel = PairKernel(measure, weights, fz.scale)
+    kernel = PairKernel(measure, fz.scale)
     return _ratio(kernel, *map(kernel.prepare, (fz, ideal_best, ideal_worst)))
 
 
@@ -204,7 +203,6 @@ def rank_by_ideal_ratio(
     ideal_best: FuzzyNumber,
     ideal_worst: FuzzyNumber,
     measure: str = "combined",
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
     epsilon: float = DEFAULT_EPSILON,
 ) -> RankingResult:
     """Rank by descending ideal-ratio score.
@@ -214,7 +212,7 @@ def rank_by_ideal_ratio(
     universal keys (see universal_levels) and only stay tied (sharing a
     rank) when they fall in one tolerance cluster of those keys as well.
     """
-    kernel = PairKernel(measure, weights, ideal_best.scale)
+    kernel = PairKernel(measure, ideal_best.scale)
     best = kernel.prepare(ideal_best)
     worst = kernel.prepare(ideal_worst)
     scored = [(fz, _ratio(kernel, kernel.prepare(fz), best, worst)) for fz in items]

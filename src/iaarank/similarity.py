@@ -3,16 +3,18 @@
 Three measures: overlap (intersection over union of memberships at the
 endpoints of both operands), attribute comparison (one minus the squared-weight
 combination of the six feature differences), and their plain average.
-All return values in [0, 1] with 1 for identical operands.
+All return values in [0, 1] with 1 for identical operands. The feature
+weights are the paper's fixed PCA loadings, FEATURE_WEIGHTS; only their
+squares enter the measure.
 
 Every similarity, one pair or many, runs through one pair kernel. A
-``PairKernel`` is built once per call for a measure, a weight vector and a
-scale, and computes the squared weights and the two scale normalisers then.
-Each number is prepared once per call: its step profile, whose breakpoints
-are its endpoints, and its attribute row. The overlap measure then merges
-the two breakpoint lists in one walk, evaluating at every point it meets,
-so one pair costs O(k_a + k_b) for k_a and k_b breakpoints and builds no set
-and sorts nothing. The attribute measure weighs the six differences
+``PairKernel`` is built once per call for a measure and a scale, and
+computes the two scale normalisers then. Each number is prepared once per
+call: its step profile, whose breakpoints are its endpoints, and its
+attribute row. The overlap measure then merges the two breakpoint lists in
+one walk, evaluating at every point it meets, so one pair costs
+O(k_a + k_b) for k_a and k_b breakpoints and builds no set and sorts
+nothing. The attribute measure weighs the six differences
 ``attributes.feature_differences`` computes from the two rows;
 ``feature_vector`` returns the same six for one pair, so the feature
 arithmetic is written once. All three measures are symmetric, so a
@@ -23,46 +25,20 @@ the diagonal and mirrors each value below it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from ._record import Record
 from .attributes import attribute_row, feature_differences
 from .errors import EmptyEvaluation
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import ScaleConfig
 
-DEFAULT_WEIGHT_VALUES = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.465218)
+# The signed PCA loadings of the six feature differences, as published. Only
+# their squares enter the measure; they sum to just under 1, which keeps the
+# attribute measure inside [0, 1].
+FEATURE_WEIGHTS = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.465218)
+_SQUARED_WEIGHTS = tuple(v * v for v in FEATURE_WEIGHTS)
 
 MEASURES = ("jaccard", "attribute", "combined")
-
-
-class SimilarityWeights(Record):
-    """Signed feature weights; only their squares enter the measure.
-
-    The vector must be finite and have (near) unit norm: that bound keeps
-    the attribute measure inside [0, 1].
-    """
-
-    _fields = ("values",)
-
-    def __init__(self, values: Iterable[float] = DEFAULT_WEIGHT_VALUES):
-        values = tuple(float(v) for v in values)
-        if len(values) != 6:
-            raise ValueError("exactly six feature weights required")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"feature weights must be finite, got {values}")
-        norm = 0.0
-        for v in values:
-            norm += v * v
-        if abs(norm - 1.0) > 1e-4:
-            raise ValueError(f"weight vector must have unit norm, got {norm:.6f}")
-        self._init(values)
-
-    def squared(self) -> tuple[float, ...]:
-        return tuple(v * v for v in self.values)
-
-
-DEFAULT_WEIGHTS = SimilarityWeights()
 
 
 def _check_measure(measure: str) -> None:
@@ -122,8 +98,7 @@ def _overlap(a, b) -> float:
 
 
 class PairKernel:
-    """The similarity of prepared numbers under one measure, weight vector
-    and scale.
+    """The similarity of prepared numbers under one measure and scale.
 
     ``prepare`` each number once; calling the kernel on two prepared numbers
     gives ``measure_similarity`` of the two, bit for bit. The scale supplies
@@ -134,11 +109,10 @@ class PairKernel:
     every pair.
     """
 
-    def __init__(self, measure: str, weights: SimilarityWeights, scale: ScaleConfig):
+    def __init__(self, measure: str, scale: ScaleConfig):
         _check_measure(measure)
         self.overlap = measure != "attribute"
         self.attribute = measure != "jaccard"
-        self.squared_weights = weights.squared()
         self.quartile_span = 5 * scale.range
         self.centroid_span = math.hypot(scale.range, 0.5)
 
@@ -155,7 +129,7 @@ class PairKernel:
     def _attribute(self, a: tuple[float, ...], b: tuple[float, ...]) -> float:
         """One minus the squared-weight sum of the feature differences of
         two attribute rows, added in weight order."""
-        w0, w1, w2, w3, w4, w5 = self.squared_weights
+        w0, w1, w2, w3, w4, w5 = _SQUARED_WEIGHTS
         f0, f1, f2, f3, f4, f5 = feature_differences(
             a, b, self.quartile_span, self.centroid_span
         )
@@ -173,18 +147,13 @@ class PairKernel:
         return (_overlap(overlap_a, overlap_b) + self._attribute(row_a, row_b)) / 2
 
 
-def measure_similarity(
-    measure: str,
-    a: FuzzyNumber,
-    b: FuzzyNumber,
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
-) -> float:
+def measure_similarity(measure: str, a: FuzzyNumber, b: FuzzyNumber) -> float:
     """Dispatch by measure name: 'jaccard', 'attribute', or 'combined'.
 
     The scale is read from the operands; operands on two scales raise
     ScaleMismatch.
     """
-    kernel = PairKernel(measure, weights, a.scale)
+    kernel = PairKernel(measure, a.scale)
     return kernel(kernel.prepare(a), kernel.prepare(b))
 
 
@@ -198,37 +167,27 @@ def jaccard(a: FuzzyNumber, b: FuzzyNumber) -> float:
     return measure_similarity("jaccard", a, b)
 
 
-def attribute_similarity(
-    a: FuzzyNumber,
-    b: FuzzyNumber,
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
-) -> float:
+def attribute_similarity(a: FuzzyNumber, b: FuzzyNumber) -> float:
     """One minus the squared-weight combination of the six feature differences."""
-    return measure_similarity("attribute", a, b, weights)
+    return measure_similarity("attribute", a, b)
 
 
-def combined_similarity(
-    a: FuzzyNumber,
-    b: FuzzyNumber,
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
-) -> float:
+def combined_similarity(a: FuzzyNumber, b: FuzzyNumber) -> float:
     """Plain average of the overlap and attribute measures.
 
     The overlap term rewards actual intersection, the attribute term stays
     informative when there is none; averaging removes both degeneracies.
     """
-    return measure_similarity("combined", a, b, weights)
+    return measure_similarity("combined", a, b)
 
 
 def similarity_matrix(
-    measure: str,
-    numbers: Sequence[FuzzyNumber],
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
+    measure: str, numbers: Sequence[FuzzyNumber]
 ) -> list[list[float]]:
     """Pairwise similarity of the numbers as a symmetric list of rows.
 
     Row i, column j holds ``measure_similarity(measure, numbers[i],
-    numbers[j], weights)``. Each number is prepared once; each pair with
+    numbers[j])``. Each number is prepared once; each pair with
     i <= j is evaluated once, in row-major order, and mirrored to [j][i].
     The diagonal is evaluated too, so an error surfaces on the same pair as
     in a full row-major loop.
@@ -236,7 +195,7 @@ def similarity_matrix(
     _check_measure(measure)
     if not numbers:
         return []
-    kernel = PairKernel(measure, weights, numbers[0].scale)
+    kernel = PairKernel(measure, numbers[0].scale)
     prepared = [kernel.prepare(fz) for fz in numbers]
     size = len(prepared)
     matrix = [[0.0] * size for _ in range(size)]

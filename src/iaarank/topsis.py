@@ -18,7 +18,7 @@ from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import MultiCriteriaDataset, ScaleConfig
 from .ranking import DEFAULT_EPSILON, order_and_rank, universal_levels
-from .similarity import DEFAULT_WEIGHTS, PairKernel, SimilarityWeights
+from .similarity import PairKernel
 
 DIRECTIONS = ("benefit", "cost")
 SEPARATION_MEASURES = ("attribute", "combined")
@@ -166,7 +166,6 @@ def separations(
     matrix: DecisionMatrix,
     ideals: Sequence[CriterionIdeals],
     measure: str = "combined",
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
 ) -> list[tuple[float, float]]:
     """Weighted dissimilarity of every alternative to the two ideal profiles.
 
@@ -178,7 +177,7 @@ def separations(
         raise ValueError(
             f"measure must be one of {SEPARATION_MEASURES}, got {measure!r}"
         )
-    kernel = PairKernel(measure, weights, matrix.scale)
+    kernel = PairKernel(measure, matrix.scale)
     prepared = [(kernel.prepare(ideal.pis), kernel.prepare(ideal.nis)) for ideal in ideals]
     pairs = []
     for alternative in matrix.alternatives:
@@ -230,7 +229,6 @@ class TopsisResult(Record):
 def topsis_rank(
     matrix: DecisionMatrix,
     measure: str = "combined",
-    weights: SimilarityWeights = DEFAULT_WEIGHTS,
     epsilon: float = DEFAULT_EPSILON,
     tie_break_criterion: str | None = None,
 ) -> TopsisResult:
@@ -246,7 +244,7 @@ def topsis_rank(
     if tie_break_criterion not in (None, *matrix.criteria):
         raise ValueError(f"unknown tie-break criterion {tie_break_criterion!r}")
     ideals = select_ideals(matrix, epsilon)
-    pairs = separations(matrix, ideals, measure, weights)
+    pairs = separations(matrix, ideals, measure)
     rows = []
     for label, (d_plus, d_minus) in zip(matrix.alternatives, pairs):
         total = d_plus + d_minus

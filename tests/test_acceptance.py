@@ -10,7 +10,6 @@ import random
 import pytest
 
 from iaarank import (
-    DEFAULT_WEIGHTS,
     DecisionMatrix,
     ScaleConfig,
     attribute_vector,
@@ -32,6 +31,7 @@ from iaarank import (
 )
 from iaarank.cli import main
 from iaarank.errors import DivisionByZero
+from iaarank.similarity import FEATURE_WEIGHTS
 
 import oracle
 from conftest import (
@@ -169,7 +169,7 @@ def test_criterion_6b_similarity_laws():
 
 
 def test_criterion_6c_weight_norm():
-    norm = sum(w * w for w in DEFAULT_WEIGHTS.values)
+    norm = sum(w * w for w in FEATURE_WEIGHTS)
     assert abs(norm - 1.0) <= 1e-4
     print(f"CRITERION 6c PASS: weight vector norm {norm:.6f} within 1e-4 of 1")
 

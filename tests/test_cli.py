@@ -262,7 +262,9 @@ class TestTopsisCommand:
     def test_unknown_excluded_criterion_exits_3_naming_the_criteria(self, capsys):
         code, out, err = run(capsys, "topsis", *SYNTH, "--exclude-criterion", "nope")
         assert (code, out) == (3, "")
-        assert err == "error: criterion 'nope' not in dataset (have: c1, c2)\n"
+        assert err == (
+            "error: --exclude-criterion: criterion 'nope' not in dataset (have: c1, c2)\n"
+        )
 
     def test_bad_weights_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
@@ -379,10 +381,17 @@ class TestDeterminismAndOutput:
          "--weights: could not convert string to float: 'x'"),
         (["topsis", *SYNTH, "--directions", "b,x"], 3,
          "--directions: unknown direction 'x'"),
-        (["topsis", *SYNTH, "--exclude-criterion="], 3, "(have: c1, c2)"),
+        (["topsis", *SYNTH, "--exclude-criterion="], 3,
+         "--exclude-criterion: criterion '' not in dataset (have: c1, c2)"),
         (["build", *FILMS, "--output="], 2, "--output"),
         (["build", "--input=", *FILMS[2:]], 2, "--input"),
         (["rank", *FILMS, "--method", "ideal-ratio", "--ideal="], 2, "--ideal"),
+        (["topsis", *SYNTH, "--exclude-criterion", "nope"], 3,
+         "--exclude-criterion: criterion 'nope' not in dataset (have: c1, c2)"),
+        (["topsis", *SYNTH, "--tie-break-criterion", "nope"], 3,
+         "--tie-break-criterion: criterion 'nope' not in dataset (have: c1, c2)"),
+        (["rank", *SYNTH, "--criterion", "nope"], 3,
+         "--criterion: criterion 'nope' not in dataset (have: c1, c2)"),
     ])
     def test_empty_flag_value_is_an_error(self, capsys, argv, expected, named):
         code, out, err = run(capsys, *argv)

@@ -5,8 +5,6 @@ import pytest
 
 from iaarank import (
     FuzzyNumber,
-    Interval,
-    IntervalSet,
     Region,
     ScaleConfig,
     attribute_similarity,
@@ -288,6 +286,15 @@ class TestFuzzyNumberType:
         payload = {"label": "p", "n": 1, "regions": [region], "endpoints": [2]}
         with pytest.raises(ValueError, match="outside the scale"):
             FuzzyNumber.from_dict(payload, WIDE)
+
+    @pytest.mark.parametrize("n", [0, -3, True, "5", 2.7])
+    def test_rejects_a_source_count_that_is_not_a_positive_int(self, n):
+        # from_dict used to take all five, truncating 2.7 to 2
+        payload = {"label": "p", "n": n, "regions": [[1, 2, 1.0]], "endpoints": [1, 2]}
+        with pytest.raises(ValueError, match="source count"):
+            FuzzyNumber.from_dict(payload, WIDE)
+        with pytest.raises(ValueError, match="source count"):
+            FuzzyNumber((Region(1, 2, 1.0),), n=n, scale=WIDE)
 
 
 # Region lists that differ but describe one membership function

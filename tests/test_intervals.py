@@ -10,7 +10,6 @@ from iaarank import (
     ideal_interval_set,
     load_dataset,
     midpoint_mean,
-    parse_interval,
 )
 from iaarank.errors import (
     EmptyDataset,
@@ -24,41 +23,6 @@ from iaarank.errors import (
 
 import oracle
 from conftest import FILM_INTERVALS, make_set
-
-
-class TestParseInterval:
-    def test_colon_form(self):
-        assert parse_interval("1.5:6.5") == Interval(1.5, 6.5)
-
-    def test_bracket_form(self):
-        assert parse_interval("[1.5, 6.5]") == Interval(1.5, 6.5)
-
-    def test_bare_number_is_point(self):
-        assert parse_interval("7") == Interval(7, 7)
-
-    def test_inverted_bounds(self):
-        with pytest.raises(InvertedBounds):
-            parse_interval("7:3")
-
-    @pytest.mark.parametrize("text", ["", "abc", "1:2:3", "[1;2]", "[]", "1,2"])
-    def test_malformed(self, text):
-        with pytest.raises(MalformedInterval):
-            parse_interval(text)
-
-    @pytest.mark.parametrize("text", ["inf", "nan", "1:inf"])
-    def test_non_finite_rejected(self, text):
-        with pytest.raises(MalformedInterval):
-            parse_interval(text)
-
-    def test_format_round_trips_bit_exact(self):
-        rng = random.Random(7)
-        for _ in range(500):
-            left = rng.uniform(-1e6, 1e6) * rng.choice([1, 1e-7, 1e7])
-            right = left + abs(rng.gauss(0, 10))
-            interval = Interval(left, right)
-            again = parse_interval(f"{interval.left!r}:{interval.right!r}")
-            assert again.left == interval.left
-            assert again.right == interval.right
 
 
 class TestIntervalAndScale:
@@ -144,6 +108,44 @@ FILM_CSV_HEADER = "alternative,criterion,source,left,right\n"
 def write_csv(path, body):
     path.write_text(FILM_CSV_HEADER + body, encoding="utf-8")
     return path
+
+
+class TestBoundText:
+    """The loader is the one place interval bound text is read."""
+
+    @pytest.mark.parametrize("text", ["", "abc", "1:2", "[1", "1;2", "2e"])
+    def test_malformed_bound(self, tmp_path, film_scale, text):
+        path = write_csv(tmp_path / "b.csv", f"A,c,s,{text},9\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_dataset(path, film_scale)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_bound(self, tmp_path, film_scale, text):
+        path = write_csv(tmp_path / "f.csv", f"A,c,s,1,{text}\n")
+        with pytest.raises(MalformedRow, match="finite"):
+            load_dataset(path, film_scale)
+
+    def test_equal_bounds_load_as_a_point(self, tmp_path, film_scale):
+        path = write_csv(tmp_path / "p.csv", "A,c,s,7,7\n")
+        dataset = load_dataset(path, film_scale)
+        assert dataset.cell("A", "c").intervals == (Interval(7, 7),)
+
+    def test_repr_bounds_round_trip_bit_exact(self, tmp_path):
+        rng = random.Random(7)
+        scale = ScaleConfig(-1e13, 1e13)
+        pairs = []
+        for _ in range(200):
+            left = rng.uniform(-1e6, 1e6) * rng.choice([1, 1e-7, 1e7])
+            pairs.append((left, left + abs(rng.gauss(0, 10))))
+        body = "".join(
+            f"A,c,s{i:03d},{left!r},{right!r}\n"
+            for i, (left, right) in enumerate(pairs)
+        )
+        path = write_csv(tmp_path / "r.csv", body)
+        cell = load_dataset(path, scale).cell("A", "c")
+        assert cell.lefts == tuple(left for left, _ in pairs)
+        assert cell.rights == tuple(right for _, right in pairs)
 
 
 class TestLoadDataset:

@@ -23,7 +23,6 @@ from iaarank import (
     RankingResult,
     Region,
     ScaleConfig,
-    SimilarityWeights,
     TopsisEntry,
     TopsisResult,
     attribute_vector,
@@ -61,7 +60,6 @@ RECORDS = {
          "agreement_ratio"),
         lambda: attribute_vector(_number()),
     ),
-    SimilarityWeights: (("values",), SimilarityWeights),
     RankingEntry: (("label", "score", "rank"), lambda: RankingEntry("a", 0.5, 1)),
     RankingResult: (
         ("method", "entries", "ties"),

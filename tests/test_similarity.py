@@ -1,55 +1,59 @@
+import inspect
+import math
 import random
 
 import pytest
 
+import iaarank
+from iaarank import similarity
 from iaarank import (
-    DEFAULT_WEIGHTS,
     ScaleConfig,
-    SimilarityWeights,
     attribute_similarity,
     combined_similarity,
     construct_fuzzy,
     evaluation_points,
     jaccard,
     measure_similarity,
+    rank_by_ideal_ratio,
+    separations,
+    similarity_matrix,
+    topsis_rank,
 )
 from iaarank.errors import ScaleMismatch
+from iaarank.ranking import ideal_ratio
+from iaarank.similarity import FEATURE_WEIGHTS, PairKernel
 
 import oracle
 from conftest import ATTRIBUTE_TABLE, JACCARD_TABLE, SPIKE_FILMS, make_set
 
 WIDE = ScaleConfig(0, 10)
-NAN, INF = float("nan"), float("inf")
 
 
 class TestWeights:
     def test_default_unit_norm(self):
-        assert sum(w * w for w in DEFAULT_WEIGHTS.values) == pytest.approx(
-            1.0, abs=1e-4
-        )
+        assert sum(w * w for w in FEATURE_WEIGHTS) == pytest.approx(1.0, abs=1e-4)
 
-    def test_rejects_bad_norm(self):
-        with pytest.raises(ValueError):
-            SimilarityWeights((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    def test_six_finite_loadings(self):
+        assert len(FEATURE_WEIGHTS) == 6
+        assert all(isinstance(w, float) and math.isfinite(w) for w in FEATURE_WEIGHTS)
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            SimilarityWeights((1.0,))
+    def test_squares_match_the_oracle_bit_for_bit(self):
+        assert similarity._SQUARED_WEIGHTS == oracle.DEFAULT_WEIGHT_SQUARES
 
-    @pytest.mark.parametrize("values", [
-        (1.0, NAN, 0.0, 0.0, 0.0, 0.0),
-        (NAN,) * 6,
-        (INF, 0.0, 0.0, 0.0, 0.0, 0.0),
-        (1.0, 0.0, 0.0, 0.0, 0.0, -INF),
-        (INF, -INF, 0.0, 0.0, 0.0, 0.0),
-    ], ids=["one-nan", "all-nan", "inf", "minus-inf", "both-infs"])
-    def test_rejects_non_finite(self, values):
-        with pytest.raises(ValueError, match="must be finite"):
-            SimilarityWeights(values)
+    @pytest.mark.parametrize("fn", [
+        PairKernel, measure_similarity, attribute_similarity, combined_similarity,
+        similarity_matrix, ideal_ratio, rank_by_ideal_ratio, separations,
+        topsis_rank,
+    ], ids=lambda fn: fn.__name__)
+    def test_no_callable_takes_feature_weights(self, fn):
+        assert "weights" not in inspect.signature(fn).parameters
 
-    def test_custom_weights_accepted(self):
-        weights = SimilarityWeights((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert weights.squared()[0] == 1.0
+    @pytest.mark.parametrize("name", [
+        "SimilarityWeights", "DEFAULT_WEIGHTS", "parse_interval",
+    ])
+    def test_retired_name_is_not_exported(self, name):
+        assert name not in iaarank.__all__
+        assert not hasattr(iaarank, name)
 
 
 class TestJaccard:

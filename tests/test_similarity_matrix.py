@@ -3,11 +3,10 @@ attributes, and the import footprint of the package.
 
 The kernel is checked against references that do not use it: the Jaccard of
 FuzzyNumber.membership at every point of evaluation_points, and one minus
-the squared-weight sum over oracle.feature_terms of the two attribute
-vectors. Results must be equal bit for bit, and errors must be the same, raised on the same pair."""
+the sum of oracle.DEFAULT_WEIGHT_SQUARES times oracle.feature_terms of the
+two attribute vectors. Results must be equal bit for bit, and errors must be the same, raised on the same pair."""
 
 import gc
-import math
 import subprocess
 import sys
 import weakref
@@ -18,13 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iaarank import (
-    DEFAULT_WEIGHTS,
     MEASURES,
     CriterionIdeals,
     DecisionMatrix,
     FuzzyNumber,
     ScaleConfig,
-    SimilarityWeights,
     attribute_similarity,
     attribute_vector,
     canonicalize,
@@ -72,41 +69,41 @@ def bisection_jaccard(a, b):
     return numerator, denominator
 
 
-def reference_attribute(a, b, weights=DEFAULT_WEIGHTS):
+def reference_attribute(a, b):
     """One minus the squared-weight sum over the six feature terms."""
     features = oracle.feature_terms(
         attribute_vector(a), attribute_vector(b), a.scale.range
     )
     total = 0.0
-    for w2, f in zip(weights.squared(), features):
+    for w2, f in zip(oracle.DEFAULT_WEIGHT_SQUARES, features):
         total += w2 * f
     return 1.0 - total
 
 
-def reference_similarity(measure, a, b, weights=DEFAULT_WEIGHTS):
+def reference_similarity(measure, a, b):
     """The pair without the kernel: the scale check, then the bisection
     Jaccard, then the feature-term attribute measure."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     check_same_scale(a, b)
     if measure == "attribute":
-        return reference_attribute(a, b, weights)
+        return reference_attribute(a, b)
     numerator, denominator = bisection_jaccard(a, b)
     if denominator <= 0:
         raise EmptyEvaluation("zero membership at every evaluation point")
     if measure == "jaccard":
         return numerator / denominator
-    return (numerator / denominator + reference_attribute(a, b, weights)) / 2
+    return (numerator / denominator + reference_attribute(a, b)) / 2
 
 
-def reference_matrix(measure, numbers, weights=DEFAULT_WEIGHTS):
+def reference_matrix(measure, numbers):
     """Pairs i <= j in row-major order, each mirrored below the diagonal."""
     size = len(numbers)
     matrix = [[0.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
             matrix[i][j] = matrix[j][i] = reference_similarity(
-                measure, numbers[i], numbers[j], weights
+                measure, numbers[i], numbers[j]
             )
     return matrix
 
@@ -143,41 +140,28 @@ def number_lists(draw, min_size=1, max_size=6, mixed_scales=True):
     return numbers
 
 
-def _unit(values):
-    norm = math.sqrt(sum(v * v for v in values))
-    return SimilarityWeights(tuple(v / norm for v in values))
-
-
-weight_vectors = st.one_of(
-    st.just(DEFAULT_WEIGHTS),
-    st.lists(st.floats(-1, 1), min_size=6, max_size=6)
-    .filter(lambda values: max(map(abs, values)) > 1e-3)
-    .map(_unit),
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(number_lists(min_size=2, max_size=2), weight_vectors)
-def test_pair_equals_references(numbers, weights):
+@given(number_lists(min_size=2, max_size=2))
+def test_pair_equals_references(numbers):
     a, b = numbers
     for measure in MEASURES:
-        expected = outcome(reference_similarity, measure, a, b, weights)
-        assert outcome(measure_similarity, measure, a, b, weights) == expected
+        expected = outcome(reference_similarity, measure, a, b)
+        assert outcome(measure_similarity, measure, a, b) == expected
     assert outcome(jaccard, a, b) == outcome(reference_similarity, "jaccard", a, b)
-    assert outcome(attribute_similarity, a, b, weights) == outcome(
-        reference_similarity, "attribute", a, b, weights
+    assert outcome(attribute_similarity, a, b) == outcome(
+        reference_similarity, "attribute", a, b
     )
-    assert outcome(combined_similarity, a, b, weights) == outcome(
-        reference_similarity, "combined", a, b, weights
+    assert outcome(combined_similarity, a, b) == outcome(
+        reference_similarity, "combined", a, b
     )
 
 
 @settings(max_examples=100, deadline=None)
-@given(number_lists(), weight_vectors)
-def test_matrix_equals_reference_loop(numbers, weights):
+@given(number_lists())
+def test_matrix_equals_reference_loop(numbers):
     for measure in MEASURES:
-        assert outcome(similarity_matrix, measure, numbers, weights) == outcome(
-            reference_matrix, measure, numbers, weights
+        assert outcome(similarity_matrix, measure, numbers) == outcome(
+            reference_matrix, measure, numbers
         )
 
 
@@ -283,18 +267,12 @@ class TestErrorParity:
 def test_kernel_prepares_each_number_once(monkeypatch):
     numbers = [build(f"x{i}", [(i, i + 2), (i + 1, i + 3)]) for i in range(6)]
     vectors = []
-    squares = []
     monkeypatch.setattr(
         attributes, "attribute_vector",
         lambda fz, original=attributes.attribute_vector: vectors.append(fz) or original(fz),
     )
-    monkeypatch.setattr(
-        SimilarityWeights, "squared",
-        lambda self, original=SimilarityWeights.squared: squares.append(self) or original(self),
-    )
     similarity_matrix("combined", numbers)
     assert vectors == numbers
-    assert len(squares) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -357,15 +335,15 @@ class TestAttributesPerInstance:
 
 def test_public_names():
     assert sorted(iaarank.__all__) == [
-        "AttributeVector", "CriterionIdeals", "DEFAULT_WEIGHTS", "DecisionMatrix",
+        "AttributeVector", "CriterionIdeals", "DecisionMatrix",
         "FuzzyNumber", "Interval", "IntervalSet", "MEASURES",
         "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
-        "ScaleConfig", "SimilarityWeights", "TopsisEntry", "TopsisResult",
+        "ScaleConfig", "TopsisEntry", "TopsisResult",
         "__version__", "attribute_similarity", "attribute_vector",
         "bundled_path", "canonicalize", "combined_similarity", "construct_fuzzy",
         "errors", "evaluation_points", "feature_vector", "ideal_interval_set",
         "ideal_ratio", "jaccard", "load_dataset", "measure_similarity",
-        "membership_polyline", "midpoint_mean", "parse_interval",
+        "membership_polyline", "midpoint_mean",
         "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal",
         "select_ideals", "separations", "similarity_matrix", "topsis_rank",
         "universal_compare",

@@ -10,7 +10,6 @@ from iaarank import (
     bundled_path,
     construct_fuzzy,
     load_dataset,
-    measure_similarity,
     select_ideals,
     separations,
     topsis_rank,
