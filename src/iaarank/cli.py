@@ -12,12 +12,22 @@ the rows (a generator), and text calls text(), or writes the payload list as
 JSON lines where a command has no text form (build, attributes). The rank,
 topsis and attributes CSV columns are the records' _fields. plotdata always
 writes CSV.
+
+entry(), behind `python -m iaarank` and the `iaarank` script, runs main()
+with the cyclic garbage collector off and freezes the heap before it exits.
+A job's data (rows, interval sets, fuzzy numbers, attribute vectors, result
+records) is acyclic and freed by reference counting, so a collection pass
+during the job frees nothing, and the interpreter's final collection skips
+the frozen heap. The exit goes through sys.exit, so atexit handlers run and
+stdout and stderr are flushed; main() writes and closes --output itself and
+never touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -280,9 +290,12 @@ def cmd_attributes(args):
 
 def _matrix_text(labels, matrix) -> str:
     width = max(len(label) for label in labels)
-    lines = [" " * width + "  " + "  ".join(f"{label:>6}" for label in labels)]
+    columns = [max(6, len(label)) for label in labels]
+    lines = [" " * width + "  " + "  ".join(
+        f"{label:>{column}}" for label, column in zip(labels, columns))]
     for label, row in zip(labels, matrix):
-        lines.append(f"{label:<{width}}  " + "  ".join(f"{v:6.4f}" for v in row))
+        lines.append(f"{label:<{width}}  " + "  ".join(
+            f"{v:{column}.4f}" for v, column in zip(row, columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -514,7 +527,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main() as a process and exit with its code.
+
+    The collector is off for the job, whose data is acyclic, and the heap is
+    frozen before exit, so the interpreter's final collection skips it.
+    Exiting through sys.exit keeps the atexit handlers and the flushes of
+    stdout and stderr, which an immediate process exit would skip.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

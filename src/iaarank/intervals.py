@@ -252,13 +252,21 @@ def _read_json_rows(path: Path) -> list[tuple]:
                 line=index,
             )
         left, right = entry["left"], entry["right"]
-        if isinstance(left, bool) or isinstance(right, bool):
+        # json.loads gives a JSON number as an exact int or float; a bool is
+        # an int subclass, so exact types keep true and false out.
+        if type(left) not in (int, float) or type(right) not in (int, float):
             raise MalformedRow(
                 f"{path} row {index}: bounds must be numbers, got "
                 f"({left!r}, {right!r})",
                 line=index,
             )
-        labels = tuple(str(entry[key]) for key in DATASET_HEADER[:3])
+        labels = tuple(entry[key] for key in DATASET_HEADER[:3])
+        if not all(type(label) is str for label in labels):
+            raise MalformedRow(
+                f"{path} row {index}: labels must be strings, got "
+                f"{', '.join(map(repr, labels))}",
+                line=index,
+            )
         try:
             "".join(labels).encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate escape, "\ud800"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,26 @@ class TestBuild:
                            "--scale-min", "1", "--scale-max", "10")
         assert code == 2
         assert f"{path} row 1" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("left", "1"), ("right", None), ("left", [1]),
+         ("alternative", None), ("criterion", 1), ("source", [1, 2])],
+        ids=["text bound", "null bound", "list bound", "null label",
+             "number label", "list label"],
+    )
+    def test_json_value_of_the_wrong_type_exits_2_naming_row(
+            self, capsys, tmp_path, key, value):
+        # bounds must be JSON numbers and labels JSON strings
+        path = tmp_path / "t.json"
+        row = {"alternative": "A", "criterion": "c", "source": "s",
+               "left": 1, "right": 2}
+        path.write_text(json.dumps([row, {**row, "source": "t", key: value}]),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "build", "--input", str(path),
+                             "--scale-min", "1", "--scale-max", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} row 2: ")
 
     def test_unparseable_row_exits_2(self, capsys, tmp_path):
         path = write_rows(tmp_path / "p.csv", "A,c,s,one,2\n")
@@ -211,6 +232,19 @@ class TestSimilarity:
         lines = out.splitlines()
         assert len(lines) == 11
         assert "1.0000" in lines[1]
+
+    def test_matrix_text_columns_fit_long_labels(self, capsys, tmp_path):
+        path = write_rows(tmp_path / "long.csv",
+                          "LongAlternativeName,c,s,1,2\nB,c,s,2,3\n")
+        code, out, _ = run(capsys, "similarity", "--input", path, "--matrix",
+                           "--scale-min", "1", "--scale-max", "10")
+        assert code == 0
+        header, *rows = out.splitlines()
+        # each value ends where its column's label ends
+        ends = [match.end() for match in re.finditer(r"\S+", header)]
+        assert len(ends) == 2 and len(rows) == 2
+        for row in rows:
+            assert [match.end() for match in re.finditer(r"\S+", row)][1:] == ends
 
     def test_unknown_label_exits_3(self, capsys):
         code, _, _ = run(capsys, "similarity", *FILMS, "Film A", "Film Z")
