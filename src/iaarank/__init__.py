@@ -21,7 +21,6 @@ from .fuzzy import (
     evaluation_points,
 )
 from .intervals import (
-    Interval,
     IntervalSet,
     MultiCriteriaDataset,
     ScaleConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "CriterionIdeals",
     "DecisionMatrix",
     "FuzzyNumber",
-    "Interval",
     "IntervalSet",
     "MEASURES",
     "MultiCriteriaDataset",

@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .attributes import AttributeVector, attribute_vector, membership_polyline
-from .errors import DivisionByZero, IaaRankError, MalformedInterval, MalformedRow
+from .errors import DivisionByZero, IaaRankError, MalformedRow
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
     BUNDLED_DATASETS,
@@ -389,6 +389,16 @@ def _topsis_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_count(flag: str, values: tuple, criteria: tuple[str, ...]) -> None:
+    """A list flag gives one value per ranked criterion, none for an excluded one."""
+    count, wanted = len(values), len(criteria)
+    if count != wanted:
+        raise ValueError(
+            f"{flag}: {count} {'value' if count == 1 else 'values'} for {wanted} "
+            f"{'criterion' if wanted == 1 else 'criteria'} ({', '.join(criteria)})"
+        )
+
+
 def cmd_topsis(args):
     _check_epsilon(args.epsilon)
     dataset = _load(args)
@@ -414,6 +424,9 @@ def cmd_topsis(args):
             raise ValueError(
                 f"--directions: unknown direction {exc.args[0]!r}"
             ) from None
+    for flag, values in (("--weights", weights), ("--directions", directions)):
+        if values is not None:
+            _check_count(flag, values, dataset.criteria)
     matrix = DecisionMatrix.from_dataset(dataset, weights, directions)
     result = topsis_rank(
         matrix,
@@ -515,7 +528,7 @@ def main(argv=None) -> int:
     except DivisionByZero as exc:
         print(f"error: undefined ranking: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (OSError, MalformedRow, MalformedInterval) as exc:
+    except (OSError, MalformedRow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (IaaRankError, ValueError) as exc:

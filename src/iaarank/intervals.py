@@ -15,7 +15,6 @@ import math
 import warnings
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -38,23 +37,16 @@ BUNDLED_DATASETS = {
 }
 
 
-class Interval(Record):
-    """Closed interval [left, right]; left == right is a point interval."""
-
-    _fields = ("left", "right")
-
-    def __init__(self, left: float, right: float):
-        left, right = float(left), float(right)
-        if not (math.isfinite(left) and math.isfinite(right)):
-            raise MalformedInterval(
-                f"interval bounds must be finite, got [{left}, {right}]"
-            )
-        if left > right:
-            raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
-        self._init(left, right)
-
-    def __str__(self) -> str:
-        return f"[{self.left}, {self.right}]"
+def _interval_bounds(left, right) -> tuple[float, float]:
+    """[left, right] as two floats: both finite, left <= right, else the error."""
+    left, right = float(left), float(right)
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise MalformedInterval(
+            f"interval bounds must be finite, got [{left}, {right}]"
+        )
+    if left > right:
+        raise InvertedBounds(f"left bound {left} exceeds right bound {right}")
+    return left, right
 
 
 class ScaleConfig(Record):
@@ -77,28 +69,23 @@ class ScaleConfig(Record):
     def range(self) -> float:
         return self.scale_max - self.scale_min
 
-    def covers(self, interval: Interval) -> bool:
-        return self.scale_min <= interval.left and interval.right <= self.scale_max
-
 
 class IntervalSet(Record):
     """Multiset of intervals gathered for one alternative.
 
-    The sources are stored as two float columns in source order: ``lefts``
-    holds the left bounds and ``rights`` the right bounds.
+    Built from (left, right) pairs, one per source. The sources are stored
+    as two float columns in source order: ``lefts`` holds the left bounds
+    and ``rights`` the right bounds.
     """
 
     _fields = ("lefts", "rights", "label")
 
-    def __init__(self, intervals: Iterable[Interval], label: str = ""):
-        intervals = tuple(intervals)
-        if not intervals:
+    def __init__(self, intervals: Iterable[tuple[float, float]], label: str = ""):
+        pairs = [_interval_bounds(left, right) for left, right in intervals]
+        if not pairs:
             raise ZeroSources(f"interval set {label!r} has no intervals")
-        self._init(
-            tuple([iv.left for iv in intervals]),
-            tuple([iv.right for iv in intervals]),
-            label,
-        )
+        lefts, rights = zip(*pairs)
+        self._init(lefts, rights, label)
 
     @classmethod
     def _from_columns(cls, lefts: tuple[float, ...], rights: tuple[float, ...],
@@ -109,11 +96,6 @@ class IntervalSet(Record):
         interval_set = object.__new__(cls)
         interval_set._init(lefts, rights, label)
         return interval_set
-
-    @cached_property
-    def intervals(self) -> tuple[Interval, ...]:
-        """The member intervals in source order, derived on first access."""
-        return tuple(map(Interval, self.lefts, self.rights))
 
     @property
     def n(self) -> int:
@@ -199,7 +181,8 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
     whitespace around a number (load_dataset strips them if they fail)."""
     rows = []
     width = len(DATASET_HEADER)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header = None
         reader = csv.reader(handle)
         start = 1  # physical line on which the next record starts
@@ -236,7 +219,7 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
 
 
 def _read_json_rows(path: Path) -> list[tuple]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is dropped
         text = handle.read()
     try:
         payload = json.loads(text)
@@ -298,7 +281,7 @@ def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
     """The bounds of a row that failed the loader's guard, or the row's error.
 
     Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (through Interval), then the scale. With strip, as
+    finiteness and order (_interval_bounds), then the scale. With strip, as
     for a CSV row, the bounds are stripped first, so the messages show them
     stripped; a bound padded with one of the separators "\\x1c" to "\\x1f",
     which str.strip removes and float does not, passes here.
@@ -306,7 +289,7 @@ def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
     if strip:
         left, right = left.strip(), right.strip()
     try:
-        interval = Interval(left, right)
+        left, right = _interval_bounds(left, right)
     except (TypeError, ValueError) as exc:
         raise MalformedRow(
             f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
@@ -320,13 +303,13 @@ def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
         raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
     except MalformedInterval as exc:
         raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    if not scale.covers(interval):
+    if not (scale.scale_min <= left and right <= scale.scale_max):
         raise OutOfScale(
-            f"{path} line {line_no}: interval {interval} outside scale "
+            f"{path} line {line_no}: interval [{left}, {right}] outside scale "
             f"[{scale.scale_min}, {scale.scale_max}]",
             line=line_no,
         )
-    return interval.left, interval.right
+    return left, right
 
 
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:

@@ -1,7 +1,6 @@
 import pytest
 
 from iaarank import (
-    Interval,
     IntervalSet,
     ScaleConfig,
     construct_fuzzy,
@@ -89,7 +88,7 @@ BASELINE_ORDER = ["Film J", "Film G", "Film F", "Film I", "Film D",
 
 
 def make_set(label, pairs):
-    return IntervalSet(tuple(Interval(l, r) for l, r in pairs), label)
+    return IntervalSet(pairs, label)
 
 
 @pytest.fixture(scope="session")

@@ -288,6 +288,32 @@ def brute_row_ok(left_text, right_text, scale_min, scale_max):
     return scale_min <= left and right <= scale_max
 
 
+def brute_row_error(where, left_text, right_text, scale_min, scale_max):
+    """The error a row's stripped bound texts give when they fail the
+    loader, as (error class name, message), with where ("<path> line N")
+    before the message. The checks run in their documented order on plain
+    floats: both texts parse, both bounds are finite, left <= right, and
+    both lie on [scale_min, scale_max]."""
+    try:
+        left, right = float(left_text), float(right_text)
+    except ValueError:
+        return "MalformedRow", (
+            f"{where}: non-numeric bound ({left_text!r}, {right_text!r})"
+        )
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return "MalformedRow", (
+            f"{where}: interval bounds must be finite, got [{left}, {right}]"
+        )
+    if left > right:
+        return "InvertedBounds", (
+            f"{where}: left bound {left} exceeds right bound {right}"
+        )
+    assert not (scale_min <= left and right <= scale_max), "the row is kept"
+    return "OutOfScale", (
+        f"{where}: interval [{left}, {right}] outside scale [{scale_min}, {scale_max}]"
+    )
+
+
 def brute_rank(values, epsilons):
     """Competition ranks and tie groups of the cluster relation, by index loops.
 

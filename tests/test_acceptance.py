@@ -279,7 +279,7 @@ def test_criterion_7_topsis_fixture():
     ideals = select_ideals(matrix)
     pairs = separations(matrix, ideals, "combined")
     raw = {
-        key: [(iv.left, iv.right) for iv in iset.intervals]
+        key: list(zip(iset.lefts, iset.rights))
         for key, iset in dataset.cells.items()
     }
     for label, (d_plus, d_minus) in zip(matrix.alternatives, pairs):

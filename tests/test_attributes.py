@@ -75,7 +75,7 @@ class TestArea:
     def test_grid_integration_agreement(self, film_sets, film_scale):
         for label, iset in film_sets.items():
             fz = construct_fuzzy(iset, film_scale)
-            pairs = [(iv.left, iv.right) for iv in iset.intervals]
+            pairs = list(zip(iset.lefts, iset.rights))
             grid = oracle.grid_area(pairs, 1.0, 10.0, step=1e-3)
             assert attribute_vector(fz).area == pytest.approx(
                 grid, abs=1e-3 * film_scale.range

@@ -333,6 +333,32 @@ class TestTopsisCommand:
         code, _, _ = run(capsys, "topsis", *SYNTH, "--directions", "b,sideways")
         assert code == 3
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--exclude-criterion", "c1", "--weights", "1,1"],
+         "--weights: 2 values for 1 criterion (c2)"),
+        (["--exclude-criterion", "c2", "--directions", "b,c"],
+         "--directions: 2 values for 1 criterion (c1)"),
+        (["--weights", "1"], "--weights: 1 value for 2 criteria (c1, c2)"),
+        (["--weights", "1,1", "--directions", "b,b,c"],
+         "--directions: 3 values for 2 criteria (c1, c2)"),
+    ], ids=["weights after exclusion", "directions after exclusion", "one weight",
+            "three directions"])
+    def test_wrong_count_names_the_flag_and_the_ranked_criteria(self, capsys, flags,
+                                                                message):
+        code, out, err = run(capsys, "topsis", *SYNTH, *flags)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_unknown_direction_is_reported_before_a_wrong_weight_count(self, capsys):
+        code, out, err = run(capsys, "topsis", *SYNTH, "--weights", "1",
+                             "--directions", "b,x")
+        assert (code, out, err) == (3, "", "error: --directions: unknown direction 'x'\n")
+
+    def test_one_value_per_criterion_left_after_exclusion(self, capsys):
+        code, out, _ = run(capsys, "topsis", *SYNTH, "--exclude-criterion", "c1",
+                           "--weights", "1", "--directions", "c")
+        assert code == 0
+        assert "criterion c2: PIS=Z NIS=X" in out
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "topsis", *SYNTH, "--format", "json")
         payload = json.loads(out)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from iaarank import (
-    Interval,
     IntervalSet,
     ScaleConfig,
     ideal_interval_set,
@@ -27,16 +26,31 @@ from conftest import FILM_INTERVALS, make_set
 
 class TestIntervalAndScale:
     def test_inverted_construction(self):
-        with pytest.raises(InvertedBounds):
-            Interval(2, 1)
+        with pytest.raises(InvertedBounds) as excinfo:
+            IntervalSet([(0, 1), (2, 1)])
+        assert str(excinfo.value) == "left bound 2.0 exceeds right bound 1.0"
 
     def test_point_interval_legal(self):
-        interval = Interval(3, 3)
-        assert (interval.left, interval.right) == (3.0, 3.0)
+        iset = IntervalSet([(3, 3)])
+        assert (iset.lefts, iset.rights) == ((3.0,), (3.0,))
 
-    def test_non_finite_bounds(self):
-        with pytest.raises(MalformedInterval):
-            Interval(0, math.inf)
+    @pytest.mark.parametrize("pair,shown", [
+        ((0, math.inf), "[0.0, inf]"),
+        ((-math.inf, 1), "[-inf, 1.0]"),
+        ((math.nan, 1), "[nan, 1.0]"),
+    ])
+    def test_non_finite_bounds(self, pair, shown):
+        with pytest.raises(MalformedInterval) as excinfo:
+            IntervalSet([pair])
+        assert str(excinfo.value) == f"interval bounds must be finite, got {shown}"
+
+    def test_bounds_are_converted_with_float(self):
+        iset = IntervalSet([(1, "2.5"), (2, 3)], "f")
+        assert (iset.lefts, iset.rights) == ((1.0, 2.0), (2.5, 3.0))
+        assert all(type(v) is float for v in iset.lefts + iset.rights)
+        assert iset == IntervalSet(iter([(1.0, 2.5), (2.0, 3.0)]), "f")
+        with pytest.raises(ValueError):
+            IntervalSet([("one", 2)])
 
     def test_scale_requires_positive_range(self):
         with pytest.raises(ValueError):
@@ -55,15 +69,15 @@ class TestIntervalAndScale:
 class TestIdealSets:
     def test_best(self):
         iset = ideal_interval_set(ScaleConfig(1, 10), 5, "best")
-        assert iset.intervals == (Interval(10, 10),) * 5
+        assert (iset.lefts, iset.rights) == ((10.0,) * 5, (10.0,) * 5)
 
     def test_worst(self):
         iset = ideal_interval_set(ScaleConfig(1, 10), 5, "worst")
-        assert iset.intervals == (Interval(1, 1),) * 5
+        assert (iset.lefts, iset.rights) == ((1.0,) * 5, (1.0,) * 5)
 
     def test_single_source_wide_scale(self):
         iset = ideal_interval_set(ScaleConfig(0, 100), 1, "best")
-        assert iset.intervals == (Interval(100, 100),)
+        assert (iset.lefts, iset.rights) == ((100.0,), (100.0,))
 
     def test_zero_sources(self):
         with pytest.raises(ZeroSources):
@@ -129,7 +143,8 @@ class TestBoundText:
     def test_equal_bounds_load_as_a_point(self, tmp_path, film_scale):
         path = write_csv(tmp_path / "p.csv", "A,c,s,7,7\n")
         dataset = load_dataset(path, film_scale)
-        assert dataset.cell("A", "c").intervals == (Interval(7, 7),)
+        cell = dataset.cell("A", "c")
+        assert (cell.lefts, cell.rights) == ((7.0,), (7.0,))
 
     def test_repr_bounds_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(7)
@@ -158,8 +173,8 @@ class TestLoadDataset:
         for label, expected in film_sets.items():
             cell = dataset.cell(label, "overall")
             assert cell.n == 5
-            assert sorted(cell.intervals, key=lambda iv: (iv.left, iv.right)) == sorted(
-                expected.intervals, key=lambda iv: (iv.left, iv.right)
+            assert sorted(zip(cell.lefts, cell.rights)) == sorted(
+                zip(expected.lefts, expected.rights)
             )
 
     def test_deterministic(self, film_scale):
@@ -226,7 +241,8 @@ class TestLoadDataset:
         body = "A,c,s2,3,4\nA,c,s1,1,2\n"
         path = write_csv(tmp_path / "s.csv", body)
         dataset = load_dataset(path, film_scale)
-        assert dataset.cell("A", "c").intervals == (Interval(1, 2), Interval(3, 4))
+        cell = dataset.cell("A", "c")
+        assert list(zip(cell.lefts, cell.rights)) == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_json_mirror(self, tmp_path, film_scale):
         rows = [
@@ -238,7 +254,8 @@ class TestLoadDataset:
         path = tmp_path / "d.json"
         path.write_text(json.dumps(rows), encoding="utf-8")
         dataset = load_dataset(path, film_scale)
-        assert dataset.cell("A", "c").intervals == (Interval(1, 2), Interval(2, 3))
+        cell = dataset.cell("A", "c")
+        assert list(zip(cell.lefts, cell.rights)) == [(1.0, 2.0), (2.0, 3.0)]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_json_boolean_bound_rejected(self, tmp_path, film_scale, side):

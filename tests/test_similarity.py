@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iaarank
 from iaarank import similarity
@@ -49,7 +51,7 @@ class TestWeights:
         assert "weights" not in inspect.signature(fn).parameters
 
     @pytest.mark.parametrize("name", [
-        "SimilarityWeights", "DEFAULT_WEIGHTS", "parse_interval",
+        "SimilarityWeights", "DEFAULT_WEIGHTS", "parse_interval", "Interval",
     ])
     def test_retired_name_is_not_exported(self, name):
         assert name not in iaarank.__all__
@@ -96,13 +98,53 @@ class TestJaccard:
     def test_matches_oracle(self, film_sets, film_scale, film_numbers, film_ideals):
         best, worst = film_ideals
         for label, iset in film_sets.items():
-            pairs = [(iv.left, iv.right) for iv in iset.intervals]
+            pairs = list(zip(iset.lefts, iset.rights))
             assert jaccard(film_numbers[label], best) == pytest.approx(
                 oracle.brute_jaccard(pairs, [(10, 10)] * 5), abs=1e-12
             )
             assert jaccard(film_numbers[label], worst) == pytest.approx(
                 oracle.brute_jaccard(pairs, [(1, 1)] * 5), abs=1e-12
             )
+
+
+# Integer intervals [start, start + width], 1, 2, 4 or 8 of them: with a
+# power-of-two source count every membership k/n and every sum of them is
+# exact, so the merge and the oracle's sums give the same bits.
+integer_sets = st.sampled_from([1, 2, 4, 8]).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 6)).map(
+            lambda sw: (sw[0], sw[0] + sw[1])
+        ),
+        min_size=n, max_size=n,
+    )
+)
+
+
+class TestJaccardSupports:
+    """Supports that are disjoint, touch at one bound, or overlap."""
+
+    SCALE = ScaleConfig(-60, 60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_sets, integer_sets, st.integers(-30, 4))
+    def test_bit_identical_to_the_oracle(self, pairs_a, pairs_b, gap):
+        # b starts gap after a ends: disjoint above 0, touching at 0, and
+        # overlapping or disjoint on the other side below 0.
+        shift = max(r for _, r in pairs_a) + gap - min(l for l, _ in pairs_b)
+        pairs_b = oracle.shifted(pairs_b, shift)
+        a = construct_fuzzy(make_set("a", pairs_a), self.SCALE)
+        b = construct_fuzzy(make_set("b", pairs_b), self.SCALE)
+        expected = oracle.brute_jaccard(pairs_a, pairs_b)
+        assert jaccard(a, b) == expected and jaccard(b, a) == expected
+        if gap > 0:
+            assert expected == 0.0
+
+    def test_touching_supports_share_one_point(self):
+        a = construct_fuzzy(make_set("a", [(1, 2)]), WIDE)
+        b = construct_fuzzy(make_set("b", [(2, 3)]), WIDE)
+        # memberships at 1, 2, 3: a = 1, 1, 0 and b = 0, 1, 1
+        assert jaccard(a, b) == jaccard(b, a) == 1 / 3
+        assert oracle.brute_jaccard([(1, 2)], [(2, 3)]) == 1 / 3
 
 
 class TestAttributeSimilarity:
@@ -138,7 +180,7 @@ class TestAttributeSimilarity:
     def test_matches_oracle(self, film_sets, film_scale, film_numbers, film_ideals):
         best, _ = film_ideals
         for label, iset in film_sets.items():
-            pairs = [(iv.left, iv.right) for iv in iset.intervals]
+            pairs = list(zip(iset.lefts, iset.rights))
             expected = oracle.brute_attribute_similarity(pairs, [(10, 10)] * 5, 1, 10)
             assert attribute_similarity(film_numbers[label], best) == pytest.approx(
                 expected, abs=1e-9

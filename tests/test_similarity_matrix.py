@@ -336,7 +336,7 @@ class TestAttributesPerInstance:
 def test_public_names():
     assert sorted(iaarank.__all__) == [
         "AttributeVector", "CriterionIdeals", "DecisionMatrix",
-        "FuzzyNumber", "Interval", "IntervalSet", "MEASURES",
+        "FuzzyNumber", "IntervalSet", "MEASURES",
         "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
         "ScaleConfig", "TopsisEntry", "TopsisResult",
         "__version__", "attribute_similarity", "attribute_vector",

@@ -105,9 +105,10 @@ class TestSelectIdeals:
 
     def test_common_shift_keeps_labels(self, synthetic):
         shifted_cells = {
-            key: [(iv.left - 0.5, iv.right - 0.5) for iv in iset.intervals]
+            key: [(left - 0.5, right - 0.5)
+                  for left, right in zip(iset.lefts, iset.rights)]
             if key[1] == "c1"
-            else [(iv.left, iv.right) for iv in iset.intervals]
+            else list(zip(iset.lefts, iset.rights))
             for key, iset in synthetic.cells.items()
         }
         m = DecisionMatrix.from_dataset(dataset_from(shifted_cells))
@@ -188,7 +189,7 @@ class TestSeparations:
         ideals = select_ideals(matrix)
         pairs = separations(matrix, ideals, "combined")
         raw = {
-            key: [(iv.left, iv.right) for iv in iset.intervals]
+            key: list(zip(iset.lefts, iset.rights))
             for key, iset in synthetic.cells.items()
         }
         for label, (d_plus, d_minus) in zip(matrix.alternatives, pairs):
@@ -248,7 +249,7 @@ class TestTopsisRank:
         base_cc = {e.label: e.closeness for e in base.entries}
 
         cells = {
-            key: [(iv.left, iv.right) for iv in iset.intervals]
+            key: list(zip(iset.lefts, iset.rights))
             for key, iset in synthetic.cells.items()
         }
         reordered = {}
