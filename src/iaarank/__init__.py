@@ -16,7 +16,6 @@ from .attributes import (
 from .fuzzy import (
     FuzzyNumber,
     Region,
-    canonicalize,
     construct_fuzzy,
     evaluation_points,
 )
@@ -36,7 +35,6 @@ from .ranking import (
     rank_baseline_mean,
     rank_by_ideal_ratio,
     rank_universal,
-    universal_compare,
 )
 from .similarity import (
     MEASURES,
@@ -75,7 +73,6 @@ __all__ = [
     "attribute_similarity",
     "attribute_vector",
     "bundled_path",
-    "canonicalize",
     "combined_similarity",
     "construct_fuzzy",
     "errors",
@@ -95,6 +92,5 @@ __all__ = [
     "separations",
     "similarity_matrix",
     "topsis_rank",
-    "universal_compare",
     "__version__",
 ]

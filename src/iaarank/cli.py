@@ -406,6 +406,11 @@ def cmd_topsis(args):
         _check_criterion(dataset, "--exclude-criterion", args.exclude_criterion)
         dataset = dataset.without_criterion(args.exclude_criterion)
     if args.tie_break_criterion is not None:
+        if args.tie_break_criterion == args.exclude_criterion:
+            raise ValueError(
+                f"--tie-break-criterion: criterion {args.tie_break_criterion!r} "
+                "was removed by --exclude-criterion"
+            )
         _check_criterion(dataset, "--tie-break-criterion", args.tie_break_criterion)
     weights = None
     if args.weights is not None:

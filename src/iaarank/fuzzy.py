@@ -20,17 +20,16 @@ holds one (left, right, height) region per constant-membership stretch plus
 zero-width line regions for the spikes, ordered by position; membership at x
 is the maximum height over the regions containing x. Construction sorts the
 left and the right bounds apart and merges them in one walk that counts the
-open intervals, so it costs O(n log n) for n intervals; a number given as a
-region list is swept into its profile once.
+open intervals, so it costs O(n log n) for n intervals; a number's own record
+(to_dict) is read straight back into its profile.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from functools import cached_property
-from heapq import heappop, heappush
 
 from ._record import Record
 from .errors import ScaleMismatch
@@ -49,10 +48,6 @@ class Region(Record):
         if not 0 < height <= 1:
             raise ValueError(f"region height must be in (0, 1], got {height}")
         self._init(left, right, height)
-
-    @property
-    def is_line(self) -> bool:
-        return self.left == self.right
 
 
 def region_triples(
@@ -75,81 +70,17 @@ def region_triples(
             yield x, xs[i + 1], right
 
 
-def _check_finite(regions: Sequence[Region]) -> None:
-    if not all(math.isfinite(r.left) and math.isfinite(r.right) for r in regions):
-        raise ValueError("region bounds must be finite")
-
-
-def _region_profile(regions: Sequence[Region]) -> tuple[tuple[float, ...], ...]:
-    """Canonical step profile (breakpoints, points, segments) of regions
-    sorted by left.
-
-    One sweep over the distinct bounds keeps the regions reaching the current
-    breakpoint in a heap ordered by height; the tallest one still containing
-    the breakpoint gives the point membership, and the tallest one reaching
-    past it gives the segment to its right. Overlapping regions resolve by
-    the maximum-height rule. A bound where the membership equals both
-    neighbouring segments is not a breakpoint.
-    """
-    xs: list[float] = []
-    points: list[float] = []
-    segments = [0.0]
-    active: list[tuple[float, float]] = []  # (-height, right)
-    pending = iter(regions)
-    region = next(pending, None)
-    for x in sorted({r.left for r in regions} | {r.right for r in regions}):
-        while region is not None and region.left <= x:
-            heappush(active, (-region.height, region.right))
-            region = next(pending, None)
-        while active[0][1] < x:
-            heappop(active)
-        point = -active[0][0]
-        while active and active[0][1] <= x:
-            heappop(active)
-        right = -active[0][0] if active else 0.0
-        if point == segments[-1] == right:
-            continue
-        xs.append(x)
-        points.append(point)
-        segments.append(right)
-    return tuple(xs), tuple(points), tuple(segments)
-
-
 class FuzzyNumber(Record):
     """Piecewise-constant fuzzy number, stored as its canonical step profile.
 
-    Built from a region list sorted by position whose segments have disjoint
-    interiors; a line region may sit inside a segment, and the tallest region
-    at x gives the membership. The region bounds must be finite. The
-    endpoints, at which the similarity measures evaluate, are the profile's
-    breakpoints: for a number built from intervals, the distinct interval
-    bounds. The source count n is a positive int.
+    Made by construct_fuzzy from an interval set, or read back from its own
+    record by from_dict; calling the class with arguments raises TypeError.
+    The endpoints, at which the similarity measures evaluate, are the
+    profile's breakpoints: for a number built from intervals, the distinct
+    interval bounds. The source count n is a positive int.
     """
 
     _fields = ("profile", "n", "scale", "label")
-
-    def __init__(self, regions: Iterable[Region], *, n: int, scale: ScaleConfig,
-                 label: str = ""):
-        if type(n) is not int or n < 1:
-            raise ValueError(f"source count n must be a positive integer, got {n!r}")
-        regions = tuple(regions)
-        if not regions:
-            raise ValueError("a fuzzy number needs at least one region")
-        _check_finite(regions)
-        ordered = all(
-            (a.left, a.right) <= (b.left, b.right)
-            for a, b in zip(regions, regions[1:])
-        )
-        if not ordered:
-            raise ValueError("regions must be sorted by position")
-        previous_segment_right = None
-        for region in regions:
-            if region.is_line:
-                continue
-            if previous_segment_right is not None and region.left < previous_segment_right:
-                raise ValueError("segment regions must have disjoint interiors")
-            previous_segment_right = region.right
-        self._init(_region_profile(regions), n, scale, label)
 
     @classmethod
     def _from_profile(cls, **fields) -> FuzzyNumber:
@@ -185,25 +116,58 @@ class FuzzyNumber(Record):
 
     @classmethod
     def from_dict(cls, payload: dict, scale: ScaleConfig) -> FuzzyNumber:
-        """Rebuild a number from to_dict output; ValueError unless its regions
-        lie on the scale and its endpoints are the rebuilt breakpoints."""
-        low, high = scale.scale_min, scale.scale_max
-        regions = tuple(Region(l, r, h) for l, r, h in payload["regions"])
-        if not all(low <= r.left and r.right <= high for r in regions):
-            raise ValueError(f"a region lies outside the scale [{low}, {high}]")
-        number = cls(
-            regions,
-            n=payload["n"],
-            scale=scale,
-            label=str(payload.get("label", "")),
-        )
-        endpoints = tuple(float(x) for x in payload["endpoints"])
-        if endpoints != number.endpoints:
+        """Read a to_dict record back; ValueError for any other payload.
+
+        The endpoints are the breakpoints; each segment takes the height of
+        the segment region starting at its breakpoint, and each point the
+        tallest of its line region and its two segments. The record is taken
+        only if its endpoints increase strictly on the scale, its heights lie
+        in (0, 1], the profile is canonical, and the profile's regions are
+        exactly the record's. A bound, height or endpoint is a JSON number
+        (int or float, never bool), n a positive int and the label a string.
+        """
+        if type(payload) is not dict:
+            raise ValueError(f"a fuzzy number record is an object, got {payload!r}")
+        n, label = payload.get("n"), payload.get("label", "")
+        regions, xs = payload.get("regions"), payload.get("endpoints")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"source count n must be a positive integer, got {n!r}")
+        if type(label) is not str:
+            raise ValueError(f"label must be a string, got {label!r}")
+        if not (type(regions) is list
+                and all(_numbers(r) and len(r) == 3 for r in regions)):
             raise ValueError(
-                f"endpoints {list(endpoints)} are not the breakpoints "
-                f"{list(number.endpoints)} of the regions"
+                f"regions must be [left, right, height] numbers, got {regions!r}"
             )
-        return number
+        if not _numbers(xs):
+            raise ValueError(f"endpoints must be a list of numbers, got {xs!r}")
+        if not all(0 < h <= 1 for _, _, h in regions):
+            raise ValueError(f"region heights must be in (0, 1], got {regions}")
+        low, high = scale.scale_min, scale.scale_max
+        # compared before float() so that an over-long int is refused, not raised
+        if not (xs and low <= xs[0] and xs[-1] <= high
+                and all(a < b for a, b in zip(xs, xs[1:]))):
+            raise ValueError(
+                f"endpoints {xs} must increase strictly within the scale [{low}, {high}]"
+            )
+        segment = {l: h for l, r, h in regions if l != r}
+        line = {l: h for l, r, h in regions if l == r}
+        segments = [0.0, *(float(segment.get(x, 0.0)) for x in xs)]
+        points = [float(max(line.get(x, 0.0), left, right))
+                  for x, left, right in zip(xs, segments, segments[1:])]
+        profile = (tuple(map(float, xs)), tuple(points), tuple(segments))
+        flat = any(l == p == r for l, p, r in zip(segments, points, segments[1:]))
+        # a positive last segment is refused first: region_triples reads past it
+        if segments[-1] or flat or [list(t) for t in region_triples(profile)] != regions:
+            raise ValueError(
+                f"regions {regions} are not the canonical regions of endpoints {xs}"
+            )
+        return cls._from_profile(profile=profile, n=n, scale=scale, label=label)
+
+
+def _numbers(values) -> bool:
+    """Whether values is a list of JSON numbers: int or float, never bool."""
+    return type(values) is list and all(type(v) in (int, float) for v in values)
 
 
 def construct_fuzzy(
@@ -246,20 +210,6 @@ def construct_fuzzy(
         scale=scale,
         label=interval_set.label if label is None else label,
     )
-
-
-def canonicalize(regions: Iterable[Region]) -> tuple[Region, ...]:
-    """Rebuild the canonical region list of an arbitrary region list.
-
-    Idempotent: applying it to an already-canonical list returns an equal
-    list. Membership under the max-resolution rule is preserved exactly.
-    Raises ValueError for a NaN or infinite region bound.
-    """
-    regs = sorted(regions, key=lambda r: r.left)
-    _check_finite(regs)
-    if not regs:
-        return ()
-    return tuple(Region(*t) for t in region_triples(_region_profile(regs)))
 
 
 def evaluation_points(a: FuzzyNumber, b: FuzzyNumber) -> tuple[float, ...]:

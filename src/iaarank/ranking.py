@@ -49,22 +49,6 @@ def universal_levels(epsilon: float = DEFAULT_EPSILON, number=None):
     )
 
 
-def universal_compare(
-    a: FuzzyNumber, b: FuzzyNumber, epsilon: float = DEFAULT_EPSILON
-) -> int:
-    """Compare two fuzzy numbers without external context.
-
-    Walks the keys of universal_levels. Returns 1 when a outranks b, -1 when
-    b outranks a, 0 when all three keys tie.
-    """
-    check_same_scale(a, b)
-    for key, tolerance in universal_levels(epsilon):
-        value_a, value_b = key(a), key(b)
-        if not _close(value_a, value_b, tolerance):
-            return 1 if value_a < value_b else -1
-    return 0
-
-
 class RankingEntry(Record):
     _fields = ("label", "score", "rank")
 

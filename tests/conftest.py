@@ -5,7 +5,9 @@ from iaarank import (
     ScaleConfig,
     construct_fuzzy,
     ideal_interval_set,
+    rank_universal,
 )
+from iaarank.ranking import DEFAULT_EPSILON
 
 # Film review fixture: five critics scoring ten films on a 1-10 scale.
 FILM_INTERVALS = {
@@ -89,6 +91,15 @@ BASELINE_ORDER = ["Film J", "Film G", "Film F", "Film I", "Film D",
 
 def make_set(label, pairs):
     return IntervalSet(pairs, label)
+
+
+def universal_relation(a, b, epsilon=DEFAULT_EPSILON):
+    """1 when a outranks b, -1 when b outranks a and 0 on a tie, read from
+    rank_universal([a, b]); a and b carry distinct labels unless a is b."""
+    first, second = rank_universal([a, b], epsilon).entries
+    if first.rank == second.rank:
+        return 0
+    return 1 if first.label == a.label else -1
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 Everything here works straight on raw (left, right) pairs or plain
 (left, right, height) triples, with independently written loops, so the
-package internals are cross-checked rather than echoed.
+package internals are cross-checked rather than echoed. Only
+fuzzy_from_regions calls the package: it reads its brute-force record back
+with FuzzyNumber.from_dict, the one way into a number besides
+construct_fuzzy.
 """
 
 import math
@@ -64,6 +67,51 @@ def brute_regions(pairs):
         if i + 1 < len(bounds) and right:
             triples.append((x, bounds[i + 1], right / n))
     return triples
+
+
+def brute_canonical(triples):
+    """Breakpoints and canonical (left, right, height) triples of any region
+    list under the maximum-height rule: the membership at x is the height
+    of the tallest region containing x.
+
+    The rule is evaluated on each closed bound and on each open stretch
+    between neighbouring bounds, which a region covers when it holds both
+    ends; no midpoint is sampled. A bound whose point and both stretches
+    share one height is no breakpoint, so touching equal segments merge and
+    a spike no taller than its segment goes.
+    """
+    bounds = sorted({v for l, r, _ in triples for v in (l, r)})
+
+    def tallest(a, b):
+        return max((h for l, r, h in triples if l <= a and b <= r), default=0.0)
+
+    steps, left = [], 0.0
+    for i, x in enumerate(bounds):
+        right = tallest(x, bounds[i + 1]) if i + 1 < len(bounds) else 0.0
+        point = tallest(x, x)
+        if not left == point == right:
+            steps.append((x, left, point, right))
+        left = right
+    xs = [x for x, _, _, _ in steps]
+    canonical = []
+    for k, (x, left, point, right) in enumerate(steps):
+        if point > left and point > right:
+            canonical.append((x, x, point))
+        if right:
+            canonical.append((x, xs[k + 1], right))
+    return xs, canonical
+
+
+def fuzzy_from_regions(triples, scale, n=1, label=""):
+    """The FuzzyNumber whose membership is the maximum-height rule over
+    triples: FuzzyNumber.from_dict of the brute_canonical record."""
+    # imported here: perfbench's checker loads this module without the package
+    from iaarank import FuzzyNumber
+
+    xs, canonical = brute_canonical(triples)
+    record = {"label": label, "n": n, "regions": [list(t) for t in canonical],
+              "endpoints": xs}
+    return FuzzyNumber.from_dict(record, scale)
 
 
 def grid_area(pairs, low, high, step=1e-3):

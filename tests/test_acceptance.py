@@ -27,7 +27,6 @@ from iaarank import (
     select_ideals,
     separations,
     topsis_rank,
-    universal_compare,
 )
 from iaarank.cli import main
 from iaarank.errors import DivisionByZero
@@ -44,6 +43,7 @@ from conftest import (
     SPIKE_FILMS,
     UNIVERSAL_ORDER,
     make_set,
+    universal_relation,
 )
 
 
@@ -182,10 +182,10 @@ def test_criterion_6d_strict_weak_order():
     ]
     for _ in range(10_000):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        ab = universal_compare(a, b, epsilon=0.0)
-        assert ab == -universal_compare(b, a, epsilon=0.0)
-        bc = universal_compare(b, c, epsilon=0.0)
-        ac = universal_compare(a, c, epsilon=0.0)
+        ab = universal_relation(a, b, epsilon=0.0)
+        assert ab == -universal_relation(b, a, epsilon=0.0)
+        bc = universal_relation(b, c, epsilon=0.0)
+        ac = universal_relation(a, c, epsilon=0.0)
         if ab == 1 and bc == 1:
             assert ac == 1
         if ab == 0 and bc == 0:

@@ -4,8 +4,6 @@ import random
 import pytest
 
 from iaarank import (
-    FuzzyNumber,
-    Region,
     ScaleConfig,
     attribute_vector,
     construct_fuzzy,
@@ -21,7 +19,7 @@ WIDE = ScaleConfig(0, 10)
 
 
 def fn(regions, n=5, scale=WIDE):
-    return FuzzyNumber(tuple(Region(*t) for t in regions), n=n, scale=scale)
+    return oracle.fuzzy_from_regions(regions, scale, n=n)
 
 
 @pytest.fixture

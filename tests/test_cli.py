@@ -450,6 +450,8 @@ class TestDeterminismAndOutput:
          "--exclude-criterion: criterion 'nope' not in dataset (have: c1, c2)"),
         (["topsis", *SYNTH, "--tie-break-criterion", "nope"], 3,
          "--tie-break-criterion: criterion 'nope' not in dataset (have: c1, c2)"),
+        (["topsis", *SYNTH, "--tie-break-criterion", "c1", "--exclude-criterion", "c1"],
+         3, "--tie-break-criterion: criterion 'c1' was removed by --exclude-criterion"),
         (["rank", *SYNTH, "--criterion", "nope"], 3,
          "--criterion: criterion 'nope' not in dataset (have: c1, c2)"),
     ])

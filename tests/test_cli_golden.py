@@ -4,7 +4,8 @@ Each run calls ``cli.main`` in-process and compares the exit code and the
 sha256 of its stdout with the digest recorded in ``GOLDEN``. The runs cover
 every subcommand in text, JSON and CSV, the three rank methods, the three
 similarity measures for a pair and for ``--matrix``, both TOPSIS measures,
-and a few validation failures.
+and a few validation failures. Every ``build --format json`` record must also
+read back through ``FuzzyNumber.from_dict``.
 
 One table holds on every supported Python. From 3.12 on, ``sum()`` of floats
 is compensated, so the package adds floats that reach its output in explicit
@@ -21,10 +22,12 @@ import builtins
 import contextlib
 import hashlib
 import io
+import json
 import math
 
 import pytest
 
+from iaarank import FuzzyNumber, ScaleConfig, bundled_path, construct_fuzzy, load_dataset
 from iaarank.cli import main
 
 DATASETS = {
@@ -214,6 +217,23 @@ def test_output_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert {name: digest(argv) for name, argv in RUNS.items()} == GOLDEN
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_build_records_read_back_through_from_dict(dataset):
+    """Each build --format json record, context keys and all, is read back by
+    FuzzyNumber.from_dict into the number construct_fuzzy makes of its cell."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build", *DATASETS[dataset], "--format", "json"]) == 0
+    records = json.loads(out.getvalue())
+    _, _, _, low, _, high = DATASETS[dataset]
+    scale = ScaleConfig(float(low), float(high))
+    data = load_dataset(bundled_path(dataset), scale)
+    assert len(records) == len(data.alternatives) * len(data.criteria)
+    for record in records:
+        cell = data.cell(record["alternative"], record["criterion"])
+        assert FuzzyNumber.from_dict(record, scale) == construct_fuzzy(cell, scale)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ from iaarank import (
     ScaleConfig,
     attribute_similarity,
     attribute_vector,
-    canonicalize,
     construct_fuzzy,
     evaluation_points,
-    universal_compare,
+    rank_universal,
 )
 from iaarank.errors import OutOfScale
 
@@ -21,6 +20,7 @@ from conftest import make_set
 
 WIDE = ScaleConfig(0, 10)
 NAN, INF = float("nan"), float("inf")
+RECORD = {"label": "p", "n": 1, "regions": [[1, 2, 1.0]], "endpoints": [1, 2]}
 
 
 def triples(fz):
@@ -116,42 +116,44 @@ class TestEvaluationPoints:
         assert evaluation_points(film_numbers["Film G"], best) == (8, 9, 9.5, 10)
 
 
-class TestCanonicalize:
+def from_regions(regs, n=1):
+    return oracle.fuzzy_from_regions(regs, WIDE, n=n)
+
+
+class TestCanonicalRegions:
+    """A region list read under the maximum-height rule by the oracle builder
+    comes back in canonical form."""
+
     def test_adjacent_equal_segments_merge(self):
-        merged = canonicalize([Region(0, 1, 0.5), Region(1, 2, 0.5)])
-        assert merged == (Region(0, 2, 0.5),)
+        merged = from_regions([(0, 1, 0.5), (1, 2, 0.5)])
+        assert merged.regions == (Region(0, 2, 0.5),)
 
     def test_spike_keeps_segments_split(self):
-        regions = (Region(0, 1, 0.5), Region(1, 1, 0.8), Region(1, 2, 0.5))
-        assert canonicalize(regions) == regions
+        regions = [(0, 1, 0.5), (1, 1, 0.8), (1, 2, 0.5)]
+        assert triples(from_regions(regions)) == regions
 
     def test_redundant_spike_dropped(self):
-        merged = canonicalize([Region(0, 1, 0.5), Region(1, 1, 0.5), Region(1, 2, 0.5)])
-        assert merged == (Region(0, 2, 0.5),)
+        merged = from_regions([(0, 1, 0.5), (1, 1, 0.5), (1, 2, 0.5)])
+        assert merged.regions == (Region(0, 2, 0.5),)
 
     def test_spike_inside_segment_splits_it(self):
-        cleaned = canonicalize([Region(0, 4, 0.5), Region(2, 2, 0.8)])
-        assert cleaned == (Region(0, 2, 0.5), Region(2, 2, 0.8), Region(2, 4, 0.5))
+        cleaned = from_regions([(0, 4, 0.5), (2, 2, 0.8)])
+        assert triples(cleaned) == [(0, 2, 0.5), (2, 2, 0.8), (2, 4, 0.5)]
 
     def test_zero_regions(self):
-        assert canonicalize([]) == ()
-
-    @pytest.mark.parametrize("region", [Region(NAN, 3, 1.0), Region(3, INF, 1.0)])
-    def test_rejects_a_non_finite_region_bound(self, region):
-        # NaN used to end the sweep in an IndexError; inf came back unchecked
-        with pytest.raises(ValueError, match="region bounds must be finite"):
-            canonicalize([region])
+        with pytest.raises(ValueError, match="endpoints"):
+            from_regions([])
 
     def test_idempotent_on_films(self, film_numbers):
         for fz in film_numbers.values():
-            assert canonicalize(fz.regions) == fz.regions
+            assert from_regions(triples(fz), n=fz.n).profile == fz.profile
 
     def test_idempotent_on_random_sets(self):
         rng = random.Random(23)
         for trial in range(300):
             pairs = oracle.random_pairs(rng)
             fz = construct_fuzzy(make_set(f"t{trial}", pairs), WIDE)
-            assert canonicalize(fz.regions) == fz.regions
+            assert triples(from_regions(triples(fz))) == triples(fz)
 
 
 class TestOracleEquivalence:
@@ -207,8 +209,10 @@ class TestFuzzyNumberType:
         assert fz.endpoints[-1] == 10
 
     def test_needs_regions(self):
-        with pytest.raises(ValueError):
-            FuzzyNumber(regions=(), n=1, scale=WIDE)
+        for endpoints in ([], [1, 2]):
+            payload = {**RECORD, "regions": [], "endpoints": endpoints}
+            with pytest.raises(ValueError):
+                FuzzyNumber.from_dict(payload, WIDE)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -219,14 +223,17 @@ class TestFuzzyNumberType:
         ],
     )
     def test_rejects_a_non_finite_region_bound(self, left, right):
-        # a NaN bound used to end the profile sweep in an IndexError
-        regions = (Region(0, 1, 0.5), Region(left, right, 1.0))
-        for given in (regions[1:], sorted(regions, key=lambda r: r.left)):
-            with pytest.raises(ValueError, match="region bounds must be finite"):
-                FuzzyNumber(given, n=1, scale=WIDE)
+        regions = [[0, 1, 0.5], [left, right, 1.0]]
+        for endpoints in ([0, 1], [0, 1, left, right], [left, right]):
+            payload = {"n": 1, "regions": regions, "endpoints": endpoints}
+            with pytest.raises(ValueError):
+                FuzzyNumber.from_dict(payload, WIDE)
 
-    def test_old_call_forms_raise_type_error(self):
+    def test_calling_the_class_raises_type_error(self):
+        # a number is made by construct_fuzzy or from_dict, never from regions
         regions = (Region(0, 1, 1.0),)
+        with pytest.raises(TypeError):
+            FuzzyNumber(regions, n=1, scale=WIDE)
         with pytest.raises(TypeError):
             FuzzyNumber(regions, (0, 1), n=1, scale=WIDE)
         with pytest.raises(TypeError):
@@ -234,21 +241,27 @@ class TestFuzzyNumberType:
         with pytest.raises(TypeError):
             FuzzyNumber(regions, 1, WIDE)
 
-    def test_rejects_unsorted_regions(self):
-        with pytest.raises(ValueError):
-            FuzzyNumber(
-                regions=(Region(2, 3, 0.5), Region(0, 1, 0.5)),
-                n=2,
-                scale=WIDE,
-            )
+    @pytest.mark.parametrize("regions, endpoints", [
+        ([[2, 3, 0.5], [0, 1, 0.5]], [0, 1, 2, 3]),  # unsorted
+        ([[0, 2, 0.5], [1, 3, 0.5]], [0, 1, 2, 3]),  # overlapping segments
+        ([[0, 1, 0.5], [1, 2, 0.5]], [0, 1, 2]),  # touching equal segments
+        ([[0, 1, 0.5], [1, 1, 0.5], [1, 2, 0.5]], [0, 1, 2]),  # redundant spike
+        ([[0, 4, 0.5], [2, 2, 0.8]], [0, 2, 4]),  # spike inside a segment
+        ([[0, 1, 0.5], [1, 1, 0.25], [1, 2, 0.75]], [0, 1, 2]),  # spike below
+        ([[0, 1, 0.5], [0, 1, 0.5]], [0, 1]),  # a region twice
+        ([[1, 2, 1.0]], [1, 2, 5]),  # a breakpoint outside every region
+    ])
+    def test_from_dict_rejects_a_region_list_that_is_not_canonical(
+        self, regions, endpoints
+    ):
+        payload = {**RECORD, "regions": regions, "endpoints": endpoints}
+        with pytest.raises(ValueError, match="not the canonical regions"):
+            FuzzyNumber.from_dict(payload, WIDE)
 
-    def test_rejects_overlapping_segments(self):
-        with pytest.raises(ValueError):
-            FuzzyNumber(
-                regions=(Region(0, 2, 0.5), Region(1, 3, 0.5)),
-                n=2,
-                scale=WIDE,
-            )
+    @pytest.mark.parametrize("height", [0, 0.0, -0.5, 1.5, NAN, INF])
+    def test_from_dict_rejects_a_height_off_the_unit_interval(self, height):
+        with pytest.raises(ValueError, match=r"heights must be in \(0, 1\]"):
+            FuzzyNumber.from_dict({**RECORD, "regions": [[1, 2, height]]}, WIDE)
 
     def test_region_height_bounds(self):
         with pytest.raises(ValueError):
@@ -268,14 +281,13 @@ class TestFuzzyNumberType:
     @pytest.mark.parametrize(
         "endpoints",
         [[2, float("nan"), 1], [2, 1], [1, 1], [0, float("inf")], [-1, 5], [5, 11],
-         # sorted and on the scale, but not the breakpoints [1, 2]
-         [1, 1.5, 2], [1], [0, 1, 2]],
+         # sorted and on the scale, but not the breakpoints [1, 2]; after [1]
+         # the last segment is positive, which is refused before it is read
+         [1, 1.5, 2], [1], [0, 1, 2], [], [1, 10 ** 400]],
     )
     def test_from_dict_rejects_bad_endpoints(self, endpoints):
-        payload = {"label": "p", "n": 1, "regions": [[1, 2, 1.0]],
-                   "endpoints": endpoints}
         with pytest.raises(ValueError, match="endpoints"):
-            FuzzyNumber.from_dict(payload, WIDE)
+            FuzzyNumber.from_dict({**RECORD, "endpoints": endpoints}, WIDE)
 
     @pytest.mark.parametrize(
         "region", [[100, 200, 1.0], [-1, 2, 1.0], [9, 10.5, 0.5], [float("nan"), 2, 1.0]]
@@ -283,18 +295,40 @@ class TestFuzzyNumberType:
     def test_from_dict_rejects_region_off_the_scale(self, region):
         # [100, 200] on [0, 10] used to give an attribute similarity of -4.86
         # against a spike at 0, outside the documented [0, 1] range
-        payload = {"label": "p", "n": 1, "regions": [region], "endpoints": [2]}
-        with pytest.raises(ValueError, match="outside the scale"):
+        payload = {**RECORD, "regions": [region], "endpoints": [2]}
+        with pytest.raises(ValueError, match="not the canonical regions"):
             FuzzyNumber.from_dict(payload, WIDE)
 
-    @pytest.mark.parametrize("n", [0, -3, True, "5", 2.7])
+    @pytest.mark.parametrize("n", [0, -3, True, "5", 2.7, None])
     def test_rejects_a_source_count_that_is_not_a_positive_int(self, n):
-        # from_dict used to take all five, truncating 2.7 to 2
-        payload = {"label": "p", "n": n, "regions": [[1, 2, 1.0]], "endpoints": [1, 2]}
+        # from_dict used to take the first five, truncating 2.7 to 2
         with pytest.raises(ValueError, match="source count"):
+            FuzzyNumber.from_dict({**RECORD, "n": n}, WIDE)
+
+    @pytest.mark.parametrize("payload", [
+        {**RECORD, "endpoints": "12"},
+        {**RECORD, "endpoints": [True, 2]},
+        {**RECORD, "endpoints": None},
+        {**RECORD, "endpoints": (1, 2)},
+        {**RECORD, "regions": [["1", "2", 1.0]]},
+        {**RECORD, "regions": [[1, 2, True]]},
+        {**RECORD, "regions": [[1, 2]]},
+        {**RECORD, "regions": [[1, 2, 1.0, 0.5]]},
+        {**RECORD, "regions": [(1, 2, 1.0)]},
+        {**RECORD, "regions": None},
+        {**RECORD, "regions": "[[1, 2, 1.0]]"},
+        {**RECORD, "label": 5},
+        {**RECORD, "label": None},
+        {**RECORD, "n": None},
+        *({k: v for k, v in RECORD.items() if k != key}
+          for key in ("n", "regions", "endpoints")),
+        None, [], "{}", [[1, 2, 1.0]],
+    ])
+    def test_from_dict_refuses_a_wrong_json_type(self, payload):
+        # "12" used to read as [1.0, 2.0], and "1", true and a label of 5
+        # were taken; a missing or null key raised KeyError or TypeError
+        with pytest.raises(ValueError):
             FuzzyNumber.from_dict(payload, WIDE)
-        with pytest.raises(ValueError, match="source count"):
-            FuzzyNumber((Region(1, 2, 1.0),), n=n, scale=WIDE)
 
 
 # Region lists that differ but describe one membership function
@@ -310,15 +344,12 @@ SAME_MEMBERSHIP = {
 class TestOneNumberPerMembership:
     @pytest.mark.parametrize("case", SAME_MEMBERSHIP)
     def test_same_membership_is_the_same_number(self, case):
-        a, b = (
-            FuzzyNumber(tuple(Region(*t) for t in regs), n=5, scale=WIDE)
-            for regs in SAME_MEMBERSHIP[case]
-        )
+        a, b = (from_regions(regs, n=5) for regs in SAME_MEMBERSHIP[case])
         assert a == b
         assert hash(a) == hash(b)
         assert attribute_vector(a) == attribute_vector(b)
         assert attribute_similarity(a, b) == 1.0
-        assert universal_compare(a, b) == 0
+        assert rank_universal([a, b]).ties == (("", ""),)
 
     def test_only_the_profile_is_stored(self, film_sets, film_scale, film_numbers):
         stored = ["profile", "n", "scale", "label"]

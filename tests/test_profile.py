@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iaarank import FuzzyNumber, Region, ScaleConfig, canonicalize, construct_fuzzy
+from iaarank import FuzzyNumber, ScaleConfig, construct_fuzzy
 from iaarank.attributes import AttributeVector, attribute_vector, membership_polyline
 from iaarank.errors import OutOfScale
 
@@ -29,10 +29,11 @@ interval_lists = st.lists(intervals, min_size=1, max_size=200)
 
 heights = st.integers(1, 8).map(lambda k: k / 8)
 half_steps = st.integers(0, 20).map(lambda k: k / 2)
-# Segments may overlap; lines on the same lattice often sit inside segments.
+# (left, right, height) triples: segments may overlap, and lines on the same
+# lattice often sit inside segments.
 regions = st.one_of(
-    st.builds(lambda a, b, h: Region(min(a, b), max(a, b), h), half_steps, half_steps, heights),
-    st.builds(lambda x, h: Region(x, x, h), half_steps, heights),
+    st.builds(lambda a, b, h: (min(a, b), max(a, b), h), half_steps, half_steps, heights),
+    st.builds(lambda x, h: (x, x, h), half_steps, heights),
 )
 region_lists = st.lists(regions, min_size=1, max_size=30)
 
@@ -47,12 +48,16 @@ def build(pairs):
     return construct_fuzzy(make_set("p", pairs), WIDE)
 
 
+def triples(fz):
+    return [(r.left, r.right, r.height) for r in fz.regions]
+
+
 @settings(max_examples=150, deadline=None)
 @given(interval_lists)
 @example([(0.0, 0.0), (5e-324, 5e-324)])  # adjacent doubles: two spikes, no segment
 def test_regions_equal_oracle_bit_exactly(pairs):
     fz = build(pairs)
-    assert [(r.left, r.right, r.height) for r in fz.regions] == oracle.brute_regions(pairs)
+    assert triples(fz) == oracle.brute_regions(pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,12 +89,11 @@ def test_agreement_equals_oracle_bit_exactly(pairs):
 
 @settings(max_examples=300, deadline=None)
 @given(region_lists)
-@example([Region(0, 4, 0.5), Region(2, 2, 0.25)])
-@example([Region(0, 1, 0.5), Region(1, 1, 1.0), Region(3, 3, 0.25)])
+@example([(0, 4, 0.5), (2, 2, 0.25)])
+@example([(0, 1, 0.5), (1, 1, 1.0), (3, 3, 0.25)])
 def test_agreement_of_canonical_lists_equals_oracle(regs):
-    fz = FuzzyNumber(canonicalize(regs), n=1, scale=WIDE)
-    triples = [(r.left, r.right, r.height) for r in fz.regions]
-    assert attribute_vector(fz).agreement_ratio == oracle.brute_agreement(triples)
+    fz = oracle.fuzzy_from_regions(regs, WIDE)
+    assert attribute_vector(fz).agreement_ratio == oracle.brute_agreement(triples(fz))
 
 
 def from_pairs(pairs):
@@ -97,8 +101,7 @@ def from_pairs(pairs):
 
 
 def from_regions(regs):
-    regs = canonicalize(regs)
-    return FuzzyNumber(regs, n=1, scale=WIDE), [(r.left, r.right, r.height) for r in regs]
+    return oracle.fuzzy_from_regions(regs, WIDE), oracle.brute_canonical(regs)[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,38 +135,25 @@ def test_off_scale_interval_raises_the_first_offender(pairs):
 
 @settings(max_examples=300, deadline=None)
 @given(region_lists)
-@example([Region(0, 4, 0.5), Region(2, 2, 0.25)])
-@example([Region(0, 4, 0.5), Region(2, 2, 0.75), Region(1, 3, 0.625)])
-def test_canonicalize_idempotent_and_preserves_membership(regs):
-    canonical = canonicalize(regs)
-    assert canonicalize(canonical) == canonical
-    fz = FuzzyNumber(canonical, n=1, scale=WIDE)
-    for x in probe_points({b for r in regs for b in (r.left, r.right)}):
-        direct = max((r.height for r in regs if r.left <= x <= r.right), default=0.0)
+@example([(0, 4, 0.5), (2, 2, 0.25)])
+@example([(0, 4, 0.5), (2, 2, 0.75), (1, 3, 0.625)])
+def test_region_builder_idempotent_and_preserves_membership(regs):
+    fz = oracle.fuzzy_from_regions(regs, WIDE)
+    canonical = triples(fz)
+    assert canonical == oracle.brute_canonical(regs)[1]
+    assert triples(oracle.fuzzy_from_regions(canonical, WIDE)) == canonical
+    for x in probe_points({b for l, r, _ in regs for b in (l, r)}):
+        direct = max((h for l, r, h in regs if l <= x <= r), default=0.0)
         assert fz.membership(x) == direct
-
-
-def constructible(regs):
-    """The regions the FuzzyNumber constructor accepts, in order: every line,
-    and each segment that starts at or after the end of the last one kept."""
-    kept, end = [], None
-    for r in sorted(regs, key=lambda r: (r.left, r.right)):
-        if r.is_line:
-            kept.append(r)
-        elif end is None or r.left >= end:
-            kept.append(r)
-            end = r.right
-    return kept
 
 
 @settings(max_examples=300, deadline=None)
 @given(region_lists)
-@example([Region(0, 4, 0.5), Region(2, 2, 0.75)])
-@example([Region(0, 1, 0.5), Region(1, 1, 0.5), Region(1, 2, 0.5)])
+@example([(0, 4, 0.5), (2, 2, 0.75)])
+@example([(0, 1, 0.5), (1, 1, 0.5), (1, 2, 0.5)])
 def test_regions_and_their_canonical_form_give_one_number(regs):
-    regs = constructible(regs)
-    given_as = FuzzyNumber(regs, n=1, scale=WIDE)
-    canonical = FuzzyNumber(canonicalize(regs), n=1, scale=WIDE)
+    given_as = oracle.fuzzy_from_regions(regs, WIDE)
+    canonical = oracle.fuzzy_from_regions(triples(given_as), WIDE)
     assert given_as.profile == canonical.profile
     _, points, segments = given_as.profile
     flat = [left == point == right
@@ -171,7 +161,67 @@ def test_regions_and_their_canonical_form_give_one_number(regs):
     assert not any(flat)
     assert given_as == canonical and hash(given_as) == hash(canonical)
     assert attribute_vector(given_as) == attribute_vector(canonical)
-    assert given_as.regions == canonical.regions == canonicalize(regs)
+    assert triples(given_as) == triples(canonical) == oracle.brute_canonical(regs)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_lists)
+@example([(0, 4, 0.5), (2, 2, 0.75)])  # a spike inside a segment
+@example([(0, 1, 0.5), (1, 2, 0.5)])  # touching equal segments
+@example([(0, 1, 0.5), (1, 1, 0.25), (1, 2, 0.75)])  # a spike below a segment
+def test_from_dict_takes_only_canonical_records(regs):
+    """A region list, as given, with its bounds as endpoints: from_dict reads
+    it back exactly when it is canonical, and refuses it otherwise."""
+    record = {"n": 1, "regions": [list(t) for t in regs],
+              "endpoints": sorted({b for l, r, _ in regs for b in (l, r)})}
+    canonical = oracle.brute_canonical(regs)
+    if (record["endpoints"], regs) == canonical:
+        assert FuzzyNumber.from_dict(record, WIDE).to_dict() == {"label": "", **record}
+    else:
+        with pytest.raises(ValueError):
+            FuzzyNumber.from_dict(record, WIDE)
+
+
+# Any JSON value, and near misses of a record: small counts, region lists
+# and the sorted bounds of a region list as endpoints.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+region_records = region_lists.map(lambda regs: [list(t) for t in regs])
+endpoint_lists = region_lists.map(
+    lambda regs: sorted({b for l, r, _ in regs for b in (l, r)})
+)
+records = st.fixed_dictionaries({}, optional={
+    "label": json_values | st.just("p"),
+    "n": json_values | st.integers(1, 3),
+    "regions": json_values | region_records,
+    "endpoints": json_values | endpoint_lists,
+})
+
+
+def canonical_record(regs):
+    xs, canonical = oracle.brute_canonical(regs)
+    return {"n": 1, "regions": [list(t) for t in canonical], "endpoints": xs}
+
+
+# A canonical record with some of its keys overwritten, often none
+changed_records = st.builds(lambda base, change: {**base, **change},
+                            region_lists.map(canonical_record), records)
+
+
+@settings(max_examples=500, deadline=None)
+@given(records | json_values | changed_records)
+@example({"n": 1, "regions": [[2, 3, 1.0]], "endpoints": [2]})  # positive last segment
+@example({"n": 1, "regions": [[1, 2, 1.0]], "endpoints": [1, 10 ** 400]})
+def test_from_dict_reads_its_own_records_and_refuses_the_rest_with_value_error(payload):
+    try:
+        fz = FuzzyNumber.from_dict(payload, WIDE)
+    except ValueError:
+        return
+    assert fz.to_dict() == {"label": "", **payload}
 
 
 @settings(max_examples=150, deadline=None)

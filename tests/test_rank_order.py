@@ -7,6 +7,8 @@ by small multiples of a step near each tolerance, so that keys chain within
 and across clusters.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,3 +226,21 @@ def test_brute_rank_matches_a_hand_count(epsilon):
         assert ranks == [3, 1, 1] and groups == [{1, 2}]
     else:
         assert ranks == [1, 1, 1] and groups == [{0, 1, 2}]
+
+
+def test_an_added_alternative_can_break_a_tie():
+    """A tie rule with a tolerance is a semiorder: at epsilon 1e-3, A and B
+    tie, but beside C, which ties with A and not with B, B ranks third.
+    Every input order gives the same result, so order independence holds
+    and independence of irrelevant alternatives does not."""
+    pairs = {"A": (5, 6), "B": (4.997, 5.997), "C": (5.005, 6.005)}
+    a, b, c = (construct_fuzzy(make_set(k, [v]), SCALE) for k, v in pairs.items())
+    for pair in ([a, b], [b, a]):
+        result = rank_universal(pair, epsilon=1e-3)
+        assert [e.rank for e in result.entries] == [1, 1]
+        assert result.ties == (("A", "B"),)
+    for order in itertools.permutations([a, b, c]):
+        result = rank_universal(list(order), epsilon=1e-3)
+        ranks = [(e.label, e.rank) for e in result.entries]
+        assert ranks == [("C", 1), ("A", 1), ("B", 3)]
+        assert result.ties == (("C", "A"),)

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from iaarank import (
-    FuzzyNumber,
-    Region,
     ScaleConfig,
     construct_fuzzy,
     ideal_interval_set,
@@ -14,7 +12,6 @@ from iaarank import (
     rank_baseline_mean,
     rank_by_ideal_ratio,
     rank_universal,
-    universal_compare,
 )
 from iaarank.errors import DivisionByZero, ScaleMismatch
 from iaarank.ranking import order_and_rank
@@ -28,69 +25,70 @@ from conftest import (
     SPIKE_FILMS,
     UNIVERSAL_ORDER,
     make_set,
+    universal_relation,
 )
 
 WIDE = ScaleConfig(0, 10)
 
 
 def fn(regions, n=2, scale=WIDE, label=""):
-    return FuzzyNumber(
-        tuple(Region(*t) for t in regions), n=n, scale=scale, label=label
-    )
+    return oracle.fuzzy_from_regions(regions, scale, n=n, label=label)
 
 
-class TestUniversalCompare:
+class TestPairRelation:
+    """The universal relation of a pair, read from rank_universal([a, b])."""
+
     def test_film_h_outranks_film_b(self, film_numbers):
-        assert universal_compare(film_numbers["Film H"], film_numbers["Film B"]) == 1
-        assert universal_compare(film_numbers["Film B"], film_numbers["Film H"]) == -1
+        assert universal_relation(film_numbers["Film H"], film_numbers["Film B"]) == 1
+        assert universal_relation(film_numbers["Film B"], film_numbers["Film H"]) == -1
 
     def test_self_equal(self, film_numbers):
         for fz in film_numbers.values():
-            assert universal_compare(fz, fz) == 0
+            assert universal_relation(fz, fz) == 0
 
     def test_lower_perimeter_breaks_centroid_tie(self):
         spike = fn([(5, 5, 1.0)], label="spike")
         rectangle = fn([(4, 6, 0.5)], label="rect")
-        assert universal_compare(spike, rectangle) == 1
-        assert universal_compare(rectangle, spike) == -1
+        assert universal_relation(spike, rectangle) == 1
+        assert universal_relation(rectangle, spike) == -1
 
     def test_higher_centroid_y_breaks_remaining_tie(self):
         # equal centroid-x (both 1.0) and equal perimeter (both 5.0):
         # the taller profile wins on centroid-y
-        low = fn([(0, 2, 0.5)])
-        tall = fn([(0.25, 1.75, 1.0)])
-        assert universal_compare(tall, low) == 1
-        assert universal_compare(low, tall) == -1
+        low = fn([(0, 2, 0.5)], label="low")
+        tall = fn([(0.25, 1.75, 1.0)], label="tall")
+        assert universal_relation(tall, low) == 1
+        assert universal_relation(low, tall) == -1
 
     def test_spike_on_segment_raises_perimeter_not_centroid(self):
-        plain = fn([(0, 2, 0.5)])
-        spiked = fn([(0, 2, 0.5), (1, 1, 0.9)])
+        plain = fn([(0, 2, 0.5)], label="plain")
+        spiked = fn([(0, 2, 0.5), (1, 1, 0.9)], label="spiked")
         # the spike leaves centroid-x at 1 but lengthens the outline
-        assert universal_compare(plain, spiked) == 1
+        assert universal_relation(plain, spiked) == 1
 
     def test_epsilon_tolerance(self):
-        a = fn([(4, 6, 0.5)])
-        b = fn([(4 + 1e-12, 6 + 1e-12, 0.5)])
-        assert universal_compare(a, b) == 0
-        assert universal_compare(a, b, epsilon=0.0) == -1
+        a = fn([(4, 6, 0.5)], label="a")
+        b = fn([(4 + 1e-12, 6 + 1e-12, 0.5)], label="b")
+        assert universal_relation(a, b) == 0
+        assert universal_relation(a, b, epsilon=0.0) == -1
 
     def test_negative_epsilon_rejected(self, film_numbers):
         with pytest.raises(ValueError):
-            universal_compare(
+            universal_relation(
                 film_numbers["Film A"], film_numbers["Film B"], epsilon=-1.0
             )
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_epsilon_rejected(self, film_numbers, epsilon):
         with pytest.raises(ValueError, match="finite"):
-            universal_compare(
+            universal_relation(
                 film_numbers["Film A"], film_numbers["Film B"], epsilon=epsilon
             )
 
     def test_scale_mismatch(self, film_numbers):
         other = fn([(1, 2, 0.5)])
         with pytest.raises(ScaleMismatch):
-            universal_compare(film_numbers["Film A"], other)
+            universal_relation(film_numbers["Film A"], other)
 
     def test_strict_weak_order_quick(self):
         rng = random.Random(83)
@@ -100,11 +98,11 @@ class TestUniversalCompare:
         ]
         for _ in range(1000):
             a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            ab = universal_compare(a, b, epsilon=0.0)
-            ba = universal_compare(b, a, epsilon=0.0)
+            ab = universal_relation(a, b, epsilon=0.0)
+            ba = universal_relation(b, a, epsilon=0.0)
             assert ab == -ba
-            bc = universal_compare(b, c, epsilon=0.0)
-            ac = universal_compare(a, c, epsilon=0.0)
+            bc = universal_relation(b, c, epsilon=0.0)
+            ac = universal_relation(a, c, epsilon=0.0)
             if ab == 1 and bc == 1:
                 assert ac == 1
             if ab == 0 and bc == 0:

@@ -20,11 +20,9 @@ from iaarank import (
     MEASURES,
     CriterionIdeals,
     DecisionMatrix,
-    FuzzyNumber,
     ScaleConfig,
     attribute_similarity,
     attribute_vector,
-    canonicalize,
     combined_similarity,
     construct_fuzzy,
     evaluation_points,
@@ -51,12 +49,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def build(label, pairs):
     return construct_fuzzy(make_set(label, pairs), WIDE)
-
-
-def from_regions(regs, label, scale=WIDE):
-    """A number built from an arbitrary region list, overlaps resolved by
-    the maximum-height rule."""
-    return FuzzyNumber(canonicalize(regs), n=1, scale=scale, label=label)
 
 
 def bisection_jaccard(a, b):
@@ -136,7 +128,8 @@ def number_lists(draw, min_size=1, max_size=6, mixed_scales=True):
             pairs = draw(st.lists(intervals, min_size=1, max_size=12))
             numbers.append(construct_fuzzy(make_set(f"x{i}", pairs), scale))
         else:
-            numbers.append(from_regions(draw(region_lists), f"x{i}", scale))
+            regions = draw(region_lists)
+            numbers.append(oracle.fuzzy_from_regions(regions, scale, label=f"x{i}"))
     return numbers
 
 
@@ -340,13 +333,12 @@ def test_public_names():
         "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
         "ScaleConfig", "TopsisEntry", "TopsisResult",
         "__version__", "attribute_similarity", "attribute_vector",
-        "bundled_path", "canonicalize", "combined_similarity", "construct_fuzzy",
+        "bundled_path", "combined_similarity", "construct_fuzzy",
         "errors", "evaluation_points", "feature_vector", "ideal_interval_set",
         "ideal_ratio", "jaccard", "load_dataset", "measure_similarity",
         "membership_polyline", "midpoint_mean",
         "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal",
         "select_ideals", "separations", "similarity_matrix", "topsis_rank",
-        "universal_compare",
     ]
     for name in iaarank.__all__:
         assert getattr(iaarank, name) is not None
@@ -364,11 +356,11 @@ def test_import_does_not_load_the_cli():
     assert result.stdout.strip() == ""
     # Under -S no site hook preloads modules, so every module listed below
     # that is loaded was loaded by the package.
-    slow = ("dataclasses", "inspect", "typing", "importlib.resources")
+    unwanted = ("dataclasses", "inspect", "typing", "importlib.resources", "heapq")
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-        f"import iaarank; print([m for m in {slow!r} if m in sys.modules]); "
-        f"import iaarank.cli; print([m for m in {slow!r} if m in sys.modules])"
+        f"import iaarank; print([m for m in {unwanted!r} if m in sys.modules]); "
+        f"import iaarank.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
