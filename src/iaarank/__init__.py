@@ -15,7 +15,6 @@ from .attributes import (
 )
 from .fuzzy import (
     FuzzyNumber,
-    Region,
     construct_fuzzy,
     evaluation_points,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "MultiCriteriaDataset",
     "RankingEntry",
     "RankingResult",
-    "Region",
     "ScaleConfig",
     "TopsisEntry",
     "TopsisResult",

@@ -2,7 +2,7 @@
 
 A record class names its fields in ``_fields`` and writes its own
 ``__init__``, which checks its arguments and then stores the fields with
-``_init``; FuzzyNumber has none and is made by its two factories.
+``_init``; FuzzyNumber's raises TypeError, as only its factories make one.
 
 The base gives every record value semantics: equality only between
 instances of one class, on the field tuple; the hash of that tuple; a

@@ -110,8 +110,8 @@ def _file_ideals(path: str, scale: ScaleConfig) -> tuple[FuzzyNumber, FuzzyNumbe
         )
     criterion = dataset.criteria[0]
     return (
-        construct_fuzzy(dataset.cell("best", criterion), scale, label="ideal best"),
-        construct_fuzzy(dataset.cell("worst", criterion), scale, label="ideal worst"),
+        construct_fuzzy(dataset.cell("best", criterion), scale),
+        construct_fuzzy(dataset.cell("worst", criterion), scale),
     )
 
 
@@ -337,7 +337,7 @@ def _ranked(result, entry_type, text):
 
 
 def _ranking_text(result) -> str:
-    width = max(len(e.label) for e in result.entries)
+    width = max(len("label"), *(len(e.label) for e in result.entries))
     lines = [f"{'label':<{width}}  {'score':>8}  rank"]
     for e in result.entries:
         score = "-" if e.score is None else f"{e.score:.4f}"
@@ -378,7 +378,7 @@ def _topsis_text(result) -> str:
             f"criterion {ideal.criterion}: PIS={ideal.pis.label} "
             f"NIS={ideal.nis.label}{note}"
         )
-    width = max(len(e.label) for e in result.entries)
+    width = max(len("label"), *(len(e.label) for e in result.entries))
     lines.append(f"{'label':<{width}}  {'D+':>8}  {'D-':>8}  {'CC':>8}  rank")
     for e in result.entries:
         flag = " *" if e.degenerate else ""

@@ -36,20 +36,6 @@ from .errors import ScaleMismatch
 from .intervals import IntervalSet, ScaleConfig
 
 
-class Region(Record):
-    """Constant-membership region; left == right is a line (spike) region."""
-
-    _fields = ("left", "right", "height")
-
-    def __init__(self, left: float, right: float, height: float):
-        left, right, height = float(left), float(right), float(height)
-        if left > right:
-            raise ValueError(f"region left {left} exceeds right {right}")
-        if not 0 < height <= 1:
-            raise ValueError(f"region height must be in (0, 1], got {height}")
-        self._init(left, right, height)
-
-
 def region_triples(
     profile: tuple[tuple[float, ...], ...]
 ) -> Iterator[tuple[float, float, float]]:
@@ -74,13 +60,16 @@ class FuzzyNumber(Record):
     """Piecewise-constant fuzzy number, stored as its canonical step profile.
 
     Made by construct_fuzzy from an interval set, or read back from its own
-    record by from_dict; calling the class with arguments raises TypeError.
+    record by from_dict; calling the class raises TypeError.
     The endpoints, at which the similarity measures evaluate, are the
     profile's breakpoints: for a number built from intervals, the distinct
     interval bounds. The source count n is a positive int.
     """
 
     _fields = ("profile", "n", "scale", "label")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("FuzzyNumber: use construct_fuzzy or FuzzyNumber.from_dict")
 
     @classmethod
     def _from_profile(cls, **fields) -> FuzzyNumber:
@@ -96,9 +85,9 @@ class FuzzyNumber(Record):
         return self.profile[0]
 
     @cached_property
-    def regions(self) -> tuple[Region, ...]:
-        """Canonical region list, derived from the profile on first access."""
-        return tuple(Region(*t) for t in region_triples(self.profile))
+    def regions(self) -> tuple[tuple[float, float, float], ...]:
+        """Canonical (left, right, height) triples, as to_dict writes them."""
+        return tuple(region_triples(self.profile))
 
     def membership(self, x: float) -> float:
         """Maximum region height at x; 0 outside every region."""
@@ -170,10 +159,8 @@ def _numbers(values) -> bool:
     return type(values) is list and all(type(v) in (int, float) for v in values)
 
 
-def construct_fuzzy(
-    interval_set: IntervalSet, scale: ScaleConfig, label: str | None = None
-) -> FuzzyNumber:
-    """Build the canonical fuzzy number of an interval set.
+def construct_fuzzy(interval_set: IntervalSet, scale: ScaleConfig) -> FuzzyNumber:
+    """Build the canonical fuzzy number of an interval set, under its label.
 
     Breakpoints are the distinct interval bounds. The sorted left and right
     bounds are merged in one two-pointer walk, and the intervals covering
@@ -208,7 +195,7 @@ def construct_fuzzy(
         profile=(tuple(xs), tuple(points), tuple(segments)),
         n=n,
         scale=scale,
-        label=interval_set.label if label is None else label,
+        label=interval_set.label,
     )
 
 

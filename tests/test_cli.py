@@ -187,6 +187,18 @@ class TestRank:
                            "--ideal", path)
         assert code == 0
 
+    def test_ideal_file_of_the_scale_extremes_ranks_as_auto(self, capsys, tmp_path):
+        # the file's ideals take its alternatives' labels, which no output prints
+        rows = "".join(f"best,c,s{i},10,10\nworst,c,s{i},1,1\n" for i in range(5))
+        path = write_rows(tmp_path / "ideals.csv", rows)
+        code, from_file, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio",
+                                 "--format", "json", "--ideal", path)
+        assert code == 0
+        code, auto, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio",
+                            "--format", "json")
+        assert code == 0
+        assert from_file == auto
+
     def test_bad_ideal_file_exits_3(self, capsys, tmp_path):
         path = write_rows(tmp_path / "ideals.csv", "top,c,s1,9,9\n")
         code, _, _ = run(capsys, "rank", *FILMS, "--method", "ideal-ratio",
@@ -466,6 +478,28 @@ class TestDeterminismAndOutput:
         for line in out.splitlines()[1:]:
             score = line.split()[2]
             assert len(score.split(".")[1]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", *SYNTH, "--criterion", "c2", "--method", "universal"],
+        ["rank", *SYNTH, "--criterion", "c2", "--method", "baseline"],
+        ["rank", *SYNTH, "--criterion", "c2", "--method", "ideal-ratio"],
+        ["topsis", *SYNTH],
+        ["rank", *FILMS, "--method", "universal"],
+    ], ids=["universal", "baseline", "ideal-ratio", "topsis", "films-universal"])
+    def test_text_table_columns_end_under_their_headers(self, capsys, argv):
+        # the labels X, Y, Z are shorter than the header "label"; the films'
+        # labels ("Film A") are longer
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("label"))
+        header, *rows = lines[start:]
+        ends = [match.end() for match in re.finditer(r"\S+", header)]
+        assert len(rows) == (10 if "films" in argv else 3)
+        for row in rows:
+            # the value columns are the row's last len(ends) - 1 words
+            words = [match.end() for match in re.finditer(r"\S+", row)]
+            assert words[1 - len(ends):] == ends[1:]
 
 
 class TestCsvRoundTrip:

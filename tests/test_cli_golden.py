@@ -130,14 +130,14 @@ GOLDEN = {
     'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure jaccard --format text': (4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'synthetic-3x2: similarity X Y --criterion c2 --measure attribute --format text': (0, 'a408ed49e930befcfbc0b53d10563d523b845c0e6eda95939448bab693fff3ba'),
     'synthetic-3x2: similarity --matrix --criterion c2 --measure attribute --format text': (0, '92bf69e379c5a3be88ca3db8045795a13fa1fbc525847926928c85ea7d4f8469'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure attribute --format text': (0, '2097a7df3222ec7966a60495ee17d7354338030099799229557869cf79c450de'),
+    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure attribute --format text': (0, '46ea04b04c949f3bf2a1017b1d8d6077143bf498e5f9bdc35d4153c6fc0b2b3e'),
     'synthetic-3x2: similarity X Y --criterion c2 --measure combined --format text': (0, '526d27cface7d685ccbaa923669b2d5030ac7c134aeb5d4abed887b2559db1c8'),
     'synthetic-3x2: similarity --matrix --criterion c2 --measure combined --format text': (0, '510ce3a4e6f4f2d4abb91cb36723b22a59ddd876c529bd5c18cb9eab77ba16e0'),
-    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure combined --format text': (0, '258dffc5fe8ea1aa6251a39c224ed08133edf49eaf7d1cfae4fa46458e77b613'),
-    'synthetic-3x2: rank --method universal --criterion c2 --format text': (0, '15601b3520839c2ab1bfe432ec58bf950ed117d07e0acfd45b552a15a475fdaf'),
-    'synthetic-3x2: rank --method baseline --criterion c2 --format text': (0, '01b062889882e87d317d2989ac5855865887214f418df7459a74a8cb3d1759bf'),
-    'synthetic-3x2: topsis --measure attribute --format text': (0, '1c94637c3cbeaa3aaacff5092d18fa8ee44610ad738ab14ffc825f65dbeea20a'),
-    'synthetic-3x2: topsis --measure combined --format text': (0, 'ef44594698a10dab812a48cb4136adbdce98cfcaabad2c45edfef6f472f236a5'),
+    'synthetic-3x2: rank --method ideal-ratio --criterion c2 --measure combined --format text': (0, '2152c0660c0c18b4a137a6e7497ff90bc7eafdd940f0a291244e19cafea1c857'),
+    'synthetic-3x2: rank --method universal --criterion c2 --format text': (0, '0a03df64e6d73e92d3e9daf58b4a7314a5178143f237f73fc7c4d3e791e2618e'),
+    'synthetic-3x2: rank --method baseline --criterion c2 --format text': (0, 'e3b09cb1e7afe4150900427f71af114cc6c5868b006ac234b37b0b22da00f670'),
+    'synthetic-3x2: topsis --measure attribute --format text': (0, '50818c5d93192175e36516de825527cecfd056faeb66b211c34c166d19d4dfd8'),
+    'synthetic-3x2: topsis --measure combined --format text': (0, 'efa3f0741e7d4c55cc78aa4e79443b7389a92189f1f4a4690eb265c313aa596d'),
     'synthetic-3x2: build --format json': (0, 'bb916a66e86fd9e1cd22ead88f978c5a68056a6344c2bc6690c43997d15b3654'),
     'synthetic-3x2: attributes --format json': (0, 'f9ecb108f21fead1bda4b8e357e503cce7ad2c1e48220c07a9159ece8a6d760a'),
     'synthetic-3x2: plotdata --format json': (0, '4bc3016e2da291bbcb01e4d53dd016b63100f5fb061e08cc8407ec4677bca032'),

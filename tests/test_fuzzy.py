@@ -1,11 +1,12 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
 from iaarank import (
     FuzzyNumber,
-    Region,
     ScaleConfig,
     attribute_similarity,
     attribute_vector,
@@ -21,10 +22,6 @@ from conftest import make_set
 WIDE = ScaleConfig(0, 10)
 NAN, INF = float("nan"), float("inf")
 RECORD = {"label": "p", "n": 1, "regions": [[1, 2, 1.0]], "endpoints": [1, 2]}
-
-
-def triples(fz):
-    return [(r.left, r.right, r.height) for r in fz.regions]
 
 
 def count_at(interval_set, x):
@@ -44,10 +41,10 @@ class TestMembershipAt:
 
 class TestConstruction:
     def test_film_a_single_spike(self, film_numbers):
-        assert triples(film_numbers["Film A"]) == [(1, 1, 1.0)]
+        assert film_numbers["Film A"].regions == ((1, 1, 1.0),)
 
     def test_film_b_regions(self, film_numbers):
-        assert triples(film_numbers["Film B"]) == [
+        assert list(film_numbers["Film B"].regions) == [
             (3, 4, 0.2),
             (5, 5, 0.4),
             (5, 6, 0.2),
@@ -57,7 +54,7 @@ class TestConstruction:
         ]
 
     def test_film_h_regions(self, film_numbers):
-        assert triples(film_numbers["Film H"]) == [
+        assert list(film_numbers["Film H"].regions) == [
             (1, 1.5, 0.2),
             (1.5, 2, 0.4),
             (2, 3, 0.6),
@@ -76,6 +73,14 @@ class TestConstruction:
         assert fz.label == "Film G"
         assert fz.n == 5
 
+    def test_label_is_the_interval_sets(self):
+        assert construct_fuzzy(make_set("x", [(1, 2), (2, 4)]), WIDE).label == "x"
+
+    def test_construct_fuzzy_takes_no_label_keyword(self):
+        # a number is relabelled by relabelling its interval set
+        with pytest.raises(TypeError):
+            construct_fuzzy(make_set("x", [(1, 2)]), WIDE, label="y")
+
     def test_out_of_scale_rejected(self):
         iset = make_set("x", [(0, 5)])
         with pytest.raises(Exception):
@@ -91,15 +96,13 @@ class TestConstruction:
 
     def test_heights_are_fifths(self, film_numbers):
         for fz in film_numbers.values():
-            for region in fz.regions:
-                assert region.height * fz.n == pytest.approx(
-                    round(region.height * fz.n)
-                )
+            for _, _, height in fz.regions:
+                assert height * fz.n == pytest.approx(round(height * fz.n))
 
     def test_full_height_iff_total_overlap(self, film_numbers):
         for label in ("Film A", "Film I", "Film J"):
-            assert max(r.height for r in film_numbers[label].regions) == 1.0
-        assert max(r.height for r in film_numbers["Film B"].regions) < 1.0
+            assert max(h for _, _, h in film_numbers[label].regions) == 1.0
+        assert max(h for _, _, h in film_numbers["Film B"].regions) < 1.0
 
 
 class TestEvaluationPoints:
@@ -126,19 +129,19 @@ class TestCanonicalRegions:
 
     def test_adjacent_equal_segments_merge(self):
         merged = from_regions([(0, 1, 0.5), (1, 2, 0.5)])
-        assert merged.regions == (Region(0, 2, 0.5),)
+        assert merged.regions == ((0, 2, 0.5),)
 
     def test_spike_keeps_segments_split(self):
         regions = [(0, 1, 0.5), (1, 1, 0.8), (1, 2, 0.5)]
-        assert triples(from_regions(regions)) == regions
+        assert list(from_regions(regions).regions) == regions
 
     def test_redundant_spike_dropped(self):
         merged = from_regions([(0, 1, 0.5), (1, 1, 0.5), (1, 2, 0.5)])
-        assert merged.regions == (Region(0, 2, 0.5),)
+        assert merged.regions == ((0, 2, 0.5),)
 
     def test_spike_inside_segment_splits_it(self):
         cleaned = from_regions([(0, 4, 0.5), (2, 2, 0.8)])
-        assert triples(cleaned) == [(0, 2, 0.5), (2, 2, 0.8), (2, 4, 0.5)]
+        assert cleaned.regions == ((0, 2, 0.5), (2, 2, 0.8), (2, 4, 0.5))
 
     def test_zero_regions(self):
         with pytest.raises(ValueError, match="endpoints"):
@@ -146,14 +149,14 @@ class TestCanonicalRegions:
 
     def test_idempotent_on_films(self, film_numbers):
         for fz in film_numbers.values():
-            assert from_regions(triples(fz), n=fz.n).profile == fz.profile
+            assert from_regions(fz.regions, n=fz.n).profile == fz.profile
 
     def test_idempotent_on_random_sets(self):
         rng = random.Random(23)
         for trial in range(300):
             pairs = oracle.random_pairs(rng)
             fz = construct_fuzzy(make_set(f"t{trial}", pairs), WIDE)
-            assert triples(from_regions(triples(fz))) == triples(fz)
+            assert from_regions(fz.regions).regions == fz.regions
 
 
 class TestOracleEquivalence:
@@ -173,7 +176,7 @@ class TestOracleEquivalence:
         for trial in range(300):
             pairs = oracle.random_pairs(rng)
             fz = construct_fuzzy(make_set(f"t{trial}", pairs), WIDE)
-            assert triples(fz) == oracle.brute_regions(pairs)
+            assert list(fz.regions) == oracle.brute_regions(pairs)
 
     def test_support_preserved(self):
         rng = random.Random(41)
@@ -187,11 +190,11 @@ class TestOracleEquivalence:
                 else:
                     spans.append([left, right])
             region_spans = []
-            for r in fz.regions:
-                if region_spans and r.left <= region_spans[-1][1]:
-                    region_spans[-1][1] = max(region_spans[-1][1], r.right)
+            for left, right, _ in fz.regions:
+                if region_spans and left <= region_spans[-1][1]:
+                    region_spans[-1][1] = max(region_spans[-1][1], right)
                 else:
-                    region_spans.append([r.left, r.right])
+                    region_spans.append([left, right])
             assert region_spans == spans
 
 
@@ -231,7 +234,9 @@ class TestFuzzyNumberType:
 
     def test_calling_the_class_raises_type_error(self):
         # a number is made by construct_fuzzy or from_dict, never from regions
-        regions = (Region(0, 1, 1.0),)
+        regions = ((0, 1, 1.0),)
+        with pytest.raises(TypeError, match="construct_fuzzy"):
+            FuzzyNumber()
         with pytest.raises(TypeError):
             FuzzyNumber(regions, n=1, scale=WIDE)
         with pytest.raises(TypeError):
@@ -263,13 +268,17 @@ class TestFuzzyNumberType:
         with pytest.raises(ValueError, match=r"heights must be in \(0, 1\]"):
             FuzzyNumber.from_dict({**RECORD, "regions": [[1, 2, height]]}, WIDE)
 
-    def test_region_height_bounds(self):
-        with pytest.raises(ValueError):
-            Region(0, 1, 0.0)
-        with pytest.raises(ValueError):
-            Region(0, 1, 1.5)
-        with pytest.raises(ValueError):
-            Region(2, 1, 0.5)
+    def test_region_height_bounds(self, film_numbers):
+        # every region of a built number runs left to right at a height in (0, 1]
+        rng = random.Random(29)
+        numbers = list(film_numbers.values()) + [
+            construct_fuzzy(make_set(f"t{trial}", oracle.random_pairs(rng)), WIDE)
+            for trial in range(100)
+        ]
+        for fz in numbers:
+            for left, right, height in fz.regions:
+                assert left <= right
+                assert 0 < height <= 1
 
     def test_json_round_trip(self, film_numbers, film_scale):
         fz = film_numbers["Film B"]
@@ -362,4 +371,12 @@ class TestOneNumberPerMembership:
         assert "endpoints" not in repr(fresh)
         fz = film_numbers["Film B"]
         assert fz.regions is fz.regions
-        assert fz.regions == tuple(Region(*t) for t in fz.to_dict()["regions"])
+        assert fz.regions == tuple(map(tuple, fz.to_dict()["regions"]))
+
+    def test_regions_survive_pickle_and_deepcopy(self, film_numbers):
+        # neither calls __init__, which raises; the copy derives equal triples
+        fz = film_numbers["Film H"]
+        for again in (pickle.loads(pickle.dumps(fz)), copy.deepcopy(fz)):
+            assert again == fz
+            assert again.regions == fz.regions
+            assert all(type(v) is float for t in again.regions for v in t)

@@ -48,16 +48,15 @@ def build(pairs):
     return construct_fuzzy(make_set("p", pairs), WIDE)
 
 
-def triples(fz):
-    return [(r.left, r.right, r.height) for r in fz.regions]
-
-
 @settings(max_examples=150, deadline=None)
 @given(interval_lists)
 @example([(0.0, 0.0), (5e-324, 5e-324)])  # adjacent doubles: two spikes, no segment
 def test_regions_equal_oracle_bit_exactly(pairs):
     fz = build(pairs)
-    assert triples(fz) == oracle.brute_regions(pairs)
+    assert fz.regions == tuple(oracle.brute_regions(pairs))
+    assert all(type(region) is tuple and list(map(type, region)) == [float] * 3
+               for region in fz.regions)
+    assert fz.regions == tuple(map(tuple, fz.to_dict()["regions"]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,7 +92,7 @@ def test_agreement_equals_oracle_bit_exactly(pairs):
 @example([(0, 1, 0.5), (1, 1, 1.0), (3, 3, 0.25)])
 def test_agreement_of_canonical_lists_equals_oracle(regs):
     fz = oracle.fuzzy_from_regions(regs, WIDE)
-    assert attribute_vector(fz).agreement_ratio == oracle.brute_agreement(triples(fz))
+    assert attribute_vector(fz).agreement_ratio == oracle.brute_agreement(fz.regions)
 
 
 def from_pairs(pairs):
@@ -139,9 +138,9 @@ def test_off_scale_interval_raises_the_first_offender(pairs):
 @example([(0, 4, 0.5), (2, 2, 0.75), (1, 3, 0.625)])
 def test_region_builder_idempotent_and_preserves_membership(regs):
     fz = oracle.fuzzy_from_regions(regs, WIDE)
-    canonical = triples(fz)
+    canonical = list(fz.regions)
     assert canonical == oracle.brute_canonical(regs)[1]
-    assert triples(oracle.fuzzy_from_regions(canonical, WIDE)) == canonical
+    assert list(oracle.fuzzy_from_regions(canonical, WIDE).regions) == canonical
     for x in probe_points({b for l, r, _ in regs for b in (l, r)}):
         direct = max((h for l, r, h in regs if l <= x <= r), default=0.0)
         assert fz.membership(x) == direct
@@ -153,7 +152,7 @@ def test_region_builder_idempotent_and_preserves_membership(regs):
 @example([(0, 1, 0.5), (1, 1, 0.5), (1, 2, 0.5)])
 def test_regions_and_their_canonical_form_give_one_number(regs):
     given_as = oracle.fuzzy_from_regions(regs, WIDE)
-    canonical = oracle.fuzzy_from_regions(triples(given_as), WIDE)
+    canonical = oracle.fuzzy_from_regions(given_as.regions, WIDE)
     assert given_as.profile == canonical.profile
     _, points, segments = given_as.profile
     flat = [left == point == right
@@ -161,7 +160,8 @@ def test_regions_and_their_canonical_form_give_one_number(regs):
     assert not any(flat)
     assert given_as == canonical and hash(given_as) == hash(canonical)
     assert attribute_vector(given_as) == attribute_vector(canonical)
-    assert triples(given_as) == triples(canonical) == oracle.brute_canonical(regs)[1]
+    assert given_as.regions == canonical.regions
+    assert list(canonical.regions) == oracle.brute_canonical(regs)[1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -206,10 +206,8 @@ class TestRankByIdealRatio:
 
     def test_exact_tie_falls_back_to_universal(self, film_ideals, film_scale):
         best, worst = film_ideals
-        spike = construct_fuzzy(
-            make_set("spike", [(5, 5)] * 2), film_scale, label="spike"
-        )
-        rect = construct_fuzzy(make_set("rect", [(4, 6)] * 2), film_scale, label="rect")
+        spike = construct_fuzzy(make_set("spike", [(5, 5)] * 2), film_scale)
+        rect = construct_fuzzy(make_set("rect", [(4, 6)] * 2), film_scale)
         # identical ideal-ratio scores by symmetry of the two shapes is not
         # guaranteed, so force a literal tie with duplicated inputs instead
         result = rank_by_ideal_ratio([rect, spike, rect], best, worst, "combined")

@@ -330,8 +330,7 @@ def test_public_names():
     assert sorted(iaarank.__all__) == [
         "AttributeVector", "CriterionIdeals", "DecisionMatrix",
         "FuzzyNumber", "IntervalSet", "MEASURES",
-        "MultiCriteriaDataset", "RankingEntry", "RankingResult", "Region",
-        "ScaleConfig", "TopsisEntry", "TopsisResult",
+        "MultiCriteriaDataset", "RankingEntry", "RankingResult", "ScaleConfig", "TopsisEntry", "TopsisResult",
         "__version__", "attribute_similarity", "attribute_vector",
         "bundled_path", "combined_similarity", "construct_fuzzy",
         "errors", "evaluation_points", "feature_vector", "ideal_interval_set",
