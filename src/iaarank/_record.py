@@ -3,12 +3,15 @@
 A record class names its fields in ``_fields`` and writes its own
 ``__init__``, which checks its arguments and then stores the fields with
 ``_init``; FuzzyNumber's raises TypeError, as only its factories make one.
+The one maker that skips those checks is ``_from_fields``, whose caller
+vouches for the values as the class docstring states them.
 
 The base gives every record value semantics: equality only between
 instances of one class, on the field tuple; the hash of that tuple; a
 ``Name(field=value, ...)`` repr; and assignment or deletion that raises
-AttributeError. Instances keep a ``__dict__``, so cached properties, weak
-references, pickle and copy work as on any plain object.
+AttributeError. Instances keep a ``__dict__`` for cached properties and weak
+references; pickle and copy carry the fields only, and a copy derives any
+cached value again.
 """
 
 from __future__ import annotations
@@ -20,6 +23,16 @@ class Record:
     def _init(self, *values) -> None:
         """Store the field values, in _fields order, past __setattr__."""
         vars(self).update(zip(self._fields, values))
+
+    @classmethod
+    def _from_fields(cls, *values):
+        """A record of the field values, in _fields order, unchecked."""
+        record = object.__new__(cls)
+        vars(record).update(zip(cls._fields, values))
+        return record
+
+    def __reduce__(self):
+        return type(self)._from_fields, self._values()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -93,7 +93,8 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     support length; one walk over the segments finds the three inner
     quartiles with one running area total. The vector is stored on the
     number as the private non-field attribute ``_attributes``, so equality,
-    hash and ``to_dict`` do not see it.
+    hash, ``to_dict``, pickle and copy do not see it: a copy computes it
+    again when asked.
     """
     vector = getattr(fz, "_attributes", None)
     if vector is not None:

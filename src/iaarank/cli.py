@@ -124,7 +124,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def _plain(value: float) -> str:
-    if value == int(value):
+    """A coordinate as text: a whole number below 1e16 as an int, else its repr."""
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -60,7 +60,8 @@ class FuzzyNumber(Record):
     """Piecewise-constant fuzzy number, stored as its canonical step profile.
 
     Made by construct_fuzzy from an interval set, or read back from its own
-    record by from_dict; calling the class raises TypeError.
+    record by from_dict, each vouching to the unchecked ``_from_fields``
+    that the profile is canonical; calling the class raises TypeError.
     The endpoints, at which the similarity measures evaluate, are the
     profile's breakpoints: for a number built from intervals, the distinct
     interval bounds. The source count n is a positive int.
@@ -70,14 +71,6 @@ class FuzzyNumber(Record):
 
     def __init__(self, *args, **kwargs):
         raise TypeError("FuzzyNumber: use construct_fuzzy or FuzzyNumber.from_dict")
-
-    @classmethod
-    def _from_profile(cls, **fields) -> FuzzyNumber:
-        """A number from its stored fields, unchecked: the profile must be
-        canonical."""
-        number = object.__new__(cls)
-        vars(number).update(fields)
-        return number
 
     @property
     def endpoints(self) -> tuple[float, ...]:
@@ -151,7 +144,7 @@ class FuzzyNumber(Record):
             raise ValueError(
                 f"regions {regions} are not the canonical regions of endpoints {xs}"
             )
-        return cls._from_profile(profile=profile, n=n, scale=scale, label=label)
+        return cls._from_fields(profile, n, scale, label)
 
 
 def _numbers(values) -> bool:
@@ -191,11 +184,8 @@ def construct_fuzzy(interval_set: IntervalSet, scale: ScaleConfig) -> FuzzyNumbe
             j += 1
         segments.append((i - j) / n)
         xs.append(x)
-    return FuzzyNumber._from_profile(
-        profile=(tuple(xs), tuple(points), tuple(segments)),
-        n=n,
-        scale=scale,
-        label=interval_set.label,
+    return FuzzyNumber._from_fields(
+        (tuple(xs), tuple(points), tuple(segments)), n, scale, interval_set.label
     )
 
 

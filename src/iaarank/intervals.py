@@ -73,9 +73,10 @@ class ScaleConfig(Record):
 class IntervalSet(Record):
     """Multiset of intervals gathered for one alternative.
 
-    Built from (left, right) pairs, one per source. The sources are stored
-    as two float columns in source order: ``lefts`` holds the left bounds
-    and ``rights`` the right bounds.
+    Built from (left, right) pairs, one per source, and stored as two float
+    columns in source order, ``lefts`` and ``rights``: non-empty, of equal
+    length, finite, each left bound at most its right one. A caller of the
+    unchecked ``_from_fields`` vouches for these.
     """
 
     _fields = ("lefts", "rights", "label")
@@ -86,16 +87,6 @@ class IntervalSet(Record):
             raise ZeroSources(f"interval set {label!r} has no intervals")
         lefts, rights = zip(*pairs)
         self._init(lefts, rights, label)
-
-    @classmethod
-    def _from_columns(cls, lefts: tuple[float, ...], rights: tuple[float, ...],
-                      label: str) -> IntervalSet:
-        """A set from its stored fields, unchecked: the columns must be
-        non-empty, of equal length, and hold finite floats with each left
-        bound at most its right bound."""
-        interval_set = object.__new__(cls)
-        interval_set._init(lefts, rights, label)
-        return interval_set
 
     @property
     def n(self) -> int:
@@ -118,7 +109,7 @@ def ideal_interval_set(scale: ScaleConfig, n: int, which: str) -> IntervalSet:
     if which not in ("best", "worst"):
         raise ValueError(f"which must be 'best' or 'worst', got {which!r}")
     values = (scale.scale_max if which == "best" else scale.scale_min,) * n
-    return IntervalSet._from_columns(values, values, f"ideal {which}")
+    return IntervalSet._from_fields(values, values, f"ideal {which}")
 
 
 def midpoint_mean(interval_set: IntervalSet) -> float:
@@ -269,11 +260,7 @@ def bundled_path(name: str) -> Path:
             f"unknown bundled dataset {name!r}; choose from "
             f"{sorted(BUNDLED_DATASETS)}"
         ) from None
-    # Imported here, not at the top: it loads tempfile, shutil and more,
-    # which no other path needs.
-    from importlib.resources import files
-
-    return Path(str(files("iaarank").joinpath("data", filename)))
+    return Path(__file__).parent / "data" / filename
 
 
 def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
@@ -361,7 +348,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
                         f"{criterion!r}",
                         line=line_no,
                     )
-        cells[(alternative, criterion)] = IntervalSet._from_columns(
+        cells[(alternative, criterion)] = IntervalSet._from_fields(
             lefts, rights, alternative
         )
 

@@ -4,8 +4,10 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iaarank.cli import main
+from iaarank.cli import _plain, main
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
 SYNTH = ["--input", "synthetic-3x2", "--scale-min", "0", "--scale-max", "10"]
@@ -48,12 +50,20 @@ class TestBuild:
         assert code == 0
         assert len(json.loads(out)) == 10
 
-    def test_csv_format(self, capsys):
+    def test_csv_format(self, capsys, tmp_path):
         code, out, _ = run(capsys, "build", *FILMS, "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "alternative,criterion,left,right,height"
         assert lines[1] == "Film A,overall,1,1,1.0"
+        # a whole coordinate loses ".0" only below 1e16; -0.0 prints 0
+        path = write_rows(tmp_path / "wide.csv", "A,c,s,-0.0,2.5\nA,c,t,2.5,1e17\n")
+        code, out, _ = run(capsys, "build", "--input", path, "--scale-min", "0",
+                           "--scale-max", "1e300", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "A,c,0,2.5,0.5", "A,c,2.5,2.5,1.0", "A,c,2.5,1e+17,0.5"
+        ]
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "build", "--input", "/no/such/file.csv",
@@ -139,6 +149,20 @@ class TestBuild:
         code, out, _ = run(capsys, "build", *FILMS, "--epsilon", value)
         assert code == 0
         assert out == run(capsys, "build", *FILMS)[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(1e16)
+@example(1e300)
+@example(9999999999999998.0)
+def test_plain_coordinate_reads_back_no_longer_than_repr(x):
+    text = _plain(x)
+    assert float(text) == x
+    assert len(text) <= len(repr(x))
+    if abs(x) < 1e16:  # the whole-number rule of earlier releases
+        assert text == (str(int(x)) if x == int(x) else repr(x))
 
 
 class TestRank:

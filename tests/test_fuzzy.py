@@ -373,10 +373,20 @@ class TestOneNumberPerMembership:
         assert fz.regions is fz.regions
         assert fz.regions == tuple(map(tuple, fz.to_dict()["regions"]))
 
-    def test_regions_survive_pickle_and_deepcopy(self, film_numbers):
+    def test_regions_survive_pickle_and_deepcopy(self, film_numbers, film_sets,
+                                                  film_scale):
         # neither calls __init__, which raises; the copy derives equal triples
         fz = film_numbers["Film H"]
         for again in (pickle.loads(pickle.dumps(fz)), copy.deepcopy(fz)):
             assert again == fz
             assert again.regions == fz.regions
             assert all(type(v) is float for t in again.regions for v in t)
+        # pickle and copy carry the fields only, whatever was read before
+        fresh = construct_fuzzy(film_sets["Film H"], film_scale)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        before = [pickle.dumps(fresh, p) for p in protocols]
+        fresh.regions
+        attribute_vector(fresh)
+        assert [pickle.dumps(fresh, p) for p in protocols] == before
+        for again in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(before[-1])):
+            assert set(vars(again)) == set(FuzzyNumber._fields)

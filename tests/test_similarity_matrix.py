@@ -359,9 +359,10 @@ def test_import_does_not_load_the_cli():
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         f"import iaarank; print([m for m in {unwanted!r} if m in sys.modules]); "
-        f"import iaarank.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+        f"import iaarank.cli; print([m for m in {unwanted!r} if m in sys.modules]); "
+        "iaarank.bundled_path('films'); print('importlib.resources' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["[]", "[]"]
+    assert result.stdout.split() == ["[]", "[]", "False"]
