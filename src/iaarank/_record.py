@@ -1,10 +1,12 @@
 """The base of the package's frozen value records.
 
-A record class names its fields in ``_fields`` and writes its own
-``__init__``, which checks its arguments and then stores the fields with
-``_init``; FuzzyNumber's raises TypeError, as only its factories make one.
-The one maker that skips those checks is ``_from_fields``, whose caller
-vouches for the values as the class docstring states them.
+A record class names its fields in ``_fields``, and ``Record.__init__``
+takes one positional value per field and stores them. A record class writes
+its own ``__init__`` only to check or convert its arguments, and then hands
+them to ``Record.__init__``; FuzzyNumber's raises TypeError, as only its
+factories make one. The one maker that skips those checks is
+``_from_fields``, whose caller vouches for the values as the class docstring
+states them.
 
 The base gives every record value semantics: equality only between
 instances of one class, on the field tuple; the hash of that tuple; a
@@ -20,8 +22,14 @@ from __future__ import annotations
 class Record:
     _fields: tuple[str, ...] = ()
 
-    def _init(self, *values) -> None:
+    def __init__(self, *values, **keywords) -> None:
         """Store the field values, in _fields order, past __setattr__."""
+        if keywords or len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes its {len(self._fields)} fields "
+                f"{self._fields} by position, got {len(values)} positional and "
+                f"{len(keywords)} keyword values"
+            )
         vars(self).update(zip(self._fields, values))
 
     @classmethod

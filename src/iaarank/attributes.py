@@ -56,12 +56,6 @@ class AttributeVector(Record):
     _fields = ("quartiles", "centroid_x", "centroid_y", "area", "height",
                "perimeter", "agreement_ratio")
 
-    def __init__(self, quartiles: tuple[float, float, float, float, float],
-                 centroid_x: float, centroid_y: float, area: float, height: float,
-                 perimeter: float, agreement_ratio: float):
-        self._init(quartiles, centroid_x, centroid_y, area, height, perimeter,
-                   agreement_ratio)
-
     def to_dict(self) -> dict:
         return {**dict(zip(self._fields, self._values())),
                 "quartiles": list(self.quartiles)}
@@ -147,13 +141,13 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
             quartiles.append(position)
     quartiles.append(xs[-1])
     vector = AttributeVector(
-        quartiles=tuple(quartiles),
-        centroid_x=moment / (2 * total_height),
-        centroid_y=half_heights / count,
-        area=total_area,
-        height=max(points),
-        perimeter=outline,
-        agreement_ratio=0.0 if length <= _ZERO else total_area / length,
+        tuple(quartiles),
+        moment / (2 * total_height),  # centroid_x
+        half_heights / count,  # centroid_y
+        total_area,
+        max(points),  # height
+        outline,  # perimeter
+        0.0 if length <= _ZERO else total_area / length,  # agreement_ratio
     )
     object.__setattr__(fz, "_attributes", vector)
     return vector

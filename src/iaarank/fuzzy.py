@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from ._record import Record
-from .errors import ScaleMismatch
+from .errors import OutOfScale, ScaleMismatch
 from .intervals import IntervalSet, ScaleConfig
 
 
@@ -137,7 +137,7 @@ class FuzzyNumber(Record):
         segments = [0.0, *(float(segment.get(x, 0.0)) for x in xs)]
         points = [float(max(line.get(x, 0.0), left, right))
                   for x, left, right in zip(xs, segments, segments[1:])]
-        profile = (tuple(map(float, xs)), tuple(points), tuple(segments))
+        profile = (tuple([float(x) + 0.0 for x in xs]), tuple(points), tuple(segments))
         flat = any(l == p == r for l, p, r in zip(segments, points, segments[1:]))
         # a positive last segment is refused first: region_triples reads past it
         if segments[-1] or flat or [list(t) for t in region_triples(profile)] != regions:
@@ -166,8 +166,14 @@ def construct_fuzzy(interval_set: IntervalSet, scale: ScaleConfig) -> FuzzyNumbe
     """
     lefts = sorted(interval_set.lefts)
     rights = sorted(interval_set.rights)
-    if not (scale.scale_min <= lefts[0] and rights[-1] <= scale.scale_max):
-        interval_set.validate_scale(scale)
+    low, high = scale.scale_min, scale.scale_max
+    if not (low <= lefts[0] and rights[-1] <= high):
+        for left, right in zip(interval_set.lefts, interval_set.rights):
+            if not (low <= left and right <= high):
+                raise OutOfScale(
+                    f"interval [{left}, {right}] of {interval_set.label!r} "
+                    f"outside scale [{low}, {high}]"
+                )
     n = len(lefts)
     lefts.append(math.inf)  # sentinels: the bounds are finite
     rights.append(math.inf)
@@ -183,7 +189,7 @@ def construct_fuzzy(interval_set: IntervalSet, scale: ScaleConfig) -> FuzzyNumbe
         while rights[j] == x:
             j += 1
         segments.append((i - j) / n)
-        xs.append(x)
+        xs.append(x + 0.0)  # -0.0 + 0.0 is 0.0: a profile holds no negative zero
     return FuzzyNumber._from_fields(
         (tuple(xs), tuple(points), tuple(segments)), n, scale, interval_set.label
     )

@@ -63,7 +63,7 @@ class ScaleConfig(Record):
                 f"scale_min must be strictly below scale_max, got "
                 f"[{scale_min}, {scale_max}]"
             )
-        self._init(scale_min, scale_max)
+        super().__init__(scale_min, scale_max)
 
     @property
     def range(self) -> float:
@@ -86,20 +86,11 @@ class IntervalSet(Record):
         if not pairs:
             raise ZeroSources(f"interval set {label!r} has no intervals")
         lefts, rights = zip(*pairs)
-        self._init(lefts, rights, label)
+        super().__init__(lefts, rights, label)
 
     @property
     def n(self) -> int:
         return len(self.lefts)
-
-    def validate_scale(self, scale: ScaleConfig) -> None:
-        low, high = scale.scale_min, scale.scale_max
-        for left, right in zip(self.lefts, self.rights):
-            if not (low <= left and right <= high):
-                raise OutOfScale(
-                    f"interval [{left}, {right}] of {self.label!r} outside scale "
-                    f"[{low}, {high}]"
-                )
 
 
 def ideal_interval_set(scale: ScaleConfig, n: int, which: str) -> IntervalSet:
@@ -127,14 +118,15 @@ class MultiCriteriaDataset(Record):
 
     def __init__(self, alternatives: Iterable[str], criteria: Iterable[str],
                  cells: Mapping[tuple[str, str], IntervalSet], scale: ScaleConfig):
-        self._init(tuple(alternatives), tuple(criteria), dict(cells), scale)
-        for alternative in self.alternatives:
-            for criterion in self.criteria:
-                if (alternative, criterion) not in self.cells:
+        alternatives, criteria, cells = tuple(alternatives), tuple(criteria), dict(cells)
+        for alternative in alternatives:
+            for criterion in criteria:
+                if (alternative, criterion) not in cells:
                     raise MalformedRow(
                         f"missing cell for alternative {alternative!r}, "
                         f"criterion {criterion!r}"
                     )
+        super().__init__(alternatives, criteria, cells, scale)
 
     def cell(self, alternative: str, criterion: str) -> IntervalSet:
         return self.cells[(alternative, criterion)]

@@ -52,9 +52,6 @@ def universal_levels(epsilon: float = DEFAULT_EPSILON, number=None):
 class RankingEntry(Record):
     _fields = ("label", "score", "rank")
 
-    def __init__(self, label: str, score: float | None, rank: int):
-        self._init(label, score, rank)
-
 
 class RankingResult(Record):
     """Alternatives in rank order with competition-style 1-based ranks.
@@ -64,10 +61,6 @@ class RankingResult(Record):
     """
 
     _fields = ("method", "entries", "ties")
-
-    def __init__(self, method: str, entries: tuple[RankingEntry, ...],
-                 ties: tuple[tuple[str, ...], ...] = ()):
-        self._init(method, entries, ties)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(entry.label for entry in self.entries)
@@ -127,11 +120,11 @@ def _build_result(method, scored, levels) -> RankingResult:
     """Rank (subject, score) pairs on levels; label entries by subject."""
     ordered, ranks, groups = order_and_rank(scored, levels)
     entries = tuple(
-        RankingEntry(label=subject.label, score=score, rank=rank)
+        RankingEntry(subject.label, score, rank)
         for (subject, score), rank in zip(ordered, ranks)
     )
     ties = tuple(tuple(ordered[i][0].label for i in group) for group in groups)
-    return RankingResult(method=method, entries=entries, ties=ties)
+    return RankingResult(method, entries, ties)
 
 
 def rank_universal(
@@ -153,13 +146,14 @@ def rank_universal(
     )
 
 
-def _ratio(kernel: PairKernel, number, best, worst) -> float:
-    """The ideal ratio of a prepared number against two prepared ideals."""
+def _ratio(kernel: PairKernel, fz: FuzzyNumber, best, worst) -> float:
+    """The ideal ratio of a number against two ideals the kernel prepared."""
+    number = kernel.prepare(fz)
     s_best = kernel(number, best)
     s_worst = kernel(number, worst)
     total = s_best + s_worst
     if total == 0:
-        label = number[1].label  # a prepared number holds the FuzzyNumber second
+        label = fz.label
         raise DivisionByZero(
             f"{label or 'alternative'}: zero similarity to both ideals", label=label
         )
@@ -179,7 +173,7 @@ def ideal_ratio(
     ideal); the error carries the offending label.
     """
     kernel = PairKernel(measure, fz.scale)
-    return _ratio(kernel, *map(kernel.prepare, (fz, ideal_best, ideal_worst)))
+    return _ratio(kernel, fz, kernel.prepare(ideal_best), kernel.prepare(ideal_worst))
 
 
 def rank_by_ideal_ratio(
@@ -199,7 +193,7 @@ def rank_by_ideal_ratio(
     kernel = PairKernel(measure, ideal_best.scale)
     best = kernel.prepare(ideal_best)
     worst = kernel.prepare(ideal_worst)
-    scored = [(fz, _ratio(kernel, kernel.prepare(fz), best, worst)) for fz in items]
+    scored = [(fz, _ratio(kernel, fz, best, worst)) for fz in items]
     return _build_result(
         f"ideal_ratio({measure})",
         scored,

@@ -70,7 +70,7 @@ class DecisionMatrix(Record):
                         f"[{cell.scale.scale_min}, {cell.scale.scale_max}] does "
                         f"not match the matrix scale [{low}, {high}]"
                     )
-        self._init(alternatives, criteria, cells, scale, weights, directions)
+        super().__init__(alternatives, criteria, cells, scale, weights, directions)
 
     @classmethod
     def from_dataset(
@@ -114,10 +114,6 @@ class DecisionMatrix(Record):
 class CriterionIdeals(Record):
     _fields = ("criterion", "pis", "nis", "degenerate")
 
-    def __init__(self, criterion: str, pis: FuzzyNumber, nis: FuzzyNumber,
-                 degenerate: bool):
-        self._init(criterion, pis, nis, degenerate)
-
 
 def select_ideals(
     matrix: DecisionMatrix, epsilon: float = DEFAULT_EPSILON
@@ -151,14 +147,7 @@ def select_ideals(
         )
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top
-        ideals.append(
-            CriterionIdeals(
-                criterion=criterion,
-                pis=top,
-                nis=bottom,
-                degenerate=ranks[-1] == 1,
-            )
-        )
+        ideals.append(CriterionIdeals(criterion, top, bottom, ranks[-1] == 1))
     return tuple(ideals)
 
 
@@ -196,18 +185,9 @@ def separations(
 class TopsisEntry(Record):
     _fields = ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate")
 
-    def __init__(self, label: str, d_plus: float, d_minus: float, closeness: float,
-                 rank: int, degenerate: bool):
-        self._init(label, d_plus, d_minus, closeness, rank, degenerate)
-
 
 class TopsisResult(Record):
     _fields = ("measure", "entries", "ideals", "ties")
-
-    def __init__(self, measure: str, entries: tuple[TopsisEntry, ...],
-                 ideals: tuple[CriterionIdeals, ...],
-                 ties: tuple[tuple[str, ...], ...] = ()):
-        self._init(measure, entries, ideals, ties)
 
     def to_dict(self) -> dict:
         return {
@@ -265,4 +245,4 @@ def topsis_rank(
         for (label, d_plus, d_minus, closeness, degenerate), rank in zip(ordered, ranks)
     )
     ties = tuple(tuple(ordered[i][0] for i in group) for group in groups)
-    return TopsisResult(measure=measure, entries=entries, ideals=ideals, ties=ties)
+    return TopsisResult(measure, entries, ideals, ties)

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import math
+import pickle
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iaarank import FuzzyNumber, IntervalSet, ScaleConfig, construct_fuzzy
 from iaarank.cli import _plain, main
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
@@ -64,6 +67,25 @@ class TestBuild:
         assert out.splitlines()[1:] == [
             "A,c,0,2.5,0.5", "A,c,2.5,2.5,1.0", "A,c,2.5,1e+17,0.5"
         ]
+
+    def test_negative_zero_bound_builds_the_number_of_zero(self, capsys, tmp_path):
+        outputs, numbers = [], []
+        for zero in ("-0.0", "0.0"):
+            rows = f"A,c,s,{zero},2.5\nA,c,t,2.5,4\n"
+            path = write_rows(tmp_path / "z.csv", rows)
+            code, out, _ = run(capsys, "build", "--input", path, "--scale-min", "-1",
+                               "--scale-max", "10", "--format", "json")
+            assert code == 0
+            outputs.append(out)
+            numbers.append(construct_fuzzy(
+                IntervalSet([(float(zero), 2.5), (2.5, 4)], "A"), ScaleConfig(-1, 10)
+            ))
+        assert outputs[0] == outputs[1]
+        assert "-0" not in outputs[0]
+        assert pickle.dumps(numbers[0]) == pickle.dumps(numbers[1])
+        record = {"n": 1, "regions": [[-0.0, 1.0, 1.0]], "endpoints": [-0.0, 1.0]}
+        fz = FuzzyNumber.from_dict(record, ScaleConfig(-1, 10))
+        assert math.copysign(1.0, fz.endpoints[0]) == 1.0
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "build", "--input", "/no/such/file.csv",

@@ -3,7 +3,8 @@
 Each record compares equal to one with equal fields and to no instance of
 another class, hashes as its field tuple, prints as Name(field=value, ...),
 refuses assignment and deletion, and survives pickle, copy and weak
-references."""
+references. Only a class that checks or converts its arguments writes its own
+__init__; the others take their fields by position through Record.__init__."""
 
 import copy
 import pickle
@@ -59,7 +60,7 @@ RECORDS = {
     RankingEntry: (("label", "score", "rank"), lambda: RankingEntry("a", 0.5, 1)),
     RankingResult: (
         ("method", "entries", "ties"),
-        lambda: RankingResult("universal", (RankingEntry("a", None, 1),)),
+        lambda: RankingResult("universal", (RankingEntry("a", None, 1),), ()),
     ),
     DecisionMatrix: (
         ("alternatives", "criteria", "cells", "scale", "weights", "directions"),
@@ -75,7 +76,7 @@ RECORDS = {
     TopsisResult: (
         ("measure", "entries", "ideals", "ties"),
         lambda: TopsisResult("combined", (TopsisEntry("a", 0.0, 0.0, 0.5, 1, True),),
-                             (_ideals(),)),
+                             (_ideals(),), ()),
     ),
 }
 
@@ -171,3 +172,28 @@ def test_weak_reference(record):
     _, _, build = record
     x = build()
     assert weakref.ref(x)() is x
+
+
+CHECKING = {ScaleConfig, IntervalSet, MultiCriteriaDataset, FuzzyNumber, DecisionMatrix}
+
+
+def test_only_checking_records_write_an_init():
+    # A record class writes __init__ only to check or convert its arguments;
+    # the others store their values through Record.__init__.
+    assert {cls for cls in RECORDS if "__init__" in vars(cls)} == CHECKING
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if cls not in CHECKING], ids=lambda cls: cls.__name__
+)
+def test_a_storing_record_takes_its_fields_by_position(cls):
+    x = RECORDS[cls][1]()
+    values = x._values()
+    assert cls(*values) == x
+    for call in (
+        lambda: cls(*values[:-1]),
+        lambda: cls(*values, None),
+        lambda: cls(**dict(zip(cls._fields, values))),
+    ):
+        with pytest.raises(TypeError, match=cls.__name__):
+            call()
