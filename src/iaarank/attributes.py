@@ -85,10 +85,11 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     One walk over the profile adds the region terms in ``region_triples``
     order and closes each support component into the outline and the
     support length; one walk over the segments finds the three inner
-    quartiles with one running area total. The vector is stored on the
-    number as the private non-field attribute ``_attributes``, so equality,
-    hash, ``to_dict``, pickle and copy do not see it: a copy computes it
-    again when asked.
+    quartiles with one running area total; only a number whose area is at
+    most 1e-12 (all its mass in spikes) lists its regions, for the discrete
+    quartiles. The vector is stored on the number as the private non-field
+    attribute ``_attributes``, so equality, hash, ``to_dict``, pickle and
+    copy do not see it: a copy computes it again when asked.
     """
     vector = getattr(fz, "_attributes", None)
     if vector is not None:

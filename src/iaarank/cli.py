@@ -7,11 +7,11 @@ ranking (zero similarity to both ideals under the overlap measure).
 Each command returns (payload, header, rows, text) and never reads --format;
 one writer, _render, turns that into the output. json writes the payload
 through _json_text, which gives json.dumps(payload, indent=2) byte for byte
-without the stdlib's pure-Python indent encoder; csv writes the header and
-the rows (a generator), and text calls text(), or writes the payload list as
-JSON lines where a command has no text form (build, attributes). The rank,
-topsis and attributes CSV columns are the records' _fields. plotdata always
-writes CSV.
+from one walk that calls itself once per value, without the stdlib's
+pure-Python indent encoder; csv writes the header and the rows (a
+generator), and text calls text(), or writes the payload list as JSON lines
+where a command has no text form (build, attributes). The rank, topsis and
+attributes CSV columns are the records' _fields. plotdata always writes CSV.
 
 entry(), behind `python -m iaarank` and the `iaarank` script, runs main()
 with the cyclic garbage collector off and freezes the heap before it exits.
@@ -20,7 +20,8 @@ records) is acyclic and freed by reference counting, so a collection pass
 during the job frees nothing, and the interpreter's final collection skips
 the frozen heap. The exit goes through sys.exit, so atexit handlers run and
 stdout and stderr are flushed; main() writes and closes --output itself and
-never touches the collector.
+never touches the collector. It writes stdout inside its error handling, so
+a stdout that cannot encode the output exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -158,15 +159,16 @@ def _csv_text(header, rows) -> str:
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
-_FLOAT = {float}
 _STR = {str}
 
 
 class _FloatText(dict):
     """float -> its JSON text, made for one _json_text call, so each distinct
-    value is formatted once. Only finite non-zero values become keys: 0.0
-    and -0.0 are equal keys with different texts, and a NaN equals nothing;
-    those and the infinities take the stdlib's text each time."""
+    value is formatted once (a build payload holds each breakpoint three
+    times: in two regions and in the endpoints). Only finite non-zero values
+    become keys: 0.0 and -0.0 are equal keys with different texts, and a NaN
+    equals nothing; those and the infinities take the stdlib's text each
+    time."""
 
     def __missing__(self, value: float) -> str:
         if 0.0 < abs(value) < math.inf:
@@ -181,20 +183,21 @@ def _json_text(value) -> str:
     With indent, the stdlib encodes in pure Python, formatting every float
     anew through layers of generators. This walk appends pieces to one list:
     dicts with only str keys, lists and tuples by exact type, and the exact
-    str, int, float, bool and None leaves inline, strings through the
-    stdlib's own escaper. A list of floats is one join over the call's float
-    cache. Anything else (a subclass, a dict with a non-str key, a value
-    json cannot encode) goes to json.dumps for its subtree, re-indented to
-    its depth: JSON text holds no raw newline but its indentation. A cyclic
-    value raises RecursionError where json.dumps raises ValueError.
+    str, int, float, bool and None leaves, strings through the stdlib's own
+    escaper and floats through the call's float cache. Anything else (a
+    subclass, a dict with a non-str key, a value json cannot encode) goes to
+    json.dumps for its subtree, re-indented to its depth: JSON text holds no
+    raw newline but its indentation. An empty container is written here too,
+    never by json.dumps, whose indent encoder leaves cyclic garbage behind
+    on every call. A cyclic value raises RecursionError where json.dumps
+    raises ValueError.
     """
     parts = []
     append = parts.append
-    float_text = _FloatText().__getitem__
     leaf = {
         str: encode_basestring_ascii,
         int: int.__repr__,
-        float: float_text,
+        float: _FloatText().__getitem__,
         bool: _CONSTANTS.__getitem__,
         type(None): _CONSTANTS.__getitem__,
     }.get
@@ -209,35 +212,19 @@ def _json_text(value) -> str:
         inner = pad + "  "
         sep = "," + inner
         if kind is list or kind is tuple:
-            if not value:
-                append("[]")
-            elif _FLOAT.issuperset(map(type, value)):
-                append(f"[{inner}{sep.join(map(float_text, value))}{pad}]")
-            else:
-                lead = "[" + inner
-                for item in value:
-                    append(lead)
-                    lead = sep
-                    text = leaf(type(item))
-                    if text is None:
-                        write(item, inner)
-                    else:
-                        append(text(item))
-                append(pad + "]")
+            lead = "[" + inner
+            for item in value:
+                append(lead)
+                lead = sep
+                write(item, inner)
+            append(pad + "]" if value else "[]")
         elif kind is dict and _STR.issuperset(map(type, value)):
-            if not value:
-                append("{}")
-                return
             lead = "{" + inner
             for key, item in value.items():
                 append(f"{lead}{encode_basestring_ascii(key)}: ")
                 lead = sep
-                text = leaf(type(item))
-                if text is None:
-                    write(item, inner)
-                else:
-                    append(text(item))
-            append(pad + "}")
+                write(item, inner)
+            append(pad + "}" if value else "{}")
         else:
             append(json.dumps(value, indent=2).replace("\n", pad))
 
@@ -531,17 +518,22 @@ def main(argv=None) -> int:
         text = _render(fmt, *args.handler(args))
         if args.output is not None:
             _path(args.output, "--output").write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except DivisionByZero as exc:
         print(f"error: undefined ranking: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
+    except UnicodeEncodeError as exc:  # stdout encodes all the text before writing any
+        print(f"error: stdout's encoding ({sys.stdout.encoding}) cannot encode "
+              f"{exc.object[exc.start:exc.end]!a}; --output writes UTF-8",
+              file=sys.stderr)
+        return EXIT_IO
     except (OSError, MalformedRow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (IaaRankError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.output is None:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -163,6 +163,8 @@ def construct_fuzzy(interval_set: IntervalSet, scale: ScaleConfig) -> FuzzyNumbe
     segment's. The k-th smallest left bound is at most the k-th smallest
     right one, so the lefts run out first. Every breakpoint starts or ends
     an interval, so none is flat and the profile is canonical as it stands.
+    The ends of the sorted columns make the scale check; only when it fails
+    is the first off-scale interval in source order looked up, for the error.
     """
     lefts = sorted(interval_set.lefts)
     rights = sorted(interval_set.rights)

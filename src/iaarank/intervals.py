@@ -160,8 +160,8 @@ class MultiCriteriaDataset(Record):
 def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
     """(line, alternative, criterion, source, left, right) of each data row.
 
-    The labels are stripped; the bounds are not, because float ignores the
-    whitespace around a number (load_dataset strips them if they fail)."""
+    Every field is stripped, so a bound padded with one of the separators
+    "\\x1c" to "\\x1f", which str.strip removes and float does not, loads."""
     rows = []
     width = len(DATASET_HEADER)
     # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
@@ -177,8 +177,10 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
                     alternative = alternative.strip()
                     criterion = criterion.strip()
                     source = source.strip()
+                    left = left.strip()
+                    right = right.strip()
                     # a row of blank fields is skipped like a blank line
-                    if alternative or criterion or source or (left + right).strip():
+                    if alternative or criterion or source or left or right:
                         rows.append((line_no, alternative, criterion, source, left, right))
                     continue
                 if not "".join(record).strip():
@@ -255,18 +257,13 @@ def bundled_path(name: str) -> Path:
     return Path(__file__).parent / "data" / filename
 
 
-def _checked_bounds(path: Path, line_no: int, left, right, scale: ScaleConfig,
-                    strip: bool) -> tuple[float, float]:
+def _checked_bounds(path: Path, line_no: int, left, right,
+                    scale: ScaleConfig) -> tuple[float, float]:
     """The bounds of a row that failed the loader's guard, or the row's error.
 
     Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (_interval_bounds), then the scale. With strip, as
-    for a CSV row, the bounds are stripped first, so the messages show them
-    stripped; a bound padded with one of the separators "\\x1c" to "\\x1f",
-    which str.strip removes and float does not, passes here.
+    finiteness and order (_interval_bounds), then the scale.
     """
-    if strip:
-        left, right = left.strip(), right.strip()
     try:
         left, right = _interval_bounds(left, right)
     except (TypeError, ValueError) as exc:
@@ -297,14 +294,17 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     Rows are grouped per (alternative, criterion) cell and ordered by source
     label inside each cell; a source repeated within a cell is a MalformedRow
     naming both lines. Alternatives and criteria keep first-appearance order.
-    Each row is checked once: both bounds finite, left <= right, and both on
-    the scale; each cell's bounds are stored as two float columns. Differing
-    source counts across one alternative's criteria raise a RaggedCellWarning
-    only: the aggregation accepts any number of sources per cell.
+    Each row is checked once, by one chained comparison of its two floats,
+    scale_min <= left <= right <= scale_max, which a NaN or infinite bound
+    fails too; only a failing row goes through _checked_bounds, for its
+    error. Each cell's bounds are stored as two float columns, and only a
+    cell with fewer distinct sources than rows is walked to name the repeat:
+    loading costs O(rows) plus the per-cell sorts. Differing source counts
+    across one alternative's criteria raise a RaggedCellWarning only: the
+    aggregation accepts any number of sources per cell.
     """
     path = Path(path)
-    from_csv = path.suffix.lower() != ".json"
-    read_rows = _read_csv_rows if from_csv else _read_json_rows
+    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
     try:
         raw_rows = read_rows(path)
     except UnicodeDecodeError as exc:
@@ -321,7 +321,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
             lo = hi = math.nan
         # A NaN or infinite bound fails the guard too: the scale is finite.
         if not scale_min <= lo <= hi <= scale_max:
-            lo, hi = _checked_bounds(path, line_no, left, right, scale, from_csv)
+            lo, hi = _checked_bounds(path, line_no, left, right, scale)
         grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.

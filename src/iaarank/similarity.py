@@ -9,15 +9,15 @@ squares enter the measure.
 
 Every similarity, one pair or many, runs through one pair kernel. A
 ``PairKernel`` is built once per call for a measure and a scale, and
-computes the two scale normalisers then. Each number is prepared once per
-call: its step profile, whose breakpoints are its endpoints, and its
-attribute row. The overlap measure then merges the two breakpoint lists in
-one walk, evaluating at every point it meets, so one pair costs
-O(k_a + k_b) for k_a and k_b breakpoints and builds no set and sorts
-nothing. The attribute measure weighs the six differences
-``attributes.feature_differences`` computes from the two rows;
-``feature_vector`` returns the same six for one pair, so the feature
-arithmetic is written once. All three measures are symmetric, so a
+computes the two scale normalisers then; the squared weights are computed
+once, at import. Each number is prepared once per call: its step profile,
+whose breakpoints are its endpoints, and its attribute row. The overlap
+measure then merges the two breakpoint lists in one walk, evaluating at
+every point it meets, so one pair costs O(k_a + k_b) for k_a and k_b
+breakpoints and builds no set and sorts nothing. The attribute measure
+weighs the six differences ``attributes.feature_differences`` computes from
+the two rows; ``feature_vector`` returns the same six for one pair, so the
+feature arithmetic is written once. All three measures are symmetric, so a
 similarity matrix over m numbers evaluates the m(m+1)/2 pairs on and above
 the diagonal and mirrors each value below it.
 """

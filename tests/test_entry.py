@@ -103,3 +103,29 @@ def test_atexit_handlers_run_with_the_heap_frozen():
     args = ["similarity", *FILMS, "Film A", "Film B"]
     code, out, err = run_process(*args, code=script)
     assert (code, out, err) == (0, run_in_process(*args)[1], "atexit False True")
+
+
+def test_stdout_that_cannot_encode_a_label_exits_2(tmp_path):
+    # An ASCII stdout (or a cp1252 pipe on Windows) cannot write "é": the job
+    # ends in one error line and exit 2, not a traceback, and writes nothing,
+    # since the stream encodes the whole text before writing any of it.
+    data = tmp_path / "accented.csv"
+    data.write_text("alternative,criterion,source,left,right\n"
+                    "é,c,s1,1,3\né,c,s2,2,4\nb,c,s1,5,6\n", encoding="utf-8")
+    args = ["rank", "--input", str(data), "--scale-min", "0", "--scale-max", "10",
+            "--format", "text"]
+    env = {**child_env(), "PYTHONIOENCODING": "ascii"}
+    done = subprocess.run([sys.executable, "-m", "iaarank", *args], capture_output=True,
+                          env=env, timeout=TIMEOUT)
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "ascii" in err and "--output writes UTF-8" in err
+    target = tmp_path / "out.txt"
+    done = subprocess.run([sys.executable, "-m", "iaarank", *args, "--output", str(target)],
+                          capture_output=True, env=env, timeout=TIMEOUT)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == run_in_process(*args)[1]
+    assert "é".encode("utf-8") in target.read_bytes()

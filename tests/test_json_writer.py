@@ -3,6 +3,7 @@ json.dumps(v, indent=2) byte for byte, on any value json can encode."""
 
 import collections
 import enum
+import gc
 import json
 import math
 
@@ -89,3 +90,37 @@ def test_unencodable_values_raise_the_stdlib_type_error(value):
     with pytest.raises(TypeError) as writer:
         _json_text(value)
     assert str(writer.value) == str(stdlib.value)
+
+
+# CLI-shaped payloads, with and without empty containers (a rank with no
+# ties, a nested empty list or dict)
+CLI_PAYLOADS = [
+    {"method": "universal", "entries": [{"label": "A", "score": None, "rank": 1},
+                                        {"label": "B", "score": None, "rank": 1}],
+     "ties": [["A", "B"]]},
+    {"method": "universal", "entries": [{"label": "A", "score": None, "rank": 1}],
+     "ties": []},
+    [{"label": "A", "n": 2, "regions": [[1.0, 2.0, 0.5]], "endpoints": [1.0, 2.0]}],
+    [{"label": "A", "n": 2, "regions": [], "endpoints": [[], {}], "context": {}}],
+    {"matrix": [[1.0, 0.25], [0.25, 1.0]], "labels": ["A", "B"], "ideals": {"c": {}}},
+]
+
+
+def cyclic_garbage(value):
+    """What gc.collect() frees after one _json_text(value) with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _json_text(value)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cyclic_garbage_does_not_depend_on_the_payload():
+    # The stdlib's indent encoder builds cyclic closures on every call, so a
+    # container handed to json.dumps would show here; CLI jobs run with the
+    # collector off, where that garbage stays until exit.
+    assert len({cyclic_garbage(value) for value in CLI_PAYLOADS}) == 1

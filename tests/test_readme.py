@@ -1,7 +1,10 @@
 """The README's examples, run as written: its Python blocks, and its CLI
 commands in process through ``cli.main``, as written and with ``--format
-json``."""
+json``; and its Performance ledger, whose rows name code that exists at the
+size they give and whose commands run."""
 
+import importlib
+import inspect
 import json
 import re
 import shlex
@@ -47,3 +50,50 @@ def test_command_runs(capsys, argv):
     if argv[0] != "plotdata":  # plotdata writes CSV whatever --format says
         assert main([*argv, "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
+
+
+def section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+PERFORMANCE = section("Performance")
+# one row per mechanism: | # | mechanism [alternative] | where | lines | ... |
+LEDGER = [
+    [cell.strip() for cell in line.strip("|").split("|")]
+    for line in PERFORMANCE.splitlines()
+    if re.match(r"\| \d+ \|", line)
+]
+LEDGER_COMMANDS = [
+    line for block in re.findall(r"^```sh\n(.*?)^```", PERFORMANCE, re.M | re.S)
+    for line in block.splitlines() if " -m timeit " in line or " -X importtime " in line
+]
+
+
+def test_ledger_holds_the_ten_mechanisms():
+    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 11)]
+    assert LEDGER_COMMANDS
+
+
+@pytest.mark.parametrize("row", LEDGER, ids=[row[0] for row in LEDGER])
+def test_ledger_row_names_code_that_exists_at_its_size(row):
+    # Each object in the "where" column imports. Its item in the "lines"
+    # column, in the same order and split by "; ", ends in the object's
+    # whole length: "43", "3 of 36" for a part of it, or "-17 ..., now 53"
+    # for one a mechanism was taken out of.
+    names = re.findall(r"`([\w.]+)`", row[2])
+    items = row[3].split("; ")
+    assert names and len(items) == len(names), row
+    for name, item in zip(names, items):
+        module, attribute = name.rsplit(".", 1)
+        target = getattr(importlib.import_module(f"iaarank.{module}"), attribute)
+        assert int(re.findall(r"\d+", item)[-1]) == len(inspect.getsourcelines(target)[0]), name
+
+
+@pytest.mark.parametrize("command", LEDGER_COMMANDS, ids=range(len(LEDGER_COMMANDS)))
+def test_ledger_command_runs(command):
+    # The statement runs once after its setup; nothing is timed.
+    timed = re.search(r'-s "(.*?)" "(.*?)"$', command)
+    setup, statement = timed.groups() if timed else ("", re.search(r'-c "(.*)"$', command)[1])
+    namespace = {}
+    exec(setup, namespace)
+    exec(statement, namespace)
