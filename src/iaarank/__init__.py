@@ -4,91 +4,67 @@ Build piecewise-constant fuzzy numbers whose membership at x is the fraction
 of source intervals containing x, compare them with overlap and attribute
 similarity measures, rank them against ideal references or by the universal
 centroid order, and run a multi-criteria closeness pipeline on top.
+
+Every name in __all__ but errors and __version__ is exported lazily (PEP
+562): its first access imports the module that defines it, so a program, or
+a CLI job, loads only the modules whose names it reads, and `import iaarank`
+alone loads only errors. dir() and `from iaarank import *` see all of
+__all__.
 """
 
+from importlib import import_module
+
 from . import errors
-from .attributes import (
-    AttributeVector,
-    attribute_vector,
-    feature_vector,
-    membership_polyline,
-)
-from .fuzzy import (
-    FuzzyNumber,
-    construct_fuzzy,
-    evaluation_points,
-)
-from .intervals import (
-    IntervalSet,
-    MultiCriteriaDataset,
-    ScaleConfig,
-    bundled_path,
-    ideal_interval_set,
-    load_dataset,
-    midpoint_mean,
-)
-from .ranking import (
-    RankingEntry,
-    RankingResult,
-    ideal_ratio,
-    rank_baseline_mean,
-    rank_by_ideal_ratio,
-    rank_universal,
-)
-from .similarity import (
-    MEASURES,
-    attribute_similarity,
-    combined_similarity,
-    jaccard,
-    measure_similarity,
-    similarity_matrix,
-)
-from .topsis import (
-    CriterionIdeals,
-    DecisionMatrix,
-    TopsisEntry,
-    TopsisResult,
-    select_ideals,
-    separations,
-    topsis_rank,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeVector",
-    "CriterionIdeals",
-    "DecisionMatrix",
-    "FuzzyNumber",
-    "IntervalSet",
-    "MEASURES",
-    "MultiCriteriaDataset",
-    "RankingEntry",
-    "RankingResult",
-    "ScaleConfig",
-    "TopsisEntry",
-    "TopsisResult",
-    "attribute_similarity",
-    "attribute_vector",
-    "bundled_path",
-    "combined_similarity",
-    "construct_fuzzy",
-    "errors",
-    "evaluation_points",
-    "feature_vector",
-    "ideal_interval_set",
-    "ideal_ratio",
-    "jaccard",
-    "load_dataset",
-    "measure_similarity",
-    "membership_polyline",
-    "midpoint_mean",
-    "rank_baseline_mean",
-    "rank_by_ideal_ratio",
-    "rank_universal",
-    "select_ideals",
-    "separations",
-    "similarity_matrix",
-    "topsis_rank",
-    "__version__",
-]
+# Each exported name and the module that defines it.
+_EXPORTS = {
+    "AttributeVector": "attributes",
+    "CriterionIdeals": "topsis",
+    "DecisionMatrix": "topsis",
+    "FuzzyNumber": "fuzzy",
+    "IntervalSet": "intervals",
+    "MEASURES": "intervals",
+    "MultiCriteriaDataset": "intervals",
+    "RankingEntry": "ranking",
+    "RankingResult": "ranking",
+    "ScaleConfig": "intervals",
+    "TopsisEntry": "topsis",
+    "TopsisResult": "topsis",
+    "attribute_similarity": "similarity",
+    "attribute_vector": "attributes",
+    "bundled_path": "intervals",
+    "combined_similarity": "similarity",
+    "construct_fuzzy": "fuzzy",
+    "evaluation_points": "fuzzy",
+    "feature_vector": "attributes",
+    "ideal_interval_set": "intervals",
+    "ideal_ratio": "ranking",
+    "jaccard": "similarity",
+    "load_dataset": "intervals",
+    "measure_similarity": "similarity",
+    "membership_polyline": "attributes",
+    "midpoint_mean": "intervals",
+    "rank_baseline_mean": "ranking",
+    "rank_by_ideal_ratio": "ranking",
+    "rank_universal": "ranking",
+    "select_ideals": "topsis",
+    "separations": "topsis",
+    "similarity_matrix": "similarity",
+    "topsis_rank": "topsis",
+}
+
+__all__ = [*_EXPORTS, "errors", "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,15 +13,25 @@ generator), and text calls text(), or writes the payload list as JSON lines
 where a command has no text form (build, attributes). The rank, topsis and
 attributes CSV columns are the records' _fields. plotdata always writes CSV.
 
-entry(), behind `python -m iaarank` and the `iaarank` script, runs main()
-with the cyclic garbage collector off and freezes the heap before it exits.
-A job's data (rows, interval sets, fuzzy numbers, attribute vectors, result
-records) is acyclic and freed by reference counting, so a collection pass
-during the job frees nothing, and the interpreter's final collection skips
-the frozen heap. The exit goes through sys.exit, so atexit handlers run and
-stdout and stderr are flushed; main() writes and closes --output itself and
-never touches the collector. It writes stdout inside its error handling, so
-a stdout that cannot encode the output exits 2 and writes nothing.
+A job loads only the modules its subcommand runs. This module imports
+errors, intervals and fuzzy, and builds each cell's fuzzy number itself with
+its construct_fuzzy, in alternatives x criteria order (_numbers); each
+handler binds the names it calls from attributes, similarity, ranking and
+topsis as globals here when it runs (_bind), so build loads none of them and
+only topsis loads topsis. The names stay module globals that a caller may
+replace before the job: the benchmark's tracer wraps them in spans.
+
+entry(), behind `python -m iaarank` and the `iaarank` script, parses the
+arguments and binds the handler's modules, then runs the job with the
+cyclic garbage collector off and freezes the heap before it exits; importing
+with the collector already off slowed the topsis job. A job's data (rows,
+interval sets, fuzzy numbers, attribute vectors, result records) is acyclic
+and freed by reference counting, so a collection pass during the job frees
+nothing, and the interpreter's final collection skips the frozen heap. The
+exit goes through sys.exit, so atexit handlers run and stdout and stderr are
+flushed; main() writes and closes --output itself and never touches the
+collector. It writes stdout inside its error handling, so a stdout that
+cannot encode the output exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -33,28 +43,56 @@ import io
 import json
 import math
 import sys
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .attributes import AttributeVector, attribute_vector, membership_polyline
 from .errors import DivisionByZero, IaaRankError, MalformedRow
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
     BUNDLED_DATASETS,
+    MEASURES,
+    SEPARATION_MEASURES,
     MultiCriteriaDataset,
     ScaleConfig,
     bundled_path,
     ideal_interval_set,
     load_dataset,
 )
-from .ranking import RankingEntry, rank_baseline_mean, rank_by_ideal_ratio, rank_universal
-from .similarity import MEASURES, measure_similarity, similarity_matrix
-from .topsis import SEPARATION_MEASURES, DecisionMatrix, TopsisEntry, topsis_rank
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
+
+# The names the handlers call from the modules a job loads only if it runs
+# them, by module. Reading one from outside, as cli.topsis_rank, binds it too.
+_LAZY = {
+    "attributes": ("AttributeVector", "attribute_vector", "membership_polyline"),
+    "similarity": ("measure_similarity", "similarity_matrix"),
+    "ranking": ("RankingEntry", "rank_baseline_mean", "rank_by_ideal_ratio",
+                "rank_universal"),
+    "topsis": ("DecisionMatrix", "TopsisEntry", "topsis_rank"),
+}
+
+
+def _bind(modules) -> None:
+    """Import each module and bind its _LAZY names here, keeping a name
+    already bound: a caller may have replaced it, as the benchmark's tracer
+    wraps these globals in spans before the job runs."""
+    for module in modules:
+        library = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _path(value: str, flag: str) -> Path:
     """The path a flag names; an empty value, which Path reads as '.', is an
@@ -244,12 +282,23 @@ def _render(fmt: str, payload, header, rows, text) -> str:
     return text()
 
 
+def _numbers(dataset) -> dict[tuple[str, str], FuzzyNumber]:
+    """Each cell's fuzzy number by (alternative, criterion), built in
+    alternatives x criteria order; for a dataset of one criterion, the values
+    are its column."""
+    scale = dataset.scale
+    return {
+        (alternative, criterion): construct_fuzzy(dataset.cell(alternative, criterion), scale)
+        for alternative in dataset.alternatives
+        for criterion in dataset.criteria
+    }
+
+
 def _cell_records(args, payload) -> list[dict]:
     """One record per dataset cell: its alternative, criterion and payload(fz)."""
-    matrix = DecisionMatrix.from_dataset(_load(args))
     return [
         {"alternative": alternative, "criterion": criterion, **payload(fz)}
-        for (alternative, criterion), fz in matrix.cells.items()
+        for (alternative, criterion), fz in _numbers(_load(args)).items()
     ]
 
 
@@ -264,6 +313,7 @@ def cmd_build(args):
 
 
 def cmd_attributes(args):
+    _bind(args.modules)
     records = _cell_records(args, lambda fz: attribute_vector(fz).to_dict())
     header = ("alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
               *AttributeVector._fields[1:])
@@ -288,8 +338,9 @@ def _matrix_text(labels, matrix) -> str:
 
 
 def cmd_similarity(args):
+    _bind(args.modules)
     dataset = _pick_criterion(_load(args), args.criterion)
-    column = DecisionMatrix.from_dataset(dataset).column(dataset.criteria[0])
+    column = list(_numbers(dataset).values())
     if args.matrix:
         if args.labels:
             raise ValueError("similarity --matrix takes no alternative labels")
@@ -334,13 +385,14 @@ def _ranking_text(result) -> str:
 
 
 def cmd_rank(args):
+    _bind(args.modules)
     _check_epsilon(args.epsilon)
     dataset = _pick_criterion(_load(args), args.criterion)
     criterion = dataset.criteria[0]
     if args.method == "baseline":
         result = rank_baseline_mean(dataset.column(criterion))
     else:
-        numbers = DecisionMatrix.from_dataset(dataset).column(criterion)
+        numbers = list(_numbers(dataset).values())
         if args.method == "universal":
             result = rank_universal(numbers, args.epsilon)
         else:
@@ -388,6 +440,7 @@ def _check_count(flag: str, values: tuple, criteria: tuple[str, ...]) -> None:
 
 
 def cmd_topsis(args):
+    _bind(args.modules)
     _check_epsilon(args.epsilon)
     dataset = _load(args)
     if args.exclude_criterion is not None:
@@ -432,10 +485,10 @@ def cmd_topsis(args):
 
 def cmd_plotdata(args):
     """CSV only: main renders it as CSV whatever --format says."""
-    matrix = DecisionMatrix.from_dataset(_load(args))
+    _bind(args.modules)
     rows = (
         (alternative, criterion, _plain(x), _plain(mu))
-        for (alternative, criterion), fz in matrix.cells.items()
+        for (alternative, criterion), fz in _numbers(_load(args)).items()
         for x, mu in membership_polyline(fz)
     )
     return None, ("alternative", "criterion", "x", "mu"), rows, None
@@ -454,6 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write here instead of stdout")
     common.add_argument("--epsilon", type=float, default=1e-9,
                         help="relative tie tolerance; ties are tolerance clusters")
+    common.set_defaults(modules=())  # the _LAZY modules the handler binds
 
     parser = argparse.ArgumentParser(
         prog="iaarank",
@@ -468,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_attr = sub.add_parser("attributes", parents=[common],
                             help="emit the attribute vector per cell")
-    p_attr.set_defaults(handler=cmd_attributes)
+    p_attr.set_defaults(handler=cmd_attributes, modules=("attributes",))
 
     p_sim = sub.add_parser("similarity", parents=[common],
                            help="similarity between two alternatives, or a matrix")
@@ -476,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", choices=MEASURES, default="combined")
     p_sim.add_argument("--matrix", action="store_true")
     p_sim.add_argument("--criterion", default=None)
-    p_sim.set_defaults(handler=cmd_similarity)
+    p_sim.set_defaults(handler=cmd_similarity, modules=("similarity",))
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
     p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
@@ -486,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'auto' for scale-extreme ideals, or a dataset file "
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
-    p_rank.set_defaults(handler=cmd_rank)
+    p_rank.set_defaults(handler=cmd_rank, modules=("ranking",))
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -498,21 +552,25 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
-    p_topsis.set_defaults(handler=cmd_topsis)
+    p_topsis.set_defaults(handler=cmd_topsis, modules=("topsis",))
 
     p_plot = sub.add_parser("plotdata", parents=[common],
                             help="membership profile vertices as CSV")
-    p_plot.set_defaults(handler=cmd_plotdata)
+    p_plot.set_defaults(handler=cmd_plotdata, modules=("attributes",))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Run the parsed job, write its output, and return its exit code."""
     fmt = "csv" if args.handler is cmd_plotdata else args.format
     try:
         text = _render(fmt, *args.handler(args))
@@ -540,13 +598,17 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run main() as a process and exit with its code.
 
-    The collector is off for the job, whose data is acyclic, and the heap is
-    frozen before exit, so the interpreter's final collection skips it.
-    Exiting through sys.exit keeps the atexit handlers and the flushes of
-    stdout and stderr, which an immediate process exit would skip.
+    The arguments are parsed, and the handler's modules imported, with the
+    collector on; --help and a usage error exit from the parser with main's
+    codes. The collector is then off for the job, whose data is acyclic, and
+    the heap is frozen before exit, so the interpreter's final collection
+    skips it. Exiting through sys.exit keeps the atexit handlers and the
+    flushes of stdout and stderr, which an immediate process exit would skip.
     """
+    args = _build_parser().parse_args()
+    _bind(args.modules)
     gc.disable()
-    code = main()
+    code = _run(args)
     gc.freeze()
     sys.exit(code)
 

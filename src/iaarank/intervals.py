@@ -36,6 +36,12 @@ BUNDLED_DATASETS = {
     "synthetic-3x2": "synthetic_3x2.csv",
 }
 
+# The similarity measures, and those TOPSIS separates by. They are named here,
+# in a module every job loads, so the CLI's parser offers them without loading
+# similarity or topsis.
+MEASURES = ("jaccard", "attribute", "combined")
+SEPARATION_MEASURES = ("attribute", "combined")
+
 
 def _interval_bounds(left, right) -> tuple[float, float]:
     """[left, right] as two floats: both finite, left <= right, else the error."""

@@ -30,15 +30,13 @@ from collections.abc import Sequence
 from .attributes import attribute_row, feature_differences
 from .errors import EmptyEvaluation
 from .fuzzy import FuzzyNumber, check_same_scale
-from .intervals import ScaleConfig
+from .intervals import MEASURES, ScaleConfig
 
 # The signed PCA loadings of the six feature differences, as published. Only
 # their squares enter the measure; they sum to just under 1, which keeps the
 # attribute measure inside [0, 1].
 FEATURE_WEIGHTS = (0.320726, -0.509757, 0.100985, -0.461649, 0.444451, -0.465218)
 _SQUARED_WEIGHTS = tuple(v * v for v in FEATURE_WEIGHTS)
-
-MEASURES = ("jaccard", "attribute", "combined")
 
 
 def _check_measure(measure: str) -> None:

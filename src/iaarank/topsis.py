@@ -16,12 +16,11 @@ from collections.abc import Iterable, Mapping, Sequence
 from ._record import Record
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, construct_fuzzy
-from .intervals import MultiCriteriaDataset, ScaleConfig
+from .intervals import SEPARATION_MEASURES, MultiCriteriaDataset, ScaleConfig
 from .ranking import DEFAULT_EPSILON, order_and_rank, universal_levels
 from .similarity import PairKernel
 
 DIRECTIONS = ("benefit", "cost")
-SEPARATION_MEASURES = ("attribute", "combined")
 
 
 class DecisionMatrix(Record):
@@ -80,10 +79,8 @@ class DecisionMatrix(Record):
         directions: Sequence[str] | None = None,
     ) -> DecisionMatrix:
         """Elevate every dataset cell to a fuzzy number; defaults: equal
-        weights, all-benefit directions.
-
-        This is the one place where dataset cells become fuzzy numbers.
-        cells is built in alternatives x criteria order.
+        weights, all-benefit directions. cells is built in alternatives x
+        criteria order.
         """
         cells = {
             (alternative, criterion): construct_fuzzy(

@@ -1,9 +1,12 @@
 """The process entry, `python -m iaarank`: the same exit codes and bytes as
-cli.main in process, whole outputs through a pipe and through --output, and
-the atexit handlers still run."""
+cli.main in process, whole outputs through a pipe and through --output, the
+atexit handlers still run, a job loads only the modules its subcommand runs,
+and they are loaded before the collector goes off; and the benchmark's
+tracer still finds the CLI's library calls at its patch points."""
 
 import contextlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -16,6 +19,7 @@ import iaarank
 from iaarank.cli import main
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # The child imports the same package as this process, installed or not.
 PACKAGE_ROOT = str(Path(iaarank.__file__).resolve().parents[1])
 TIMEOUT = 120
@@ -129,3 +133,75 @@ def test_stdout_that_cannot_encode_a_label_exits_2(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
     assert target.read_bytes() == run_in_process(*args)[1]
     assert "é".encode("utf-8") in target.read_bytes()
+
+
+OPTIONAL = {"attributes", "similarity", "ranking", "topsis"}
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["build", *FILMS], set()),
+        (["similarity", *FILMS, "--matrix"], {"attributes", "similarity"}),
+        (["rank", *FILMS, "--method", "ideal-ratio"], {"attributes", "similarity", "ranking"}),
+        (["--help"], set()),
+    ],
+    ids=["build", "similarity --matrix", "rank", "--help"],
+)
+def test_a_job_loads_only_the_modules_its_subcommand_runs(args, loaded):
+    # `python -m iaarank`, run through runpy as -m runs it, lists the
+    # package's modules in sys.modules as it exits.
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(' '.join(\n"
+        "    m[8:] for m in sys.modules if m.startswith('iaarank.'))))\n"
+        "runpy.run_module('iaarank', run_name='__main__', alter_sys=True)\n"
+    )
+    code, out, err = run_process(*args, code=script)
+    assert code == 0 and out
+    assert set(err.split()) & OPTIONAL == loaded
+
+
+def test_the_collector_goes_off_after_the_subcommand_modules_load():
+    # Importing a module with the collector off measurably slowed the topsis
+    # job, so entry() binds the handler's modules first.
+    script = (
+        "import gc, sys\n"
+        "from iaarank.cli import entry\n"
+        "disable = gc.disable\n"
+        "def recording():\n"
+        "    sys.stderr.write(f'topsis loaded: {\"iaarank.topsis\" in sys.modules}')\n"
+        "    disable()\n"
+        "gc.disable = recording\n"
+        "entry()\n"
+    )
+    args = ["topsis", "--input", "synthetic-3x2", "--scale-min", "0", "--scale-max", "10"]
+    code, out, err = run_process(*args, code=script)
+    assert (code, out, err) == (0, run_in_process(*args)[1], "topsis loaded: True")
+
+
+@pytest.mark.parametrize(
+    "args, ideals, ranked",
+    [(["build"], 0, False), (["rank", "--method", "ideal-ratio"], 2, True)],
+    ids=["build", "rank"],
+)
+def test_the_tracer_finds_every_library_call(tmp_path, args, ideals, ranked):
+    # perfbench/spans.py wraps the CLI's module globals (load_dataset,
+    # construct_fuzzy, the rankers, ...) in spans; a call routed around
+    # them would count less here.
+    out, report = tmp_path / "out.txt", tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, str(SPANS), "--out", str(out), "--report", str(report),
+         "--mode", "traced", "--", *args, *FILMS],
+        capture_output=True, env=child_env(), timeout=TIMEOUT,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["exit"] == 0
+    assert out.read_bytes() == run_in_process(*args, *FILMS)[1]
+    dataset = iaarank.load_dataset(iaarank.bundled_path("films"), iaarank.ScaleConfig(1, 10))
+    alternatives = len(dataset.alternatives)
+    counts = result["counts"]
+    assert counts["intervals.rows"] == sum(cell.n for cell in dataset.cells.values())
+    assert counts["fuzzy.cells"] == alternatives * len(dataset.criteria) + ideals
+    assert counts.get("ranking.items", 0) == (alternatives if ranked else 0)

@@ -69,8 +69,8 @@ LEDGER_COMMANDS = [
 ]
 
 
-def test_ledger_holds_the_ten_mechanisms():
-    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 11)]
+def test_ledger_holds_the_eleven_mechanisms():
+    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 12)]
     assert LEDGER_COMMANDS
 
 

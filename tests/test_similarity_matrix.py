@@ -7,6 +7,7 @@ the sum of oracle.DEFAULT_WEIGHT_SQUARES times oracle.feature_terms of the
 two attribute vectors. Results must be equal bit for bit, and errors must be the same, raised on the same pair."""
 
 import gc
+import json
 import subprocess
 import sys
 import weakref
@@ -366,3 +367,42 @@ def test_import_does_not_load_the_cli():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.split() == ["[]", "[]", "False"]
+
+
+def test_exports_load_on_first_access():
+    # In a fresh process: dir() lists every export before any is read, the
+    # bare import loads only errors, and a star import binds exactly __all__
+    # without loading the CLI.
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(SRC)!r}); import iaarank; "
+        "listed = dir(iaarank); "
+        "loaded = sorted(m for m in sys.modules if m.startswith('iaarank.')); "
+        "namespace = {}; exec('from iaarank import *', namespace); "
+        "print(json.dumps([sorted(set(iaarank.__all__) - set(listed)), loaded, "
+        "sorted(set(namespace) - {'__builtins__'}), "
+        "[m for m in ('iaarank.cli', 'argparse') if m in sys.modules]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == [[], ["iaarank.errors"], sorted(iaarank.__all__), []]
+
+
+def test_each_export_is_its_defining_module_object():
+    from iaarank import intervals, similarity, topsis
+
+    for name in iaarank.__all__:
+        value = getattr(iaarank, name)
+        if hasattr(value, "__qualname__"):
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert iaarank.errors is sys.modules["iaarank.errors"]
+    assert iaarank.MEASURES is similarity.MEASURES is intervals.MEASURES
+    assert topsis.SEPARATION_MEASURES is intervals.SEPARATION_MEASURES
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    from iaarank import cli
+
+    for module in (iaarank, cli):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
