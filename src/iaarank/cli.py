@@ -15,14 +15,16 @@ attributes CSV columns are the records' _fields. plotdata always writes CSV.
 
 A job loads only the modules its subcommand runs. This module imports
 errors, intervals and fuzzy, and builds each cell's fuzzy number itself with
-its construct_fuzzy, in alternatives x criteria order (_numbers); each
-handler binds the names it calls from attributes, similarity, ranking and
-topsis as globals here when it runs (_bind), so build loads none of them and
-only topsis loads topsis. The names stay module globals that a caller may
-replace before the job: the benchmark's tracer wraps them in spans.
+its construct_fuzzy, in alternatives x criteria order (_numbers). Each
+subcommand's parser names the package exports its handler calls (names), and
+_run binds them as globals here through the package's lazy exports (_bind),
+so build loads none of attributes, similarity, ranking and topsis, and only
+topsis loads topsis. A name already bound is kept: the benchmark's tracer
+reads these globals (an unbound one through this module's __getattr__, which
+serves the package's exports) and wraps them in spans before the job runs.
 
 entry(), behind `python -m iaarank` and the `iaarank` script, parses the
-arguments and binds the handler's modules, then runs the job with the
+arguments and binds the handler's names, then runs the job with the
 cyclic garbage collector off and freezes the heap before it exits; importing
 with the collector already off slowed the topsis job. A job's data (rows,
 interval sets, fuzzy numbers, attribute vectors, result records) is acyclic
@@ -43,11 +45,11 @@ import io
 import json
 import math
 import sys
-from importlib import import_module
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import DivisionByZero, IaaRankError, MalformedRow
+from .errors import DivisionByZero, IaaRankError, MalformedRow, RaggedCellWarning
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import (
     BUNDLED_DATASETS,
@@ -65,32 +67,20 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
 
-# The names the handlers call from the modules a job loads only if it runs
-# them, by module. Reading one from outside, as cli.topsis_rank, binds it too.
-_LAZY = {
-    "attributes": ("AttributeVector", "attribute_vector", "membership_polyline"),
-    "similarity": ("measure_similarity", "similarity_matrix"),
-    "ranking": ("RankingEntry", "rank_baseline_mean", "rank_by_ideal_ratio",
-                "rank_universal"),
-    "topsis": ("DecisionMatrix", "TopsisEntry", "topsis_rank"),
-}
+_package = sys.modules[__package__]
 
 
-def _bind(modules) -> None:
-    """Import each module and bind its _LAZY names here, keeping a name
+def _bind(names) -> None:
+    """Bind each package export here, loading its module, and keep a name
     already bound: a caller may have replaced it, as the benchmark's tracer
     wraps these globals in spans before the job runs."""
-    for module in modules:
-        library = import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(library, name))
+    for name in names:
+        globals().setdefault(name, getattr(_package, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind((module,))
-            return globals()[name]
+    if name in _package._EXPORTS:
+        return getattr(_package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -102,15 +92,21 @@ def _path(value: str, flag: str) -> Path:
     return Path(value)
 
 
-def _resolve_input(value: str, flag: str) -> Path:
-    if value in BUNDLED_DATASETS:
-        return bundled_path(value)
-    return _path(value, flag)
+def _read(value: str, flag: str, scale: ScaleConfig) -> MultiCriteriaDataset:
+    """The dataset a flag names by path or bundled name. Each warning the
+    loader gives (a ragged dataset's) is one `warning:` line on stderr,
+    whatever the -W setting."""
+    path = bundled_path(value) if value in BUNDLED_DATASETS else _path(value, flag)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RaggedCellWarning)
+        dataset = load_dataset(path, scale)
+    for warning in caught:
+        print(f"warning: {path}: {warning.message}", file=sys.stderr)
+    return dataset
 
 
 def _load(args) -> MultiCriteriaDataset:
-    scale = ScaleConfig(args.scale_min, args.scale_max)
-    return load_dataset(_resolve_input(args.input, "--input"), scale)
+    return _read(args.input, "--input", ScaleConfig(args.scale_min, args.scale_max))
 
 
 def _check_criterion(dataset, flag: str, requested: str) -> None:
@@ -121,27 +117,27 @@ def _check_criterion(dataset, flag: str, requested: str) -> None:
         )
 
 
-def _pick_criterion(dataset, requested: str | None) -> MultiCriteriaDataset:
-    """The dataset narrowed to the requested criterion, or to its only one."""
+def _pick_criterion(dataset, requested: str | None) -> str:
+    """The requested criterion, or the dataset's only one."""
     if requested is not None:
         _check_criterion(dataset, "--criterion", requested)
-        return dataset.only_criterion(requested)
+        return requested
     if len(dataset.criteria) > 1:
         raise ValueError(
             "dataset has several criteria; select one with --criterion"
         )
-    return dataset
+    return dataset.criteria[0]
 
 
-def _auto_ideals(dataset, criterion) -> tuple[FuzzyNumber, FuzzyNumber]:
-    n = max(cell.n for cell in dataset.column(criterion))
-    best = construct_fuzzy(ideal_interval_set(dataset.scale, n, "best"), dataset.scale)
-    worst = construct_fuzzy(ideal_interval_set(dataset.scale, n, "worst"), dataset.scale)
+def _auto_ideals(scale, cells) -> tuple[FuzzyNumber, FuzzyNumber]:
+    n = max(cell.n for cell in cells)
+    best = construct_fuzzy(ideal_interval_set(scale, n, "best"), scale)
+    worst = construct_fuzzy(ideal_interval_set(scale, n, "worst"), scale)
     return best, worst
 
 
 def _file_ideals(path: str, scale: ScaleConfig) -> tuple[FuzzyNumber, FuzzyNumber]:
-    dataset = load_dataset(_resolve_input(path, "--ideal"), scale)
+    dataset = _read(path, "--ideal", scale)
     if set(dataset.alternatives) != {"best", "worst"} or len(dataset.criteria) != 1:
         raise ValueError(
             "ideal file must hold exactly the alternatives 'best' and 'worst' "
@@ -284,8 +280,7 @@ def _render(fmt: str, payload, header, rows, text) -> str:
 
 def _numbers(dataset) -> dict[tuple[str, str], FuzzyNumber]:
     """Each cell's fuzzy number by (alternative, criterion), built in
-    alternatives x criteria order; for a dataset of one criterion, the values
-    are its column."""
+    alternatives x criteria order."""
     scale = dataset.scale
     return {
         (alternative, criterion): construct_fuzzy(dataset.cell(alternative, criterion), scale)
@@ -313,7 +308,6 @@ def cmd_build(args):
 
 
 def cmd_attributes(args):
-    _bind(args.modules)
     records = _cell_records(args, lambda fz: attribute_vector(fz).to_dict())
     header = ("alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
               *AttributeVector._fields[1:])
@@ -338,9 +332,9 @@ def _matrix_text(labels, matrix) -> str:
 
 
 def cmd_similarity(args):
-    _bind(args.modules)
-    dataset = _pick_criterion(_load(args), args.criterion)
-    column = list(_numbers(dataset).values())
+    dataset = _load(args)
+    cells = dataset.column(_pick_criterion(dataset, args.criterion))
+    column = [construct_fuzzy(cell, dataset.scale) for cell in cells]
     if args.matrix:
         if args.labels:
             raise ValueError("similarity --matrix takes no alternative labels")
@@ -385,19 +379,18 @@ def _ranking_text(result) -> str:
 
 
 def cmd_rank(args):
-    _bind(args.modules)
     _check_epsilon(args.epsilon)
-    dataset = _pick_criterion(_load(args), args.criterion)
-    criterion = dataset.criteria[0]
+    dataset = _load(args)
+    cells = dataset.column(_pick_criterion(dataset, args.criterion))
     if args.method == "baseline":
-        result = rank_baseline_mean(dataset.column(criterion))
+        result = rank_baseline_mean(cells)
     else:
-        numbers = list(_numbers(dataset).values())
+        numbers = [construct_fuzzy(cell, dataset.scale) for cell in cells]
         if args.method == "universal":
             result = rank_universal(numbers, args.epsilon)
         else:
             if args.ideal == "auto":
-                best, worst = _auto_ideals(dataset, criterion)
+                best, worst = _auto_ideals(dataset.scale, cells)
             else:
                 best, worst = _file_ideals(args.ideal, dataset.scale)
             result = rank_by_ideal_ratio(
@@ -440,7 +433,6 @@ def _check_count(flag: str, values: tuple, criteria: tuple[str, ...]) -> None:
 
 
 def cmd_topsis(args):
-    _bind(args.modules)
     _check_epsilon(args.epsilon)
     dataset = _load(args)
     if args.exclude_criterion is not None:
@@ -485,7 +477,6 @@ def cmd_topsis(args):
 
 def cmd_plotdata(args):
     """CSV only: main renders it as CSV whatever --format says."""
-    _bind(args.modules)
     rows = (
         (alternative, criterion, _plain(x), _plain(mu))
         for (alternative, criterion), fz in _numbers(_load(args)).items()
@@ -507,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write here instead of stdout")
     common.add_argument("--epsilon", type=float, default=1e-9,
                         help="relative tie tolerance; ties are tolerance clusters")
-    common.set_defaults(modules=())  # the _LAZY modules the handler binds
+    common.set_defaults(names=())  # the package exports the handler calls
 
     parser = argparse.ArgumentParser(
         prog="iaarank",
@@ -522,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_attr = sub.add_parser("attributes", parents=[common],
                             help="emit the attribute vector per cell")
-    p_attr.set_defaults(handler=cmd_attributes, modules=("attributes",))
+    p_attr.set_defaults(handler=cmd_attributes,
+                        names=("AttributeVector", "attribute_vector"))
 
     p_sim = sub.add_parser("similarity", parents=[common],
                            help="similarity between two alternatives, or a matrix")
@@ -530,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", choices=MEASURES, default="combined")
     p_sim.add_argument("--matrix", action="store_true")
     p_sim.add_argument("--criterion", default=None)
-    p_sim.set_defaults(handler=cmd_similarity, modules=("similarity",))
+    p_sim.set_defaults(handler=cmd_similarity,
+                       names=("measure_similarity", "similarity_matrix"))
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
     p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
@@ -540,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'auto' for scale-extreme ideals, or a dataset file "
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
-    p_rank.set_defaults(handler=cmd_rank, modules=("ranking",))
+    p_rank.set_defaults(handler=cmd_rank, names=(
+        "RankingEntry", "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal"))
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -552,11 +546,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
-    p_topsis.set_defaults(handler=cmd_topsis, modules=("topsis",))
+    p_topsis.set_defaults(handler=cmd_topsis,
+                          names=("DecisionMatrix", "TopsisEntry", "topsis_rank"))
 
     p_plot = sub.add_parser("plotdata", parents=[common],
                             help="membership profile vertices as CSV")
-    p_plot.set_defaults(handler=cmd_plotdata, modules=("attributes",))
+    p_plot.set_defaults(handler=cmd_plotdata, names=("membership_polyline",))
 
     return parser
 
@@ -570,7 +565,8 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Run the parsed job, write its output, and return its exit code."""
+    """Bind the job's names, run it, write its output; return its exit code."""
+    _bind(args.names)
     fmt = "csv" if args.handler is cmd_plotdata else args.format
     try:
         text = _render(fmt, *args.handler(args))
@@ -598,7 +594,7 @@ def _run(args) -> int:
 def entry() -> None:
     """Run main() as a process and exit with its code.
 
-    The arguments are parsed, and the handler's modules imported, with the
+    The arguments are parsed, and the handler's names bound, with the
     collector on; --help and a usage error exit from the parser with main's
     codes. The collector is then off for the job, whose data is acyclic, and
     the heap is frozen before exit, so the interpreter's final collection
@@ -606,7 +602,7 @@ def entry() -> None:
     flushes of stdout and stderr, which an immediate process exit would skip.
     """
     args = _build_parser().parse_args()
-    _bind(args.modules)
+    _bind(args.names)
     gc.disable()
     code = _run(args)
     gc.freeze()

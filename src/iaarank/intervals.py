@@ -143,14 +143,6 @@ class MultiCriteriaDataset(Record):
             raise KeyError(f"unknown criterion {criterion!r}")
         return [self.cells[(alt, criterion)] for alt in self.alternatives]
 
-    def only_criterion(self, criterion: str) -> MultiCriteriaDataset:
-        """The single-criterion dataset of one column."""
-        cells = {
-            (alt, criterion): cell
-            for alt, cell in zip(self.alternatives, self.column(criterion))
-        }
-        return MultiCriteriaDataset(self.alternatives, (criterion,), cells, self.scale)
-
     def without_criterion(self, criterion: str) -> MultiCriteriaDataset:
         if criterion not in self.criteria:
             raise KeyError(f"unknown criterion {criterion!r}")

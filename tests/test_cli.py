@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -251,6 +252,22 @@ class TestRank:
                          "--ideal", path)
         assert code == 3
 
+    def test_ragged_ideal_file_warns_in_one_line_and_exits_3(self, capsys, tmp_path):
+        # read as --input is: under "error" too, the warning is one line
+        path = write_rows(tmp_path / "ideals.csv", "best,c,s1,9,9\nbest,c,s2,9,9\n"
+                          "best,d,s1,9,9\nworst,c,s1,2,2\nworst,d,s1,2,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "rank", *FILMS, "--method", "ideal-ratio",
+                                 "--ideal", path)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            f"warning: {path}: alternative 'best' has differing source counts "
+            "across criteria: {'c': 2, 'd': 1}",
+            "error: ideal file must hold exactly the alternatives 'best' and 'worst' "
+            "on a single criterion",
+        ]
+
     def test_multi_criteria_requires_criterion_flag(self, capsys, tmp_path):
         rows = "A,c1,s,1,2\nA,c2,s,2,3\n"
         path = write_rows(tmp_path / "mc.csv", rows)
@@ -422,6 +439,25 @@ class TestTopsisCommand:
         payload = json.loads(out)
         assert payload["entries"][0]["label"] == "X"
         assert payload["entries"][0]["closeness"] == 1.0
+
+    def test_ragged_dataset_warns_in_one_stderr_line_under_any_filter(
+            self, capsys, tmp_path):
+        # A differing source count across one alternative's criteria is a
+        # RaggedCellWarning in the library; the CLI writes it as one line, not
+        # in Python's warning format, and "error" does not end the job.
+        path = write_rows(tmp_path / "ragged.csv",
+                          "A,c,s1,1,2\nA,c,s2,1,3\nA,d,s1,1,2\nB,c,s1,3,4\nB,d,s1,3,4\n")
+        argv = ["topsis", "--input", path, "--scale-min", "0", "--scale-max", "10"]
+        line = (f"warning: {path}: alternative 'A' has differing source counts "
+                "across criteria: {'c': 2, 'd': 1}\n")
+        outputs = set()
+        for action in ("error", "ignore", "default"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, line), action
+            outputs.add(out)
+        assert len(outputs) == 1 and "rank" in outputs.pop()
 
 
 class TestPlotdata:

@@ -142,11 +142,20 @@ OPTIONAL = {"attributes", "similarity", "ranking", "topsis"}
     "args, loaded",
     [
         (["build", *FILMS], set()),
+        (["attributes", *FILMS], {"attributes"}),
+        (["plotdata", *FILMS], {"attributes"}),
+        (["similarity", *FILMS, "Film A", "Film B"], {"attributes", "similarity"}),
         (["similarity", *FILMS, "--matrix"], {"attributes", "similarity"}),
         (["rank", *FILMS, "--method", "ideal-ratio"], {"attributes", "similarity", "ranking"}),
+        (["rank", *FILMS, "--method", "universal"], {"attributes", "similarity", "ranking"}),
+        # baseline calls neither similarity nor attributes, but ranking
+        # imports both
+        (["rank", *FILMS, "--method", "baseline"], {"attributes", "similarity", "ranking"}),
+        (["topsis", *FILMS], OPTIONAL),
         (["--help"], set()),
     ],
-    ids=["build", "similarity --matrix", "rank", "--help"],
+    ids=["build", "attributes", "plotdata", "similarity pair", "similarity --matrix",
+         "rank", "rank universal", "rank baseline", "topsis", "--help"],
 )
 def test_a_job_loads_only_the_modules_its_subcommand_runs(args, loaded):
     # `python -m iaarank`, run through runpy as -m runs it, lists the
@@ -182,13 +191,19 @@ def test_the_collector_goes_off_after_the_subcommand_modules_load():
 
 @pytest.mark.parametrize(
     "args, ideals, ranked",
-    [(["build"], 0, False), (["rank", "--method", "ideal-ratio"], 2, True)],
-    ids=["build", "rank"],
+    [
+        (["build"], 0, False),
+        (["similarity", "--matrix"], 0, False),
+        (["rank", "--method", "ideal-ratio"], 2, True),
+        (["topsis"], 0, False),
+    ],
+    ids=["build", "similarity --matrix", "rank", "topsis"],
 )
 def test_the_tracer_finds_every_library_call(tmp_path, args, ideals, ranked):
     # perfbench/spans.py wraps the CLI's module globals (load_dataset,
-    # construct_fuzzy, the rankers, ...) in spans; a call routed around
-    # them would count less here.
+    # construct_fuzzy, the rankers, ...) and topsis's construct_fuzzy in
+    # spans; a call routed around them would count less here. It reads
+    # cli.topsis_rank before any job has bound it, through cli.__getattr__.
     out, report = tmp_path / "out.txt", tmp_path / "report.json"
     done = subprocess.run(
         [sys.executable, str(SPANS), "--out", str(out), "--report", str(report),

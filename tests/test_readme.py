@@ -1,20 +1,28 @@
 """The README's examples, run as written: its Python blocks, and its CLI
 commands in process through ``cli.main``, as written and with ``--format
 json``; and its Performance ledger, whose rows name code that exists at the
-size they give and whose commands run."""
+size they give and whose commands run, each in a fresh interpreter."""
 
 import importlib
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import iaarank
 from iaarank.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+# The ledger's commands import the same package as this process, installed
+# or not, in place of src.
+PACKAGE_ROOT = str(Path(iaarank.__file__).resolve().parents[1])
 
 
 def blocks(language):
@@ -91,9 +99,16 @@ def test_ledger_row_names_code_that_exists_at_its_size(row):
 
 @pytest.mark.parametrize("command", LEDGER_COMMANDS, ids=range(len(LEDGER_COMMANDS)))
 def test_ledger_command_runs(command):
-    # The statement runs once after its setup; nothing is timed.
-    timed = re.search(r'-s "(.*?)" "(.*?)"$', command)
-    setup, statement = timed.groups() if timed else ("", re.search(r'-c "(.*)"$', command)[1])
-    namespace = {}
-    exec(setup, namespace)
-    exec(statement, namespace)
+    # As a reader runs it from the repository root, in a new interpreter, so
+    # no name this suite has already loaded or bound helps it; timeit runs
+    # the statement once after its setup.
+    words = shlex.split(command)
+    if words[0] == "PYTHONPATH=src:tests":
+        words = words[1:]
+    assert words[0] == "python3", command
+    if words[1:3] == ["-m", "timeit"]:
+        words[3:3] = ["-n", "1", "-r", "1"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((PACKAGE_ROOT, str(TESTS)))}
+    done = subprocess.run([sys.executable, *words[1:]], cwd=TESTS.parent, env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
