@@ -17,21 +17,21 @@ A job loads only the modules its subcommand runs. This module imports
 errors, intervals and fuzzy, and builds each cell's fuzzy number itself with
 its construct_fuzzy, in alternatives x criteria order (_numbers). Each
 subcommand's parser names the package exports its handler calls (names), and
-_run binds them as globals here through the package's lazy exports (_bind),
+main binds them as globals here through the package's lazy exports (_bind),
 so build loads none of attributes, similarity, ranking and topsis, and only
 topsis loads topsis. A name already bound is kept: the benchmark's tracer
 reads these globals (an unbound one through this module's __getattr__, which
 serves the package's exports) and wraps them in spans before the job runs.
 
-entry(), behind `python -m iaarank` and the `iaarank` script, parses the
-arguments and binds the handler's names, then runs the job with the
-cyclic garbage collector off and freezes the heap before it exits; importing
-with the collector already off slowed the topsis job. A job's data (rows,
-interval sets, fuzzy numbers, attribute vectors, result records) is acyclic
-and freed by reference counting, so a collection pass during the job frees
-nothing, and the interpreter's final collection skips the frozen heap. The
-exit goes through sys.exit, so atexit handlers run and stdout and stderr are
-flushed; main() writes and closes --output itself and never touches the
+main() is the one runner: it parses the arguments, binds the handler's
+names, runs the job and maps its errors to exit codes. entry(), behind
+`python -m iaarank` and the `iaarank` script, runs main() with the cyclic
+garbage collector off and freezes the heap before it exits. A job's data
+(rows, interval sets, fuzzy numbers, attribute vectors, result records) is
+acyclic and freed by reference counting, so a collection pass during the job
+frees nothing, and the interpreter's final collection skips the frozen heap.
+The exit goes through sys.exit, so atexit handlers run and stdout and stderr
+are flushed; main() writes and closes --output itself and never touches the
 collector. It writes stdout inside its error handling, so a stdout that
 cannot encode the output exits 2 and writes nothing.
 """
@@ -333,12 +333,13 @@ def _matrix_text(labels, matrix) -> str:
 
 def cmd_similarity(args):
     dataset = _load(args)
-    cells = dataset.column(_pick_criterion(dataset, args.criterion))
-    column = [construct_fuzzy(cell, dataset.scale) for cell in cells]
+    criterion = _pick_criterion(dataset, args.criterion)
     if args.matrix:
         if args.labels:
             raise ValueError("similarity --matrix takes no alternative labels")
         labels = list(dataset.alternatives)
+        column = [construct_fuzzy(cell, dataset.scale)
+                  for cell in dataset.column(criterion)]
         matrix = similarity_matrix(args.measure, column)
         return (
             {"measure": args.measure, "labels": labels, "matrix": matrix},
@@ -348,12 +349,13 @@ def cmd_similarity(args):
         )
     if len(args.labels) != 2:
         raise ValueError("similarity needs two alternative labels or --matrix")
-    numbers = dict(zip(dataset.alternatives, column))
     first, second = args.labels
     for label in (first, second):
-        if label not in numbers:
+        if label not in dataset.alternatives:
             raise ValueError(f"unknown alternative {label!r}")
-    value = measure_similarity(args.measure, numbers[first], numbers[second])
+    a, b = (construct_fuzzy(dataset.cell(label, criterion), dataset.scale)
+            for label in (first, second))
+    value = measure_similarity(args.measure, a, b)
     return (
         {"measure": args.measure, "a": first, "b": second, "similarity": value},
         ("a", "b", "measure", "similarity"),
@@ -557,15 +559,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one job on argv (default sys.argv[1:]); return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _run(args)
-
-
-def _run(args) -> int:
-    """Bind the job's names, run it, write its output; return its exit code."""
     _bind(args.names)
     fmt = "csv" if args.handler is cmd_plotdata else args.format
     try:
@@ -592,19 +590,11 @@ def _run(args) -> int:
 
 
 def entry() -> None:
-    """Run main() as a process and exit with its code.
-
-    The arguments are parsed, and the handler's names bound, with the
-    collector on; --help and a usage error exit from the parser with main's
-    codes. The collector is then off for the job, whose data is acyclic, and
-    the heap is frozen before exit, so the interpreter's final collection
-    skips it. Exiting through sys.exit keeps the atexit handlers and the
-    flushes of stdout and stderr, which an immediate process exit would skip.
-    """
-    args = _build_parser().parse_args()
-    _bind(args.names)
+    """Run main() with the collector off, freeze the heap, and exit with its
+    code through sys.exit, which keeps the atexit handlers and the flushes of
+    stdout and stderr."""
     gc.disable()
-    code = _run(args)
+    code = main()
     gc.freeze()
     sys.exit(code)
 

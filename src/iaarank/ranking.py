@@ -3,7 +3,8 @@
 Three methods: the universal three-key total order (higher centroid-x, then
 lower perimeter, then higher centroid-y), the ideal-ratio score against
 synthetic best/worst references, and the traditional midpoint-mean baseline
-on the raw interval sets.
+on the raw interval sets. Each function that needs attributes or similarity
+imports it, so the baseline loads neither.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from collections.abc import Sequence
 from operator import itemgetter
 
 from ._record import Record
-from .attributes import attribute_vector
 from .errors import DivisionByZero
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import IntervalSet, midpoint_mean
-from .similarity import PairKernel
 
 DEFAULT_EPSILON = 1e-9
 
@@ -38,6 +37,7 @@ def universal_levels(epsilon: float = DEFAULT_EPSILON, number=None):
     """
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
+    from .attributes import attribute_vector
 
     def vector(item):
         return attribute_vector(item if number is None else number(item))
@@ -172,6 +172,7 @@ def ideal_ratio(
     (possible under the pure overlap measure when the number touches neither
     ideal); the error carries the offending label.
     """
+    from .similarity import PairKernel
     kernel = PairKernel(measure, fz.scale)
     return _ratio(kernel, fz, kernel.prepare(ideal_best), kernel.prepare(ideal_worst))
 
@@ -190,6 +191,7 @@ def rank_by_ideal_ratio(
     universal keys (see universal_levels) and only stay tied (sharing a
     rank) when they fall in one tolerance cluster of those keys as well.
     """
+    from .similarity import PairKernel
     kernel = PairKernel(measure, ideal_best.scale)
     best = kernel.prepare(ideal_best)
     worst = kernel.prepare(ideal_worst)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iaarank import FuzzyNumber, IntervalSet, ScaleConfig, construct_fuzzy
+from iaarank import cli
 from iaarank.cli import _plain, main
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
@@ -320,6 +321,20 @@ class TestSimilarity:
         assert len(ends) == 2 and len(rows) == 2
         for row in rows:
             assert [match.end() for match in re.finditer(r"\S+", row)][1:] == ends
+
+    def test_pair_builds_only_its_two_numbers(self, capsys, monkeypatch):
+        # Counted through a wrapper on cli.construct_fuzzy, the global the
+        # benchmark's tracer wraps; films has 10 alternatives.
+        expected = run(capsys, "similarity", *FILMS, "Film A", "Film B")
+        built = []
+
+        def counting(interval_set, scale):
+            built.append(interval_set)
+            return construct_fuzzy(interval_set, scale)
+
+        monkeypatch.setattr(cli, "construct_fuzzy", counting)
+        assert run(capsys, "similarity", *FILMS, "Film A", "Film B") == expected
+        assert [cell.label for cell in built] == ["Film A", "Film B"]
 
     def test_unknown_label_exits_3(self, capsys):
         code, _, _ = run(capsys, "similarity", *FILMS, "Film A", "Film Z")

@@ -1,8 +1,8 @@
 """The process entry, `python -m iaarank`: the same exit codes and bytes as
-cli.main in process, whole outputs through a pipe and through --output, the
-atexit handlers still run, a job loads only the modules its subcommand runs,
-and they are loaded before the collector goes off; and the benchmark's
-tracer still finds the CLI's library calls at its patch points."""
+cli.main in process, --help and usage errors included, whole outputs through
+a pipe and through --output, the atexit handlers still run, and a job loads
+only the modules its subcommand runs; and the benchmark's tracer still finds
+the CLI's library calls at its patch points."""
 
 import contextlib
 import io
@@ -62,25 +62,33 @@ def write_wide_dataset(path):
 
 
 @pytest.mark.parametrize(
-    "args, expected",
+    "args, expected, err_start",
     [
-        (["rank", *FILMS, "--method", "ideal-ratio", "--format", "json"], 0),
-        (["build", "--input", "{missing}", "--scale-min", "1", "--scale-max", "10"], 2),
-        (["build", "--input", "films", "--scale-min", "5", "--scale-max", "1"], 3),
-        (["rank", *FILMS, "--method", "ideal-ratio", "--measure", "jaccard"], 4),
+        (["rank", *FILMS, "--method", "ideal-ratio", "--format", "json"], 0, None),
+        (["--help"], 0, None),
+        (["build", *FILMS, "--bogus"], 2, "usage: iaarank "),
+        (["build", "--input", "{missing}", "--scale-min", "1", "--scale-max", "10"], 2,
+         "error: "),
+        (["build", "--input", "films", "--scale-min", "5", "--scale-max", "1"], 3,
+         "error: "),
+        (["rank", *FILMS, "--method", "ideal-ratio", "--measure", "jaccard"], 4,
+         "error: "),
     ],
-    ids=["ok", "missing input", "inverted scale", "undefined ranking"],
+    ids=["ok", "--help", "usage error", "missing input", "inverted scale",
+         "undefined ranking"],
 )
-def test_process_matches_main(tmp_path, args, expected):
+def test_process_matches_main(tmp_path, monkeypatch, args, expected, err_start):
+    # argparse wraps --help and usage lines to COLUMNS, read on both sides
+    monkeypatch.setenv("COLUMNS", "80")
     args = [arg.format(missing=tmp_path / "missing.csv") for arg in args]
     result = run_process(*args)
     assert result == run_in_process(*args)
     code, out, err = result
     assert code == expected
-    if expected == 0:
+    if err_start is None:
         assert out and err == ""
     else:
-        assert out == b"" and err.startswith("error: ")
+        assert out == b"" and err.startswith(err_start)
 
 
 def test_large_output_arrives_whole(tmp_path):
@@ -147,10 +155,8 @@ OPTIONAL = {"attributes", "similarity", "ranking", "topsis"}
         (["similarity", *FILMS, "Film A", "Film B"], {"attributes", "similarity"}),
         (["similarity", *FILMS, "--matrix"], {"attributes", "similarity"}),
         (["rank", *FILMS, "--method", "ideal-ratio"], {"attributes", "similarity", "ranking"}),
-        (["rank", *FILMS, "--method", "universal"], {"attributes", "similarity", "ranking"}),
-        # baseline calls neither similarity nor attributes, but ranking
-        # imports both
-        (["rank", *FILMS, "--method", "baseline"], {"attributes", "similarity", "ranking"}),
+        (["rank", *FILMS, "--method", "universal"], {"attributes", "ranking"}),
+        (["rank", *FILMS, "--method", "baseline"], {"ranking"}),
         (["topsis", *FILMS], OPTIONAL),
         (["--help"], set()),
     ],
@@ -169,24 +175,6 @@ def test_a_job_loads_only_the_modules_its_subcommand_runs(args, loaded):
     code, out, err = run_process(*args, code=script)
     assert code == 0 and out
     assert set(err.split()) & OPTIONAL == loaded
-
-
-def test_the_collector_goes_off_after_the_subcommand_modules_load():
-    # Importing a module with the collector off measurably slowed the topsis
-    # job, so entry() binds the handler's modules first.
-    script = (
-        "import gc, sys\n"
-        "from iaarank.cli import entry\n"
-        "disable = gc.disable\n"
-        "def recording():\n"
-        "    sys.stderr.write(f'topsis loaded: {\"iaarank.topsis\" in sys.modules}')\n"
-        "    disable()\n"
-        "gc.disable = recording\n"
-        "entry()\n"
-    )
-    args = ["topsis", "--input", "synthetic-3x2", "--scale-min", "0", "--scale-max", "10"]
-    code, out, err = run_process(*args, code=script)
-    assert (code, out, err) == (0, run_in_process(*args)[1], "topsis loaded: True")
 
 
 @pytest.mark.parametrize(
