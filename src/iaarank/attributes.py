@@ -3,10 +3,11 @@
 Attributes are read from the step profile, the one state a fuzzy number
 stores. ``attribute_vector`` computes all seven in one walk over the
 breakpoints, which adds up the region terms and the outline of each support
-component, and one walk over the segments for the quartiles, with no region
-objects built on the way. It does so once per instance, the first time they
-are asked for, and keeps them on that instance; there is no global cache,
-so a number and its attributes are freed together.
+component and records the running area, in which one bisection per quartile
+finds its segment, with no region objects built on the way. It does so once
+per instance, the first time they are asked for, and keeps them on that
+instance; there is no global cache, so a number and its attributes are
+freed together.
 
 Two numbers are compared through their attribute rows, the eleven values
 ``attribute_row`` lays out. ``feature_differences`` turns two rows into the
@@ -23,6 +24,7 @@ on one, is the same on every supported Python.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from ._record import Record
 from .fuzzy import FuzzyNumber, check_same_scale, region_triples
@@ -83,13 +85,14 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     """All seven attributes of one fuzzy number, computed once per instance.
 
     One walk over the profile adds the region terms in ``region_triples``
-    order and closes each support component into the outline and the
-    support length; one walk over the segments finds the three inner
-    quartiles with one running area total; only a number whose area is at
-    most 1e-12 (all its mass in spikes) lists its regions, for the discrete
-    quartiles. The vector is stored on the number as the private non-field
-    attribute ``_attributes``, so equality, hash, ``to_dict``, pickle and
-    copy do not see it: a copy computes it again when asked.
+    order, closes each support component into the outline and the support
+    length, and records the running area at each breakpoint; each of the
+    three inner quartiles bisects those totals for the first segment that
+    meets its share of the area. Only a number whose area is at most 1e-12
+    (all its mass in spikes) lists its regions, for the discrete quartiles.
+    The vector is stored on the number as the private non-field attribute
+    ``_attributes``, so equality, hash, ``to_dict``, pickle and copy do not
+    see it: a copy computes it again when asked.
     """
     vector = getattr(fz, "_attributes", None)
     if vector is not None:
@@ -97,6 +100,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     xs, points, segments = fz.profile
     count = 0
     total_height = total_area = moment = half_heights = outline = length = 0.0
+    areas = []  # the running area at each breakpoint, its segment included
     for i, x in enumerate(xs):
         left, top, right = segments[i], points[i], segments[i + 1]
         if left == 0:
@@ -117,17 +121,14 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
         else:
             outline += 2 * (x - edge) + vertical
             length += x - edge
+        areas.append(total_area)
     quartiles = [xs[0]]
     if total_area > _ZERO:
-        targets = [fraction * total_area for fraction in _QUARTILE_FRACTIONS]
-        cumulative = 0.0
-        # a gap adds no area, so no target is met there
-        for x, after, right in zip(xs, xs[1:], segments[1:]):
-            seg_area = right * (after - x)
-            while targets and cumulative + seg_area >= targets[0]:
-                target = targets.pop(0)
-                quartiles.append(min(x + (target - cumulative) / right, after))
-            cumulative += seg_area
+        for fraction in _QUARTILE_FRACTIONS:
+            target = fraction * total_area
+            i = bisect_left(areas, target)  # never a gap, which adds no area
+            before = areas[i - 1] if i else 0.0
+            quartiles.append(min(xs[i] + (target - before) / segments[i + 1], xs[i + 1]))
     else:  # all mass in spikes: the discrete height-weighted distribution
         regions = list(region_triples(fz.profile))
         for fraction in _QUARTILE_FRACTIONS:
@@ -141,7 +142,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
                     break
             quartiles.append(position)
     quartiles.append(xs[-1])
-    vector = AttributeVector(
+    vector = AttributeVector._from_fields(
         tuple(quartiles),
         moment / (2 * total_height),  # centroid_x
         half_heights / count,  # centroid_y

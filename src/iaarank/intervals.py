@@ -342,18 +342,20 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
             lefts, rights, alternative
         )
 
-    for alternative in alternatives:
-        counts = {
-            criterion: cells[(alternative, criterion)].n
-            for criterion in criteria
-            if (alternative, criterion) in cells
-        }
-        if len(set(counts.values())) > 1:
-            warnings.warn(
-                f"alternative {alternative!r} has differing source counts "
-                f"across criteria: {counts}",
-                RaggedCellWarning,
-                stacklevel=2,
-            )
+    # Under one criterion each alternative has one cell, so one source count.
+    if len(criteria) > 1:
+        for alternative in alternatives:
+            counts = {
+                criterion: cells[(alternative, criterion)].n
+                for criterion in criteria
+                if (alternative, criterion) in cells
+            }
+            if len(set(counts.values())) > 1:
+                warnings.warn(
+                    f"alternative {alternative!r} has differing source counts "
+                    f"across criteria: {counts}",
+                    RaggedCellWarning,
+                    stacklevel=2,
+                )
 
     return MultiCriteriaDataset(alternatives, criteria, cells, scale)

@@ -120,7 +120,7 @@ def _build_result(method, scored, levels) -> RankingResult:
     """Rank (subject, score) pairs on levels; label entries by subject."""
     ordered, ranks, groups = order_and_rank(scored, levels)
     entries = tuple(
-        RankingEntry(subject.label, score, rank)
+        RankingEntry._from_fields(subject.label, score, rank)
         for (subject, score), rank in zip(ordered, ranks)
     )
     ties = tuple(tuple(ordered[i][0].label for i in group) for group in groups)

@@ -12,9 +12,10 @@ Every similarity, one pair or many, runs through one pair kernel. A
 computes the two scale normalisers then; the squared weights are computed
 once, at import. Each number is prepared once per call: its step profile,
 whose breakpoints are its endpoints, and its attribute row. The overlap
-measure then merges the two breakpoint lists in one walk, evaluating at
-every point it meets, so one pair costs O(k_a + k_b) for k_a and k_b
-breakpoints and builds no set and sorts nothing. The attribute measure
+measure then merges the two breakpoint lists in one walk over the shared
+support, evaluating at every point it meets, so one pair costs at most
+O(k_a + k_b) for k_a and k_b breakpoints and builds no set and sorts
+nothing; a pair whose supports do not meet costs O(1). The attribute measure
 weighs the six differences ``attributes.feature_differences`` computes from
 the two rows; ``feature_vector`` returns the same six for one pair, so the
 feature arithmetic is written once. All three measures are symmetric, so a
@@ -25,6 +26,7 @@ the diagonal and mirrors each value below it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 
 from .attributes import attribute_row, feature_differences
@@ -45,21 +47,35 @@ def _check_measure(measure: str) -> None:
 
 
 def _overlap(a, b) -> float:
-    """Jaccard of two step profiles: one merge of their breakpoints.
+    """Jaccard of two step profiles: one merge of their shared support.
 
     At a breakpoint of one operand only, the other one reads its stretch
-    membership; past its last breakpoint, that is zero. The breakpoints are
-    the endpoints, so the merge visits each point of ``evaluation_points``
-    once, in ascending order, and the sums add the same terms in the same
-    order as a walk over it.
+    membership; outside its support, that is zero, the minimum, so there
+    only the denominator grows. Supports that do not meet give 0.0 at once.
+    Otherwise the breakpoints of the operand that starts first, up to the
+    other's first breakpoint (found by bisection), go to the denominator
+    alone; the merge covers the rest, and each operand's points past the
+    other's last go to the denominator alone. The breakpoints are the
+    endpoints, so the sums add the same terms in the same order as a walk
+    over ``evaluation_points``.
     """
     xs_a, points_a, segments_a = a
     xs_b, points_b, segments_b = b
+    if xs_a[-1] < xs_b[0] or xs_b[-1] < xs_a[0]:
+        return 0.0
     k_a = len(xs_a)
     k_b = len(xs_b)
     i = j = 0
     numerator = 0.0
     denominator = 0.0
+    if xs_a[0] < xs_b[0]:
+        i = bisect_left(xs_a, xs_b[0])
+        for p in range(i):
+            denominator += points_a[p]
+    elif xs_b[0] < xs_a[0]:
+        j = bisect_left(xs_b, xs_a[0])
+        for q in range(j):
+            denominator += points_b[q]
     while i < k_a and j < k_b:
         x = xs_a[i]
         y = xs_b[j]
@@ -82,8 +98,6 @@ def _overlap(a, b) -> float:
         else:
             numerator += mu_b
             denominator += mu_a
-    # Past the other operand's last breakpoint its membership is 0, the
-    # minimum, so only the denominator grows.
     for p in range(i, k_a):
         denominator += points_a[p]
     for q in range(j, k_b):

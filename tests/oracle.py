@@ -243,10 +243,11 @@ def brute_attributes(triples):
 def brute_jaccard(pairs_a, pairs_b):
     xs = sorted({v for pair in pairs_a for v in pair}
                 | {v for pair in pairs_b for v in pair})
-    minimum = sum(min(count_membership(pairs_a, x), count_membership(pairs_b, x))
-                  for x in xs)
-    maximum = sum(max(count_membership(pairs_a, x), count_membership(pairs_b, x))
-                  for x in xs)
+    minimum = maximum = 0.0  # left to right over the union, as brute_area
+    for x in xs:
+        mu_a, mu_b = count_membership(pairs_a, x), count_membership(pairs_b, x)
+        minimum += min(mu_a, mu_b)
+        maximum += max(mu_a, mu_b)
     return minimum / maximum
 
 

@@ -109,6 +109,9 @@ def from_regions(regs):
 @example(from_pairs([(0.0, 2.0), (2.0, 4.0), (4.0, 10.0)]))  # two quartiles in [4, 10]
 @example(from_pairs([(0.0, 0.0), (5e-324, 5e-324)]))  # adjacent-double spikes
 @example(from_pairs([(1.0, 1.0 + 2 ** -52)]))  # area below 1e-12: discrete quartiles
+@example(from_pairs([(0.0, 1.0), (3.0, 6.0)]))  # a quarter of the area ends at 1, before a gap
+@example(from_pairs([(0.0, 4.0), (0.0, 1.0)]))  # two quartiles in [1, 4]
+@example(from_pairs([(0.0, 1.0), (0.0, 1.0), (0.0, 6.0)]))  # the first quartile in [0, 1]
 def test_attribute_vector_equals_oracle_bit_exactly(case):
     fz, triples = case
     assert repr(attribute_vector(fz)) == repr(

@@ -99,24 +99,22 @@ class TestJaccard:
         best, worst = film_ideals
         for label, iset in film_sets.items():
             pairs = list(zip(iset.lefts, iset.rights))
-            assert jaccard(film_numbers[label], best) == pytest.approx(
-                oracle.brute_jaccard(pairs, [(10, 10)] * 5), abs=1e-12
+            assert jaccard(film_numbers[label], best) == oracle.brute_jaccard(
+                pairs, [(10, 10)] * 5
             )
-            assert jaccard(film_numbers[label], worst) == pytest.approx(
-                oracle.brute_jaccard(pairs, [(1, 1)] * 5), abs=1e-12
+            assert jaccard(film_numbers[label], worst) == oracle.brute_jaccard(
+                pairs, [(1, 1)] * 5
             )
 
 
-# Integer intervals [start, start + width], 1, 2, 4 or 8 of them: with a
-# power-of-two source count every membership k/n and every sum of them is
-# exact, so the merge and the oracle's sums give the same bits.
-integer_sets = st.sampled_from([1, 2, 4, 8]).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, 6)).map(
-            lambda sw: (sw[0], sw[0] + sw[1])
-        ),
-        min_size=n, max_size=n,
-    )
+# Integer intervals [start, start + width], one to eight of them: the merge
+# and the oracle add the same memberships k/n in the same order, so they give
+# the same bits whatever the source count n.
+integer_sets = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 6)).map(
+        lambda sw: (sw[0], sw[0] + sw[1])
+    ),
+    min_size=1, max_size=8,
 )
 
 

@@ -273,10 +273,15 @@ def test_kernel_prepares_each_number_once(monkeypatch):
 @given(interval_lists, interval_lists)
 @example([(0.0, 10.0)], [(10.0, 10.0)])
 @example([(2.0, 2.0)], [(2.0, 2.0), (3.0, 3.0)])
+@example([(0.5, 1.0), (1.5, 4.0), (3.0, 6.0)], [(3.5, 7.0), (5.0, 8.0)])  # a leads in
+@example([(3.5, 7.0), (5.0, 8.0)], [(0.5, 1.0), (1.5, 4.0), (3.0, 6.0)])  # b leads in
+@example([(1.0, 9.0), (2.0, 3.0)], [(4.0, 5.0), (4.5, 6.0), (7.0, 7.0)])  # b inside a
+@example([(1.0, 2.0), (1.5, 3.0)], [(3.0, 4.0), (3.0, 5.0), (3.5, 3.5)])  # touching
+@example([(1.0, 2.0), (1.5, 3.0)], [(3.25, 4.0), (6.0, 9.0)])  # disjoint
 def test_jaccard_equals_oracle(pairs_a, pairs_b):
     a, b = build("a", pairs_a), build("b", pairs_b)
     expected = oracle.brute_jaccard(pairs_a, pairs_b)
-    assert jaccard(a, b) == pytest.approx(expected, abs=1e-12)
+    assert jaccard(a, b) == expected and jaccard(b, a) == expected
 
 
 @settings(max_examples=40, deadline=None)
