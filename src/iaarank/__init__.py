@@ -1,9 +1,11 @@
 """Aggregated fuzzy numbers from interval-valued data.
 
 Build piecewise-constant fuzzy numbers whose membership at x is the fraction
-of source intervals containing x, compare them with overlap and attribute
-similarity measures, rank them against ideal references or by the universal
-centroid order, and run a multi-criteria closeness pipeline on top.
+of source intervals containing x, compare them under a similarity measure
+named in MEASURES (measure_similarity for a pair, similarity_matrix for
+many), rank them against ideal references or by the universal centroid
+order, and run a multi-criteria closeness pipeline on top. Every ranking,
+TOPSIS too, is a RankingResult.
 
 Every name in __all__ but errors and __version__ is exported lazily (PEP
 562): its first access imports the module that defines it, so a program, or
@@ -32,16 +34,13 @@ _EXPORTS = {
     "ScaleConfig": "intervals",
     "TopsisEntry": "topsis",
     "TopsisResult": "topsis",
-    "attribute_similarity": "similarity",
     "attribute_vector": "attributes",
     "bundled_path": "intervals",
-    "combined_similarity": "similarity",
     "construct_fuzzy": "fuzzy",
     "evaluation_points": "fuzzy",
     "feature_vector": "attributes",
     "ideal_interval_set": "intervals",
     "ideal_ratio": "ranking",
-    "jaccard": "similarity",
     "load_dataset": "intervals",
     "measure_similarity": "similarity",
     "membership_polyline": "attributes",

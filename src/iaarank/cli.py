@@ -10,8 +10,9 @@ through _json_text, which gives json.dumps(payload, indent=2) byte for byte
 from one walk that calls itself once per value, without the stdlib's
 pure-Python indent encoder; csv writes the header and the rows (a
 generator), and text calls text(), or writes the payload list as JSON lines
-where a command has no text form (build, attributes). The rank, topsis and
-attributes CSV columns are the records' _fields. plotdata always writes CSV.
+where a command has no text form (build, attributes). rank and topsis write
+a RankingResult: its to_dict is the payload, its entries' _fields the CSV
+columns. attributes' columns are AttributeVector's; plotdata always writes CSV.
 
 A job loads only the modules its subcommand runs. This module imports
 errors, intervals and fuzzy, and builds each cell's fuzzy number itself with
@@ -364,10 +365,10 @@ def cmd_similarity(args):
     )
 
 
-def _ranked(result, entry_type, text):
-    """A ranking or TOPSIS result: its to_dict, and one CSV row per entry in
-    entry_type._fields order."""
-    return (result.to_dict(), entry_type._fields,
+def _ranked(result, text):
+    """A RankingResult: its to_dict, and one CSV row per entry in the entries'
+    _fields order (order_and_rank refuses an empty list, so entries[0] exists)."""
+    return (result.to_dict(), result.entries[0]._fields,
             (e._values() for e in result.entries), lambda: text(result))
 
 
@@ -402,7 +403,7 @@ def cmd_rank(args):
                 measure=args.measure,
                 epsilon=args.epsilon,
             )
-    return _ranked(result, RankingEntry, _ranking_text)
+    return _ranked(result, _ranking_text)
 
 
 def _topsis_text(result) -> str:
@@ -474,7 +475,7 @@ def cmd_topsis(args):
         epsilon=args.epsilon,
         tie_break_criterion=args.tie_break_criterion,
     )
-    return _ranked(result, TopsisEntry, _topsis_text)
+    return _ranked(result, _topsis_text)
 
 
 def cmd_plotdata(args):
@@ -536,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
     p_rank.set_defaults(handler=cmd_rank, names=(
-        "RankingEntry", "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal"))
+        "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal"))
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -549,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
     p_topsis.set_defaults(handler=cmd_topsis,
-                          names=("DecisionMatrix", "TopsisEntry", "topsis_rank"))
+                          names=("DecisionMatrix", "topsis_rank"))
 
     p_plot = sub.add_parser("plotdata", parents=[common],
                             help="membership profile vertices as CSV")

@@ -66,8 +66,9 @@ class RankingResult(Record):
         return tuple(entry.label for entry in self.entries)
 
     def to_dict(self) -> dict:
+        """Every field by name, in _fields order: entries as dicts, ties as lists."""
         return {
-            "method": self.method,
+            **dict(zip(self._fields, self._values())),
             "entries": [dict(zip(e._fields, e._values())) for e in self.entries],
             "ties": [list(group) for group in self.ties],
         }

@@ -1,13 +1,15 @@
 """Similarity measures between fuzzy numbers on a shared scale.
 
-Three measures: overlap (intersection over union of memberships at the
-endpoints of both operands), attribute comparison (one minus the squared-weight
-combination of the six feature differences), and their plain average.
-All return values in [0, 1] with 1 for identical operands. The feature
-weights are the paper's fixed PCA loadings, FEATURE_WEIGHTS; only their
-squares enter the measure.
+Three measures, named in MEASURES: 'jaccard', the overlap (intersection
+over union of memberships at the endpoints of both operands); 'attribute'
+(one minus the squared-weight combination of the six feature differences);
+and 'combined', their plain average, whose attribute term stays informative
+where the overlap is 0. All return values in [0, 1] with 1 for identical
+operands. The feature weights are the paper's fixed PCA loadings,
+FEATURE_WEIGHTS; only their squares enter the measure.
 
-Every similarity, one pair or many, runs through one pair kernel. A
+A pair's similarity under a measure's name is ``measure_similarity``, and
+many pairs' is ``similarity_matrix``; both run through one pair kernel. A
 ``PairKernel`` is built once per call for a measure and a scale, and
 computes the two scale normalisers then; the squared weights are computed
 once, at import. Each number is prepared once per call: its step profile,
@@ -160,37 +162,25 @@ class PairKernel:
 
 
 def measure_similarity(measure: str, a: FuzzyNumber, b: FuzzyNumber) -> float:
-    """Dispatch by measure name: 'jaccard', 'attribute', or 'combined'.
+    """The similarity of two numbers under 'jaccard', 'attribute', or 'combined'.
 
     The scale is read from the operands; operands on two scales raise
-    ScaleMismatch.
+    ScaleMismatch. The Jaccard overlap is zero exactly when the two numbers
+    share no support at any evaluation point; its denominator cannot vanish,
+    as each operand is positive at its own endpoints.
     """
     kernel = PairKernel(measure, a.scale)
     return kernel(kernel.prepare(a), kernel.prepare(b))
 
 
 def jaccard(a: FuzzyNumber, b: FuzzyNumber) -> float:
-    """Sum of minimum over sum of maximum memberships at the endpoint union.
-
-    Zero exactly when the two numbers share no support at any evaluation
-    point. The denominator cannot vanish, as each operand is positive at its
-    own endpoints; were it zero, the pair would raise EmptyEvaluation.
-    """
+    """perfbench/spans.py patches this; it goes with ROADMAP E's benchmark half."""
     return measure_similarity("jaccard", a, b)
 
 
 def attribute_similarity(a: FuzzyNumber, b: FuzzyNumber) -> float:
-    """One minus the squared-weight combination of the six feature differences."""
+    """perfbench/spans.py patches this; it goes with ROADMAP E's benchmark half."""
     return measure_similarity("attribute", a, b)
-
-
-def combined_similarity(a: FuzzyNumber, b: FuzzyNumber) -> float:
-    """Plain average of the overlap and attribute measures.
-
-    The overlap term rewards actual intersection, the attribute term stays
-    informative when there is none; averaging removes both degeneracies.
-    """
-    return measure_similarity("combined", a, b)
 
 
 def similarity_matrix(

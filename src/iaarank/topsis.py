@@ -17,7 +17,7 @@ from ._record import Record
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import SEPARATION_MEASURES, MultiCriteriaDataset, ScaleConfig
-from .ranking import DEFAULT_EPSILON, order_and_rank, universal_levels
+from .ranking import DEFAULT_EPSILON, RankingResult, order_and_rank, universal_levels
 from .similarity import PairKernel
 
 DIRECTIONS = ("benefit", "cost")
@@ -102,6 +102,9 @@ class DecisionMatrix(Record):
         )
 
     def column(self, criterion: str) -> list[FuzzyNumber]:
+        """Cells of one criterion in alternative order."""
+        if criterion not in self.criteria:
+            raise KeyError(f"unknown criterion {criterion!r}")
         return [self.cells[(alt, criterion)] for alt in self.alternatives]
 
     def cell(self, alternative: str, criterion: str) -> FuzzyNumber:
@@ -183,13 +186,15 @@ class TopsisEntry(Record):
     _fields = ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate")
 
 
-class TopsisResult(Record):
+class TopsisResult(RankingResult):
+    """A ranking by closeness under a separation measure, with each
+    criterion's ideals; to_dict writes an ideal's numbers as their labels."""
+
     _fields = ("measure", "entries", "ideals", "ties")
 
     def to_dict(self) -> dict:
         return {
-            "measure": self.measure,
-            "entries": [dict(zip(e._fields, e._values())) for e in self.entries],
+            **super().to_dict(),
             "ideals": [
                 {
                     "criterion": ideal.criterion,
@@ -199,7 +204,6 @@ class TopsisResult(Record):
                 }
                 for ideal in self.ideals
             ],
-            "ties": [list(group) for group in self.ties],
         }
 
 
@@ -238,7 +242,7 @@ def topsis_rank(
         )
     ordered, ranks, groups = order_and_rank(rows, levels)
     entries = tuple(
-        TopsisEntry(label, d_plus, d_minus, closeness, rank, degenerate)
+        TopsisEntry._from_fields(label, d_plus, d_minus, closeness, rank, degenerate)
         for (label, d_plus, d_minus, closeness, degenerate), rank in zip(ordered, ranks)
     )
     ties = tuple(tuple(ordered[i][0] for i in group) for group in groups)

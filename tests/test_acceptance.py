@@ -17,7 +17,6 @@ from iaarank import (
     construct_fuzzy,
     ideal_interval_set,
     ideal_ratio,
-    jaccard,
     load_dataset,
     measure_similarity,
     midpoint_mean,
@@ -60,10 +59,11 @@ def test_criterion_1_interval_mean_table(film_sets):
 def test_criterion_2_jaccard_table(film_numbers, film_ideals):
     best, worst = film_ideals
     for label, (expected_best, expected_worst) in JACCARD_TABLE.items():
-        assert jaccard(film_numbers[label], best) == pytest.approx(
+        fz = film_numbers[label]
+        assert measure_similarity("jaccard", fz, best) == pytest.approx(
             expected_best, abs=5e-5
         ), label
-        assert jaccard(film_numbers[label], worst) == pytest.approx(
+        assert measure_similarity("jaccard", fz, worst) == pytest.approx(
             expected_worst, abs=5e-5
         ), label
     with pytest.raises(DivisionByZero):

@@ -8,10 +8,10 @@ import pytest
 from iaarank import (
     FuzzyNumber,
     ScaleConfig,
-    attribute_similarity,
     attribute_vector,
     construct_fuzzy,
     evaluation_points,
+    measure_similarity,
     rank_universal,
 )
 from iaarank.errors import OutOfScale
@@ -357,7 +357,7 @@ class TestOneNumberPerMembership:
         assert a == b
         assert hash(a) == hash(b)
         assert attribute_vector(a) == attribute_vector(b)
-        assert attribute_similarity(a, b) == 1.0
+        assert measure_similarity("attribute", a, b) == 1.0
         assert rank_universal([a, b]).ties == (("", ""),)
 
     def test_only_the_profile_is_stored(self, film_sets, film_scale, film_numbers):

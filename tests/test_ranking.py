@@ -9,6 +9,7 @@ from iaarank import (
     construct_fuzzy,
     ideal_interval_set,
     ideal_ratio,
+    measure_similarity,
     rank_baseline_mean,
     rank_by_ideal_ratio,
     rank_universal,
@@ -173,9 +174,7 @@ class TestIdealRatio:
     def test_item_equal_to_best(self, film_numbers, film_ideals):
         best, worst = film_ideals
         score = ideal_ratio(best, best, worst, "combined")
-        from iaarank import combined_similarity
-
-        expected = 1.0 / (1.0 + combined_similarity(best, worst))
+        expected = 1.0 / (1.0 + measure_similarity("combined", best, worst))
         assert score == pytest.approx(expected, abs=1e-12)
 
 

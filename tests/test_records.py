@@ -130,6 +130,19 @@ def test_another_class_with_the_same_values_differs(record):
     assert x != tuple(getattr(x, name) for name in names)
 
 
+def test_a_topsis_result_is_a_ranking_result():
+    # TopsisResult extends RankingResult: labels() reads its entries, and it
+    # still never equals a RankingResult holding the same values.
+    entries = (TopsisEntry("b", 0.25, 0.75, 0.75, 1, False),
+               TopsisEntry("a", 0.75, 0.25, 0.25, 2, False))
+    result = TopsisResult("combined", entries, (_ideals(),), ())
+    assert isinstance(result, RankingResult)
+    assert result.labels() == ("b", "a")
+    ranking = RankingResult(result.measure, result.entries, result.ties)
+    assert ranking.labels() == result.labels()
+    assert result != ranking and ranking != result
+
+
 def test_other_class_same_floats():
     # Both field tuples equal ((1.0,), (2.0,), "a"); the classes still tell
     # them apart.

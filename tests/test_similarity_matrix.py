@@ -22,14 +22,11 @@ from iaarank import (
     CriterionIdeals,
     DecisionMatrix,
     ScaleConfig,
-    attribute_similarity,
     attribute_vector,
-    combined_similarity,
     construct_fuzzy,
     evaluation_points,
     ideal_interval_set,
     ideal_ratio,
-    jaccard,
     measure_similarity,
     rank_by_ideal_ratio,
     separations,
@@ -141,13 +138,6 @@ def test_pair_equals_references(numbers):
     for measure in MEASURES:
         expected = outcome(reference_similarity, measure, a, b)
         assert outcome(measure_similarity, measure, a, b) == expected
-    assert outcome(jaccard, a, b) == outcome(reference_similarity, "jaccard", a, b)
-    assert outcome(attribute_similarity, a, b) == outcome(
-        reference_similarity, "attribute", a, b
-    )
-    assert outcome(combined_similarity, a, b) == outcome(
-        reference_similarity, "combined", a, b
-    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,7 +271,8 @@ def test_kernel_prepares_each_number_once(monkeypatch):
 def test_jaccard_equals_oracle(pairs_a, pairs_b):
     a, b = build("a", pairs_a), build("b", pairs_b)
     expected = oracle.brute_jaccard(pairs_a, pairs_b)
-    assert jaccard(a, b) == expected and jaccard(b, a) == expected
+    assert measure_similarity("jaccard", a, b) == expected
+    assert measure_similarity("jaccard", b, a) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,7 +316,7 @@ class TestAttributesPerInstance:
         fz = build("x", [(1, 3), (2, 4), (5, 5)])
         other = build("y", [(2, 6)])
         attribute_vector(fz)
-        combined_similarity(fz, other)
+        measure_similarity("combined", fz, other)
         ref = weakref.ref(fz)
         del fz
         gc.collect()
@@ -337,10 +328,9 @@ def test_public_names():
         "AttributeVector", "CriterionIdeals", "DecisionMatrix",
         "FuzzyNumber", "IntervalSet", "MEASURES",
         "MultiCriteriaDataset", "RankingEntry", "RankingResult", "ScaleConfig", "TopsisEntry", "TopsisResult",
-        "__version__", "attribute_similarity", "attribute_vector",
-        "bundled_path", "combined_similarity", "construct_fuzzy",
+        "__version__", "attribute_vector", "bundled_path", "construct_fuzzy",
         "errors", "evaluation_points", "feature_vector", "ideal_interval_set",
-        "ideal_ratio", "jaccard", "load_dataset", "measure_similarity",
+        "ideal_ratio", "load_dataset", "measure_similarity",
         "membership_polyline", "midpoint_mean",
         "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal",
         "select_ideals", "separations", "similarity_matrix", "topsis_rank",

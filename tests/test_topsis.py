@@ -80,6 +80,15 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError):
             DecisionMatrix.from_dataset(synthetic, weights=(1,))
 
+    def test_unknown_column_names_the_criterion_as_the_dataset_does(
+        self, synthetic, matrix
+    ):
+        assert matrix.column("c2") == [matrix.cell(alt, "c2") for alt in ("X", "Y", "Z")]
+        for table in (synthetic, matrix):
+            with pytest.raises(KeyError) as excinfo:
+                table.column("nope")
+            assert excinfo.value.args == ("unknown criterion 'nope'",)
+
 
 class TestSelectIdeals:
     def test_dominant_and_dominated(self, matrix):
@@ -335,3 +344,4 @@ class TestTopsisRank:
         assert payload["measure"] == "combined"
         assert {entry["label"] for entry in payload["entries"]} == {"X", "Y", "Z"}
         assert payload["ideals"][0]["pis"] == "X"
+        assert list(payload) == ["measure", "entries", "ideals", "ties"]
