@@ -15,14 +15,14 @@ a RankingResult: its to_dict is the payload, its entries' _fields the CSV
 columns. attributes' columns are AttributeVector's; plotdata always writes CSV.
 
 A job loads only the modules its subcommand runs. This module imports
-errors, intervals and fuzzy, and builds each cell's fuzzy number itself with
-its construct_fuzzy, in alternatives x criteria order (_numbers). Each
-subcommand's parser names the package exports its handler calls (names), and
-main binds them as globals here through the package's lazy exports (_bind),
-so build loads none of attributes, similarity, ranking and topsis, and only
-topsis loads topsis. A name already bound is kept: the benchmark's tracer
-reads these globals (an unbound one through this module's __getattr__, which
-serves the package's exports) and wraps them in spans before the job runs.
+errors, intervals and fuzzy, and builds each cell's fuzzy number itself,
+passing its own construct_fuzzy to dataset.map. Each subcommand's parser
+names the package exports its handler calls (names), and main binds them as
+globals here through the package's lazy exports (_bind), so build loads none
+of attributes, similarity, ranking and topsis, and only topsis loads topsis.
+A name already bound is kept: the benchmark's tracer reads these globals (an
+unbound one through this module's __getattr__, which serves the package's
+exports) and wraps them in spans before the job runs.
 
 main() is the one runner: it parses the arguments, binds the handler's
 names, runs the job and maps its errors to exit codes. entry(), behind
@@ -279,22 +279,11 @@ def _render(fmt: str, payload, header, rows, text) -> str:
     return text()
 
 
-def _numbers(dataset) -> dict[tuple[str, str], FuzzyNumber]:
-    """Each cell's fuzzy number by (alternative, criterion), built in
-    alternatives x criteria order."""
-    scale = dataset.scale
-    return {
-        (alternative, criterion): construct_fuzzy(dataset.cell(alternative, criterion), scale)
-        for alternative in dataset.alternatives
-        for criterion in dataset.criteria
-    }
-
-
 def _cell_records(args, payload) -> list[dict]:
     """One record per dataset cell: its alternative, criterion and payload(fz)."""
     return [
         {"alternative": alternative, "criterion": criterion, **payload(fz)}
-        for (alternative, criterion), fz in _numbers(_load(args)).items()
+        for (alternative, criterion), fz in _load(args).map(construct_fuzzy).items()
     ]
 
 
@@ -482,7 +471,7 @@ def cmd_plotdata(args):
     """CSV only: main renders it as CSV whatever --format says."""
     rows = (
         (alternative, criterion, _plain(x), _plain(mu))
-        for (alternative, criterion), fz in _numbers(_load(args)).items()
+        for (alternative, criterion), fz in _load(args).map(construct_fuzzy).items()
         for x, mu in membership_polyline(fz)
     )
     return None, ("alternative", "criterion", "x", "mu"), rows, None

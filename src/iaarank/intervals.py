@@ -118,12 +118,14 @@ def midpoint_mean(interval_set: IntervalSet) -> float:
 
 
 class MultiCriteriaDataset(Record):
-    """Alternatives x criteria grid of interval sets on one scale."""
+    """Alternatives x criteria grid of cells on one scale: the loader's
+    interval sets, or a DecisionMatrix's fuzzy numbers."""
 
     _fields = ("alternatives", "criteria", "cells", "scale")
 
     def __init__(self, alternatives: Iterable[str], criteria: Iterable[str],
-                 cells: Mapping[tuple[str, str], IntervalSet], scale: ScaleConfig):
+                 cells: Mapping[tuple[str, str], IntervalSet], scale: ScaleConfig,
+                 *more):  # a subclass's further fields, which it checks itself
         alternatives, criteria, cells = tuple(alternatives), tuple(criteria), dict(cells)
         for alternative in alternatives:
             for criterion in criteria:
@@ -132,18 +134,37 @@ class MultiCriteriaDataset(Record):
                         f"missing cell for alternative {alternative!r}, "
                         f"criterion {criterion!r}"
                     )
-        super().__init__(alternatives, criteria, cells, scale)
+        super().__init__(alternatives, criteria, cells, scale, *more)
 
-    def cell(self, alternative: str, criterion: str) -> IntervalSet:
-        return self.cells[(alternative, criterion)]
+    def cell(self, alternative: str, criterion: str):
+        """The cell of one alternative under one criterion; a KeyError names
+        the unknown label."""
+        try:
+            return self.cells[(alternative, criterion)]
+        except KeyError:
+            if alternative not in self.alternatives:
+                raise KeyError(f"unknown alternative {alternative!r}") from None
+            raise KeyError(f"unknown criterion {criterion!r}") from None
 
-    def column(self, criterion: str) -> list[IntervalSet]:
+    def column(self, criterion: str) -> list:
         """Cells of one criterion in alternative order."""
         if criterion not in self.criteria:
             raise KeyError(f"unknown criterion {criterion!r}")
         return [self.cells[(alt, criterion)] for alt in self.alternatives]
 
+    def map(self, build) -> dict:
+        """{(alternative, criterion): build(cell, scale)} in alternatives x
+        criteria order."""
+        cells, scale = self.cells, self.scale
+        return {
+            (alternative, criterion): build(cells[(alternative, criterion)], scale)
+            for alternative in self.alternatives
+            for criterion in self.criteria
+        }
+
     def without_criterion(self, criterion: str) -> MultiCriteriaDataset:
+        """The grid without one criterion, as a MultiCriteriaDataset whatever
+        the subclass (a DecisionMatrix's weights and directions go)."""
         if criterion not in self.criteria:
             raise KeyError(f"unknown criterion {criterion!r}")
         kept = tuple(c for c in self.criteria if c != criterion)

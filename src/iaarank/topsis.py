@@ -23,19 +23,22 @@ from .similarity import PairKernel
 DIRECTIONS = ("benefit", "cost")
 
 
-class DecisionMatrix(Record):
+class DecisionMatrix(MultiCriteriaDataset):
     """Alternatives x criteria grid of fuzzy numbers with weighted directions.
 
-    Every cell lies on the matrix's scale; a cell on another one raises
+    It extends the loader's grid, whose presence check, cell, column and map
+    it inherits; an inherited without_criterion returns the grid without that
+    criterion as a MultiCriteriaDataset, with no weights or directions. Every
+    cell lies on the matrix's scale; a cell on another one raises
     ScaleMismatch.
     """
 
-    _fields = ("alternatives", "criteria", "cells", "scale", "weights", "directions")
+    _fields = (*MultiCriteriaDataset._fields, "weights", "directions")
 
     def __init__(self, alternatives: Iterable[str], criteria: Iterable[str],
                  cells: Mapping[tuple[str, str], FuzzyNumber], scale: ScaleConfig,
                  weights: Sequence[float], directions: Sequence[str]):
-        alternatives, criteria, cells = tuple(alternatives), tuple(criteria), dict(cells)
+        criteria = tuple(criteria)
         if len(weights) != len(criteria):
             raise ValueError("one weight per criterion required")
         if len(directions) != len(criteria):
@@ -55,21 +58,17 @@ class DecisionMatrix(Record):
                 raise ValueError(
                     f"direction must be one of {DIRECTIONS}, got {direction!r}"
                 )
+        super().__init__(alternatives, criteria, cells, scale, weights, directions)
         low, high = scale.scale_min, scale.scale_max
-        for alternative in alternatives:
+        for alternative in self.alternatives:
             for criterion in criteria:
-                cell = cells.get((alternative, criterion))
-                if cell is None:
-                    raise ValueError(
-                        f"missing cell ({alternative!r}, {criterion!r})"
-                    )
+                cell = self.cells[(alternative, criterion)]
                 if cell.scale != scale:
                     raise ScaleMismatch(
                         f"cell ({alternative!r}, {criterion!r}) on "
                         f"[{cell.scale.scale_min}, {cell.scale.scale_max}] does "
                         f"not match the matrix scale [{low}, {high}]"
                     )
-        super().__init__(alternatives, criteria, cells, scale, weights, directions)
 
     @classmethod
     def from_dataset(
@@ -79,36 +78,20 @@ class DecisionMatrix(Record):
         directions: Sequence[str] | None = None,
     ) -> DecisionMatrix:
         """Elevate every dataset cell to a fuzzy number; defaults: equal
-        weights, all-benefit directions. cells is built in alternatives x
-        criteria order.
+        weights, all-benefit directions. cells is dataset.map(construct_fuzzy),
+        with this module's construct_fuzzy, in alternatives x criteria order.
         """
-        cells = {
-            (alternative, criterion): construct_fuzzy(
-                dataset.cell(alternative, criterion), dataset.scale
-            )
-            for alternative in dataset.alternatives
-            for criterion in dataset.criteria
-        }
         count = len(dataset.criteria)
         return cls(
             alternatives=dataset.alternatives,
             criteria=dataset.criteria,
-            cells=cells,
+            cells=dataset.map(construct_fuzzy),
             scale=dataset.scale,
             weights=tuple(weights) if weights is not None else (1.0,) * count,
             directions=tuple(directions)
             if directions is not None
             else ("benefit",) * count,
         )
-
-    def column(self, criterion: str) -> list[FuzzyNumber]:
-        """Cells of one criterion in alternative order."""
-        if criterion not in self.criteria:
-            raise KeyError(f"unknown criterion {criterion!r}")
-        return [self.cells[(alt, criterion)] for alt in self.alternatives]
-
-    def cell(self, alternative: str, criterion: str) -> FuzzyNumber:
-        return self.cells[(alternative, criterion)]
 
 
 class CriterionIdeals(Record):

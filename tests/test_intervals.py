@@ -5,6 +5,7 @@ import pytest
 
 from iaarank import (
     IntervalSet,
+    MultiCriteriaDataset,
     ScaleConfig,
     ideal_interval_set,
     load_dataset,
@@ -291,3 +292,23 @@ class TestLoadDataset:
         assert reduced.criteria == ("c2",)
         with pytest.raises(KeyError):
             dataset.without_criterion("c9")
+
+
+class TestGrid:
+    def test_map_builds_each_cell_once_in_grid_order(self):
+        # The cells dict holds the keys in another order than the grid's.
+        scale = ScaleConfig(0, 10)
+        order = [("A", "c1"), ("A", "c2"), ("B", "c1"), ("B", "c2")]
+        cells = {key: IntervalSet([(1, 2)], "".join(key)) for key in reversed(order)}
+        dataset = MultiCriteriaDataset(("A", "B"), ("c1", "c2"), cells, scale)
+        calls = []
+
+        def build(cell, given):
+            calls.append((cell, given))
+            return len(calls)
+
+        built = dataset.map(build)
+        assert list(built.items()) == [(key, i) for i, key in enumerate(order, 1)]
+        assert len(calls) == len(order)
+        for (cell, given), key in zip(calls, order):
+            assert cell is cells[key] and given is scale

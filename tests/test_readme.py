@@ -84,16 +84,18 @@ def test_ledger_holds_the_twelve_mechanisms():
 
 @pytest.mark.parametrize("row", LEDGER, ids=[row[0] for row in LEDGER])
 def test_ledger_row_names_code_that_exists_at_its_size(row):
-    # Each object in the "where" column imports. Its item in the "lines"
-    # column, in the same order and split by "; ", ends in the object's
-    # whole length: "43", "3 of 36" for a part of it, or "-17 ..., now 53"
-    # for one a mechanism was taken out of.
+    # Each object in the "where" column imports: a module's name, or a
+    # class's method. Its item in the "lines" column, in the same order and
+    # split by "; ", ends in the object's whole length: "43", "3 of 36" for a
+    # part of it, or "-17 ..., now 53" for one a mechanism was taken out of.
     names = re.findall(r"`([\w.]+)`", row[2])
     items = row[3].split("; ")
     assert names and len(items) == len(names), row
     for name, item in zip(names, items):
-        module, attribute = name.rsplit(".", 1)
-        target = getattr(importlib.import_module(f"iaarank.{module}"), attribute)
+        module, *attributes = name.split(".")
+        target = importlib.import_module(f"iaarank.{module}")
+        for attribute in attributes:
+            target = getattr(target, attribute)
         assert int(re.findall(r"\d+", item)[-1]) == len(inspect.getsourcelines(target)[0]), name
 
 

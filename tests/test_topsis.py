@@ -14,7 +14,7 @@ from iaarank import (
     separations,
     topsis_rank,
 )
-from iaarank.errors import ScaleMismatch
+from iaarank.errors import MalformedRow, ScaleMismatch
 from iaarank.intervals import MultiCriteriaDataset
 
 import oracle
@@ -88,6 +88,42 @@ class TestDecisionMatrix:
             with pytest.raises(KeyError) as excinfo:
                 table.column("nope")
             assert excinfo.value.args == ("unknown criterion 'nope'",)
+
+    def test_unknown_cell_names_the_label_as_the_dataset_does(self, synthetic, matrix):
+        for table in (synthetic, matrix):
+            for key, message in ((("X", "nope"), "unknown criterion 'nope'"),
+                                 (("W", "c1"), "unknown alternative 'W'")):
+                with pytest.raises(KeyError) as excinfo:
+                    table.cell(*key)
+                assert excinfo.value.args == (message,)
+
+    def test_a_matrix_is_a_grid_but_never_equals_one(self, matrix):
+        assert isinstance(matrix, MultiCriteriaDataset)
+        grid = MultiCriteriaDataset(
+            matrix.alternatives, matrix.criteria, matrix.cells, matrix.scale
+        )
+        assert grid != matrix and matrix != grid
+        reduced = matrix.without_criterion("c1")
+        assert type(reduced) is MultiCriteriaDataset
+        assert reduced == MultiCriteriaDataset(
+            matrix.alternatives, ("c2",),
+            {key: fz for key, fz in matrix.cells.items() if key[1] == "c2"},
+            matrix.scale,
+        )
+
+    def test_from_dataset_builds_the_grid_map_builds(self, synthetic, matrix):
+        assert matrix.cells == synthetic.map(construct_fuzzy)
+        assert list(matrix.cells) == [
+            (alternative, criterion)
+            for alternative in matrix.alternatives for criterion in matrix.criteria
+        ]
+
+    def test_missing_cell_raises_the_grid_error_naming_it(self, matrix):
+        cells = dict(matrix.cells)
+        del cells[("Y", "c2")]
+        with pytest.raises(MalformedRow, match="alternative 'Y', criterion 'c2'"):
+            DecisionMatrix(matrix.alternatives, matrix.criteria, cells, matrix.scale,
+                           matrix.weights, matrix.directions)
 
 
 class TestSelectIdeals:
