@@ -38,7 +38,7 @@ _EXPORTS = {
     "bundled_path": "intervals",
     "construct_fuzzy": "fuzzy",
     "evaluation_points": "fuzzy",
-    "feature_vector": "attributes",
+    "feature_vector": "similarity",
     "ideal_interval_set": "intervals",
     "ideal_ratio": "ranking",
     "load_dataset": "intervals",

@@ -1,4 +1,4 @@
-"""Geometric attributes of fuzzy numbers and the six feature differences.
+"""Geometric attributes of fuzzy numbers.
 
 Attributes are read from the step profile, the one state a fuzzy number
 stores. ``attribute_vector`` computes all seven in one walk over the
@@ -9,13 +9,6 @@ per instance, the first time they are asked for, and keeps them on that
 instance; there is no global cache, so a number and its attributes are
 freed together.
 
-Two numbers are compared through their attribute rows, the eleven values
-``attribute_row`` lays out. ``feature_differences`` turns two rows into the
-six differences the attribute similarity weighs, each normalized into
-[0, 1]; identical inputs yield six zeros. It is the one definition of that
-arithmetic: ``feature_vector`` returns its result for one pair, and the
-pair kernel in ``similarity`` weighs it for every attribute pair.
-
 Floats are added left to right in plain loops, never with ``sum()``, which
 Python 3.12 and later compensate: so every attribute, and every output built
 on one, is the same on every supported Python.
@@ -23,11 +16,10 @@ on one, is the same on every supported Python.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
 from ._record import Record
-from .fuzzy import FuzzyNumber, check_same_scale, region_triples
+from .fuzzy import FuzzyNumber, region_triples
 
 _ZERO = 1e-12
 _QUARTILE_FRACTIONS = (0.25, 0.5, 0.75)
@@ -153,57 +145,3 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     )
     object.__setattr__(fz, "_attributes", vector)
     return vector
-
-
-def attribute_row(fz: FuzzyNumber) -> tuple[float, ...]:
-    """The eleven attribute values the feature differences read, in order:
-    five quartiles, centroid x and y, area, height, perimeter, agreement."""
-    # attribute_vector is read as a module global, so that a wrapper
-    # installed here (the benchmark's tracer) sees every attribute vector.
-    v = attribute_vector(fz)
-    return (*v.quartiles, v.centroid_x, v.centroid_y, v.area, v.height,
-            v.perimeter, v.agreement_ratio)
-
-
-def feature_differences(
-    a: tuple[float, ...], b: tuple[float, ...], quartile_span: float,
-    centroid_span: float,
-) -> tuple[float, float, float, float, float, float]:
-    """The six unweighted feature differences of two attribute rows, in
-    weight order: quartile, centroid, area, height, perimeter, agreement.
-
-    The quartile sum is divided by ``quartile_span`` (five times the scale
-    range) and the centroid distance by ``centroid_span`` (``hypot(range,
-    0.5)``). Area and perimeter differ relative to the larger operand, and
-    two zeros count as identical (0/0 -> 0).
-    """
-    qa0, qa1, qa2, qa3, qa4, xa, ya, area_a, height_a, perimeter_a, agree_a = a
-    qb0, qb1, qb2, qb3, qb4, xb, yb, area_b, height_b, perimeter_b, agree_b = b
-    area_max = max(area_a, area_b)
-    perimeter_max = max(perimeter_a, perimeter_b)
-    return (
-        (abs(qa0 - qb0) + abs(qa1 - qb1) + abs(qa2 - qb2) + abs(qa3 - qb3)
-         + abs(qa4 - qb4)) / quartile_span,
-        math.hypot(xa - xb, ya - yb) / centroid_span,
-        abs(area_a - area_b) / area_max if area_max > 0 else 0.0,
-        abs(height_a - height_b),
-        abs(perimeter_a - perimeter_b) / perimeter_max if perimeter_max > 0 else 0.0,
-        abs(agree_a - agree_b),
-    )
-
-
-def feature_vector(
-    a: FuzzyNumber, b: FuzzyNumber
-) -> tuple[float, float, float, float, float, float]:
-    """Six comparison features of a pair of fuzzy numbers on one scale, in
-    weight order: quartile, centroid, area, height, perimeter, agreement.
-
-    Quartile spread and centroid distance are normalized by the scale range,
-    area and perimeter by the larger operand, height and agreement ratio are
-    absolute differences of values already in [0, 1].
-    """
-    check_same_scale(a, b)
-    span = a.scale.range
-    return feature_differences(
-        attribute_row(a), attribute_row(b), 5 * span, math.hypot(span, 0.5)
-    )

@@ -276,12 +276,12 @@ def bundled_path(name: str) -> Path:
     return Path(__file__).parent / "data" / filename
 
 
-def _checked_bounds(path: Path, line_no: int, left, right,
-                    scale: ScaleConfig) -> tuple[float, float]:
-    """The bounds of a row that failed the loader's guard, or the row's error.
+def _reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig) -> None:
+    """Raise the error of a row that failed the loader's guard.
 
     Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (_interval_bounds), then the scale.
+    finiteness and order (_interval_bounds), then the scale, which a row
+    passing the first three must fail, as the guard tests the same floats.
     """
     try:
         left, right = _interval_bounds(left, right)
@@ -298,13 +298,11 @@ def _checked_bounds(path: Path, line_no: int, left, right,
         raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
     except MalformedInterval as exc:
         raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    if not (scale.scale_min <= left and right <= scale.scale_max):
-        raise OutOfScale(
-            f"{path} line {line_no}: interval [{left}, {right}] outside scale "
-            f"[{scale.scale_min}, {scale.scale_max}]",
-            line=line_no,
-        )
-    return left, right
+    raise OutOfScale(
+        f"{path} line {line_no}: interval [{left}, {right}] outside scale "
+        f"[{scale.scale_min}, {scale.scale_max}]",
+        line=line_no,
+    )
 
 
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
@@ -315,7 +313,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     naming both lines. Alternatives and criteria keep first-appearance order.
     Each row is checked once, by one chained comparison of its two floats,
     scale_min <= left <= right <= scale_max, which a NaN or infinite bound
-    fails too; only a failing row goes through _checked_bounds, for its
+    fails too; only a failing row goes through _reject_row, for its
     error. Each cell's bounds are stored as two float columns, and only a
     cell with fewer distinct sources than rows is walked to name the repeat:
     loading costs O(rows) plus the per-cell sorts. Differing source counts
@@ -340,7 +338,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
             lo = hi = math.nan
         # A NaN or infinite bound fails the guard too: the scale is finite.
         if not scale_min <= lo <= hi <= scale_max:
-            lo, hi = _checked_bounds(path, line_no, left, right, scale)
+            _reject_row(path, line_no, left, right, scale)
         grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.

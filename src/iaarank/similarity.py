@@ -18,11 +18,11 @@ measure then merges the two breakpoint lists in one walk over the shared
 support, evaluating at every point it meets, so one pair costs at most
 O(k_a + k_b) for k_a and k_b breakpoints and builds no set and sorts
 nothing; a pair whose supports do not meet costs O(1). The attribute measure
-weighs the six differences ``attributes.feature_differences`` computes from
-the two rows; ``feature_vector`` returns the same six for one pair, so the
-feature arithmetic is written once. All three measures are symmetric, so a
-similarity matrix over m numbers evaluates the m(m+1)/2 pairs on and above
-the diagonal and mirrors each value below it.
+weighs the six differences ``PairKernel.features`` computes from the two
+rows with the kernel's normalisers; ``feature_vector`` returns the same six
+for one pair, so the feature arithmetic is written once. All three measures
+are symmetric, so a similarity matrix over m numbers evaluates the m(m+1)/2
+pairs on and above the diagonal and mirrors each value below it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 
-from .attributes import attribute_row, feature_differences
+from . import attributes
 from .errors import EmptyEvaluation
 from .fuzzy import FuzzyNumber, check_same_scale
 from .intervals import MEASURES, ScaleConfig
@@ -46,6 +46,16 @@ _SQUARED_WEIGHTS = tuple(v * v for v in FEATURE_WEIGHTS)
 def _check_measure(measure: str) -> None:
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+
+
+def attribute_row(fz: FuzzyNumber) -> tuple[float, ...]:
+    """The eleven attribute values the feature differences read, in order:
+    five quartiles, centroid x and y, area, height, perimeter, agreement."""
+    # attribute_vector is read through its module at each call, so that a
+    # wrapper installed there (the benchmark's tracer) sees every vector.
+    v = attributes.attribute_vector(fz)
+    return (*v.quartiles, v.centroid_x, v.centroid_y, v.area, v.height,
+            v.perimeter, v.agreement_ratio)
 
 
 def _overlap(a, b) -> float:
@@ -140,13 +150,36 @@ class PairKernel:
             attribute_row(fz) if self.attribute else None,
         )
 
+    def features(
+        self, a: tuple[float, ...], b: tuple[float, ...]
+    ) -> tuple[float, float, float, float, float, float]:
+        """The six unweighted feature differences of two attribute rows, in
+        weight order: quartile, centroid, area, height, perimeter, agreement.
+
+        The quartile sum is divided by ``quartile_span`` (five times the
+        scale range) and the centroid distance by ``centroid_span``
+        (``hypot(range, 0.5)``). Area and perimeter differ relative to the
+        larger operand, and two zeros count as identical (0/0 -> 0).
+        """
+        qa0, qa1, qa2, qa3, qa4, xa, ya, area_a, height_a, perimeter_a, agree_a = a
+        qb0, qb1, qb2, qb3, qb4, xb, yb, area_b, height_b, perimeter_b, agree_b = b
+        area_max = max(area_a, area_b)
+        perimeter_max = max(perimeter_a, perimeter_b)
+        return (
+            (abs(qa0 - qb0) + abs(qa1 - qb1) + abs(qa2 - qb2) + abs(qa3 - qb3)
+             + abs(qa4 - qb4)) / self.quartile_span,
+            math.hypot(xa - xb, ya - yb) / self.centroid_span,
+            abs(area_a - area_b) / area_max if area_max > 0 else 0.0,
+            abs(height_a - height_b),
+            abs(perimeter_a - perimeter_b) / perimeter_max if perimeter_max > 0 else 0.0,
+            abs(agree_a - agree_b),
+        )
+
     def _attribute(self, a: tuple[float, ...], b: tuple[float, ...]) -> float:
         """One minus the squared-weight sum of the feature differences of
         two attribute rows, added in weight order."""
         w0, w1, w2, w3, w4, w5 = _SQUARED_WEIGHTS
-        f0, f1, f2, f3, f4, f5 = feature_differences(
-            a, b, self.quartile_span, self.centroid_span
-        )
+        f0, f1, f2, f3, f4, f5 = self.features(a, b)
         return 1.0 - (w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4 + w5 * f5)
 
     def __call__(self, a, b) -> float:
@@ -171,6 +204,23 @@ def measure_similarity(measure: str, a: FuzzyNumber, b: FuzzyNumber) -> float:
     """
     kernel = PairKernel(measure, a.scale)
     return kernel(kernel.prepare(a), kernel.prepare(b))
+
+
+def feature_vector(
+    a: FuzzyNumber, b: FuzzyNumber
+) -> tuple[float, float, float, float, float, float]:
+    """Six comparison features of a pair of fuzzy numbers on one scale, in
+    weight order: quartile, centroid, area, height, perimeter, agreement.
+
+    The quartile sum is divided by five times the scale range and the
+    centroid distance by ``hypot(range, 0.5)``, as in ``PairKernel.features``;
+    area and perimeter differ relative to the larger operand; height and
+    agreement ratio are absolute differences of values already in [0, 1].
+    Operands on two scales raise ScaleMismatch.
+    """
+    check_same_scale(a, b)
+    kernel = PairKernel("attribute", a.scale)
+    return kernel.features(attribute_row(a), attribute_row(b))
 
 
 def jaccard(a: FuzzyNumber, b: FuzzyNumber) -> float:

@@ -563,6 +563,12 @@ class TestDeterminismAndOutput:
          3, "--tie-break-criterion: criterion 'c1' was removed by --exclude-criterion"),
         (["rank", *SYNTH, "--criterion", "nope"], 3,
          "--criterion: criterion 'nope' not in dataset (have: c1, c2)"),
+        (["build", "--input", "films", "--scale-min", "1", "--scale-max", "inf"], 3,
+         "error: scale bounds must be finite"),
+        (["build", "--input", "films", "--scale-min", "nan", "--scale-max", "10"], 3,
+         "error: scale bounds must be finite"),
+        (["topsis", *FILMS, "--exclude-criterion", "overall"], 3,
+         "error: excluding the only criterion leaves no data"),
     ])
     def test_empty_flag_value_is_an_error(self, capsys, argv, expected, named):
         code, out, err = run(capsys, *argv)

@@ -185,6 +185,15 @@ class TestLoadDataset:
         second = load_dataset(bundled_path("films"), film_scale)
         assert first == second
 
+    def test_unknown_bundled_dataset_names_the_choices(self):
+        from iaarank import bundled_path
+
+        with pytest.raises(KeyError) as excinfo:
+            bundled_path("nope")
+        message = excinfo.value.args[0]
+        assert "'nope'" in message
+        assert "films" in message and "synthetic-3x2" in message
+
     def test_empty_file(self, tmp_path, film_scale):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

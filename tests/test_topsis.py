@@ -80,6 +80,12 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError):
             DecisionMatrix.from_dataset(synthetic, weights=(1,))
 
+    def test_rejects_a_direction_too_many(self, synthetic):
+        with pytest.raises(ValueError, match="^one direction per criterion required$"):
+            DecisionMatrix.from_dataset(
+                synthetic, directions=("benefit", "benefit", "cost")
+            )
+
     def test_unknown_column_names_the_criterion_as_the_dataset_does(
         self, synthetic, matrix
     ):
