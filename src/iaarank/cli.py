@@ -16,16 +16,15 @@ columns. attributes' columns are AttributeVector's; plotdata always writes CSV.
 
 A job loads only the modules its subcommand runs. This module imports
 errors, intervals and fuzzy, and builds each cell's fuzzy number itself,
-passing its own construct_fuzzy to dataset.map. Each subcommand's parser
-names the package exports its handler calls (names), and main binds them as
-globals here through the package's lazy exports (_bind), so build loads none
-of attributes, similarity, ranking and topsis, and only topsis loads topsis.
-A name already bound is kept: the benchmark's tracer reads these globals (an
-unbound one through this module's __getattr__, which serves the package's
-exports) and wraps them in spans before the job runs.
+passing its own construct_fuzzy to dataset.map. A handler reads every other
+library name it calls off this module (_cli), at the call: a name a caller
+has set here, as the benchmark's tracer sets its spans, wins, and any other
+falls through to __getattr__, which loads it from the package's lazy
+exports. So build loads none of attributes, similarity, ranking and topsis,
+and only topsis loads topsis.
 
-main() is the one runner: it parses the arguments, binds the handler's
-names, runs the job and maps its errors to exit codes. entry(), behind
+main() is the one runner: it parses the arguments, runs the job and maps its
+errors to exit codes. entry(), behind
 `python -m iaarank` and the `iaarank` script, runs main() with the cyclic
 garbage collector off and freezes the heap before it exits. A job's data
 (rows, interval sets, fuzzy numbers, attribute vectors, result records) is
@@ -69,14 +68,7 @@ EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
 
 _package = sys.modules[__package__]
-
-
-def _bind(names) -> None:
-    """Bind each package export here, loading its module, and keep a name
-    already bound: a caller may have replaced it, as the benchmark's tracer
-    wraps these globals in spans before the job runs."""
-    for name in names:
-        globals().setdefault(name, getattr(_package, name))
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
@@ -298,9 +290,10 @@ def cmd_build(args):
 
 
 def cmd_attributes(args):
-    records = _cell_records(args, lambda fz: attribute_vector(fz).to_dict())
+    vector = _cli.attribute_vector
+    records = _cell_records(args, lambda fz: vector(fz).to_dict())
     header = ("alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
-              *AttributeVector._fields[1:])
+              *_cli.AttributeVector._fields[1:])
     # each record's values are the alternative, the criterion, then the
     # vector's fields in _fields order, quartiles first
     rows = (
@@ -330,7 +323,7 @@ def cmd_similarity(args):
         labels = list(dataset.alternatives)
         column = [construct_fuzzy(cell, dataset.scale)
                   for cell in dataset.column(criterion)]
-        matrix = similarity_matrix(args.measure, column)
+        matrix = _cli.similarity_matrix(args.measure, column)
         return (
             {"measure": args.measure, "labels": labels, "matrix": matrix},
             ("label", *labels),
@@ -345,7 +338,7 @@ def cmd_similarity(args):
             raise ValueError(f"unknown alternative {label!r}")
     a, b = (construct_fuzzy(dataset.cell(label, criterion), dataset.scale)
             for label in (first, second))
-    value = measure_similarity(args.measure, a, b)
+    value = _cli.measure_similarity(args.measure, a, b)
     return (
         {"measure": args.measure, "a": first, "b": second, "similarity": value},
         ("a", "b", "measure", "similarity"),
@@ -375,17 +368,17 @@ def cmd_rank(args):
     dataset = _load(args)
     cells = dataset.column(_pick_criterion(dataset, args.criterion))
     if args.method == "baseline":
-        result = rank_baseline_mean(cells)
+        result = _cli.rank_baseline_mean(cells)
     else:
         numbers = [construct_fuzzy(cell, dataset.scale) for cell in cells]
         if args.method == "universal":
-            result = rank_universal(numbers, args.epsilon)
+            result = _cli.rank_universal(numbers, args.epsilon)
         else:
             if args.ideal == "auto":
                 best, worst = _auto_ideals(dataset.scale, cells)
             else:
                 best, worst = _file_ideals(args.ideal, dataset.scale)
-            result = rank_by_ideal_ratio(
+            result = _cli.rank_by_ideal_ratio(
                 numbers,
                 best,
                 worst,
@@ -457,8 +450,8 @@ def cmd_topsis(args):
     for flag, values in (("--weights", weights), ("--directions", directions)):
         if values is not None:
             _check_count(flag, values, dataset.criteria)
-    matrix = DecisionMatrix.from_dataset(dataset, weights, directions)
-    result = topsis_rank(
+    matrix = _cli.DecisionMatrix.from_dataset(dataset, weights, directions)
+    result = _cli.topsis_rank(
         matrix,
         measure=args.measure,
         epsilon=args.epsilon,
@@ -469,10 +462,11 @@ def cmd_topsis(args):
 
 def cmd_plotdata(args):
     """CSV only: main renders it as CSV whatever --format says."""
+    polyline = _cli.membership_polyline
     rows = (
         (alternative, criterion, _plain(x), _plain(mu))
         for (alternative, criterion), fz in _load(args).map(construct_fuzzy).items()
-        for x, mu in membership_polyline(fz)
+        for x, mu in polyline(fz)
     )
     return None, ("alternative", "criterion", "x", "mu"), rows, None
 
@@ -490,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write here instead of stdout")
     common.add_argument("--epsilon", type=float, default=1e-9,
                         help="relative tie tolerance; ties are tolerance clusters")
-    common.set_defaults(names=())  # the package exports the handler calls
 
     parser = argparse.ArgumentParser(
         prog="iaarank",
@@ -505,8 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_attr = sub.add_parser("attributes", parents=[common],
                             help="emit the attribute vector per cell")
-    p_attr.set_defaults(handler=cmd_attributes,
-                        names=("AttributeVector", "attribute_vector"))
+    p_attr.set_defaults(handler=cmd_attributes)
 
     p_sim = sub.add_parser("similarity", parents=[common],
                            help="similarity between two alternatives, or a matrix")
@@ -514,8 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", choices=MEASURES, default="combined")
     p_sim.add_argument("--matrix", action="store_true")
     p_sim.add_argument("--criterion", default=None)
-    p_sim.set_defaults(handler=cmd_similarity,
-                       names=("measure_similarity", "similarity_matrix"))
+    p_sim.set_defaults(handler=cmd_similarity)
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
     p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
@@ -525,8 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'auto' for scale-extreme ideals, or a dataset file "
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
-    p_rank.set_defaults(handler=cmd_rank, names=(
-        "rank_baseline_mean", "rank_by_ideal_ratio", "rank_universal"))
+    p_rank.set_defaults(handler=cmd_rank)
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -538,12 +528,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
-    p_topsis.set_defaults(handler=cmd_topsis,
-                          names=("DecisionMatrix", "topsis_rank"))
+    p_topsis.set_defaults(handler=cmd_topsis)
 
     p_plot = sub.add_parser("plotdata", parents=[common],
                             help="membership profile vertices as CSV")
-    p_plot.set_defaults(handler=cmd_plotdata, names=("membership_polyline",))
+    p_plot.set_defaults(handler=cmd_plotdata)
 
     return parser
 
@@ -554,7 +543,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _bind(args.names)
     fmt = "csv" if args.handler is cmd_plotdata else args.format
     try:
         text = _render(fmt, *args.handler(args))

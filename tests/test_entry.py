@@ -1,8 +1,9 @@
 """The process entry, `python -m iaarank`: the same exit codes and bytes as
 cli.main in process, --help and usage errors included, whole outputs through
 a pipe and through --output, the atexit handlers still run, and a job loads
-only the modules its subcommand runs; and the benchmark's tracer still finds
-the CLI's library calls at its patch points."""
+only the modules its subcommand runs; and the benchmark's tracer, or any
+caller that sets a library name on cli, still finds the CLI's library calls
+there, while no job writes a name into cli."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import iaarank
+from iaarank import cli
 from iaarank.cli import main
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
@@ -178,20 +180,25 @@ def test_a_job_loads_only_the_modules_its_subcommand_runs(args, loaded):
 
 
 @pytest.mark.parametrize(
-    "args, ideals, ranked",
+    "args, ideals, ranked, vectors",
     [
-        (["build"], 0, False),
-        (["similarity", "--matrix"], 0, False),
-        (["rank", "--method", "ideal-ratio"], 2, True),
-        (["topsis"], 0, False),
+        (["build"], 0, False, 0),
+        (["attributes"], 0, False, 1),
+        (["plotdata"], 0, False, 0),
+        (["similarity", "--matrix"], 0, False, 1),
+        (["rank", "--method", "ideal-ratio"], 2, True, 1),
+        (["topsis"], 0, False, None),
     ],
-    ids=["build", "similarity --matrix", "rank", "topsis"],
+    ids=["build", "attributes", "plotdata", "similarity --matrix", "rank", "topsis"],
 )
-def test_the_tracer_finds_every_library_call(tmp_path, args, ideals, ranked):
-    # perfbench/spans.py wraps the CLI's module globals (load_dataset,
-    # construct_fuzzy, the rankers, ...) and topsis's construct_fuzzy in
-    # spans; a call routed around them would count less here. It reads
-    # cli.topsis_rank before any job has bound it, through cli.__getattr__.
+def test_the_tracer_finds_every_library_call(tmp_path, args, ideals, ranked, vectors):
+    # perfbench/spans.py sets its span wrappers on cli (load_dataset,
+    # construct_fuzzy, attribute_vector, the rankers, ...) and on topsis's
+    # construct_fuzzy; a handler reads each name off cli as it calls it, so
+    # a call routed around them would count less here. The tracer reads
+    # cli.topsis_rank through cli.__getattr__. vectors is the number of
+    # attribute vectors per fuzzy number (topsis counts one per separation
+    # term, so it is not checked).
     out, report = tmp_path / "out.txt", tmp_path / "report.json"
     done = subprocess.run(
         [sys.executable, str(SPANS), "--out", str(out), "--report", str(report),
@@ -208,3 +215,53 @@ def test_the_tracer_finds_every_library_call(tmp_path, args, ideals, ranked):
     assert counts["intervals.rows"] == sum(cell.n for cell in dataset.cells.values())
     assert counts["fuzzy.cells"] == alternatives * len(dataset.criteria) + ideals
     assert counts.get("ranking.items", 0) == (alternatives if ranked else 0)
+    if vectors is not None:
+        assert counts["attributes.vectors"] == vectors * counts["fuzzy.cells"]
+
+
+JOBS = [
+    ["build"], ["attributes"], ["plotdata"], ["similarity", "Film A", "Film B"],
+    ["similarity", "--matrix"], ["rank", "--method", "ideal-ratio"],
+    ["rank", "--method", "universal"], ["rank", "--method", "baseline"], ["topsis"],
+]
+# The library names the handlers read off cli, served by cli.__getattr__.
+LATE_BOUND = {
+    "AttributeVector", "attribute_vector", "measure_similarity", "similarity_matrix",
+    "rank_baseline_mean", "rank_universal", "rank_by_ideal_ratio", "DecisionMatrix",
+    "topsis_rank", "membership_polyline",
+}
+
+
+def test_no_job_writes_a_name_into_cli():
+    before = set(vars(cli))
+    for args in JOBS:
+        code, out, err = run_in_process(*args, *FILMS)
+        assert (code, err) == (0, "") and out, args
+    assert set(vars(cli)) == before
+    assert LATE_BOUND.isdisjoint(vars(cli))
+
+
+def test_a_name_set_on_cli_is_the_one_a_job_calls(monkeypatch):
+    # As the tracer's spans are found, but for names the tracer does not wrap.
+    calls = {}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    plotdata = ["plotdata", *FILMS]
+    baseline = ["rank", "--method", "baseline", *FILMS]
+    expected = [run_in_process(*plotdata), run_in_process(*baseline)]
+    # Set in cli's namespace, which the undo then leaves as it was:
+    # monkeypatch.setattr would restore the value getattr served, binding it.
+    for name in ("membership_polyline", "rank_baseline_mean"):
+        monkeypatch.setitem(vars(cli), name, counting(name))
+    assert [run_in_process(*plotdata), run_in_process(*baseline)] == expected
+    cells = len(iaarank.load_dataset(iaarank.bundled_path("films"),
+                                     iaarank.ScaleConfig(1, 10)).cells)
+    assert calls == {"membership_polyline": cells, "rank_baseline_mean": 1}

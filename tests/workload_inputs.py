@@ -18,23 +18,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, write_dataset  # noqa: E402
 
 from iaarank import ScaleConfig, load_dataset  # noqa: E402
-from iaarank.cli import _bind, _build_parser  # noqa: E402
+from iaarank.cli import _build_parser  # noqa: E402
 
 _FOLDER = Path(tempfile.mkdtemp(prefix="iaarank-workloads-"))
 atexit.register(shutil.rmtree, _FOLDER, True)
 
 
 def job(name: str, seed: int = 1):
-    """The parsed CLI arguments of the workload's job on its seed's dataset,
-    with the names its handler calls bound in ``cli``, as a CLI job binds them
-    before it runs the handler."""
+    """The parsed CLI arguments of the workload's job on its seed's dataset;
+    ``args.handler(args)`` runs its handler as ``cli.main`` does."""
     workload = WORKLOADS[name]
     path = _FOLDER / f"{name}-{seed}.csv"
     if not path.exists():
         write_dataset(workload, seed, path)
-    args = _build_parser().parse_args(workload.argv(path))
-    _bind(args.names)
-    return args
+    return _build_parser().parse_args(workload.argv(path))
 
 
 def dataset(name: str, seed: int = 1):
