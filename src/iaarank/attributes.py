@@ -21,7 +21,6 @@ from bisect import bisect_left
 from ._record import Record
 from .fuzzy import FuzzyNumber, region_triples
 
-_ZERO = 1e-12
 _QUARTILE_FRACTIONS = (0.25, 0.5, 0.75)
 
 
@@ -30,9 +29,10 @@ class AttributeVector(Record):
 
     - quartiles: where the cumulative area first reaches 0, 1/4, 1/2, 3/4 and
       all of the total, interpolated linearly inside segments (spikes carry
-      no area); the outer two are the support bounds. A number of negligible
-      area (all mass in spikes) takes the discrete height-weighted
-      distribution over region positions instead.
+      no area); the outer two are the support bounds. A number of no area
+      (all mass in spikes), or of a subnormal area whose quarter rounds to
+      0.0, takes the discrete height-weighted distribution over region
+      positions instead.
     - centroid_x: the height-weighted mean of the region midpoints.
     - centroid_y: the mean half-height over the regions.
     - area: the total rectangle area of the regions; spikes add nothing.
@@ -80,8 +80,10 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     order, closes each support component into the outline and the support
     length, and records the running area at each breakpoint; each of the
     three inner quartiles bisects those totals for the first segment that
-    meets its share of the area. Only a number whose area is at most 1e-12
-    (all its mass in spikes) lists its regions, for the discrete quartiles.
+    meets its share of the area. Only a number whose quarter area is 0.0
+    (all its mass in spikes, or a subnormal area) lists its regions, for the
+    discrete quartiles. Both thresholds are 0.0, so no attribute depends on
+    the scale's units.
     The vector is stored on the number as the private non-field attribute
     ``_attributes``, so equality, hash, ``to_dict``, pickle and copy do not
     see it: a copy computes it again when asked.
@@ -115,7 +117,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
             length += x - edge
         areas.append(total_area)
     quartiles = [xs[0]]
-    if total_area > _ZERO:
+    if 0.25 * total_area > 0.0:  # a 0.0 target bisects to breakpoint 0, maybe no segment
         for fraction in _QUARTILE_FRACTIONS:
             target = fraction * total_area
             i = bisect_left(areas, target)  # never a gap, which adds no area
@@ -141,7 +143,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
         total_area,
         max(points),  # height
         outline,  # perimeter
-        0.0 if length <= _ZERO else total_area / length,  # agreement_ratio
+        0.0 if length == 0.0 else total_area / length,  # agreement_ratio
     )
     object.__setattr__(fz, "_attributes", vector)
     return vector

@@ -4,53 +4,47 @@ Subcommands: build, attributes, similarity, rank, topsis, plotdata. Exit
 codes: 0 success, 2 I/O or parse failure, 3 validation failure, 4 undefined
 ranking (zero similarity to both ideals under the overlap measure).
 
-Each command returns (payload, header, rows, text) and never reads --format;
-one writer, _render, turns that into the output. json writes the payload
-through _json_text, which gives json.dumps(payload, indent=2) byte for byte
-from one walk that calls itself once per value, without the stdlib's
-pure-Python indent encoder; csv writes the header and the rows (a
-generator), and text calls text(), or writes the payload list as JSON lines
-where a command has no text form (build, attributes). rank and topsis write
-a RankingResult: its to_dict is the payload, its entries' _fields the CSV
-columns. attributes' columns are AttributeVector's; plotdata always writes CSV.
+A job compiles only the code it runs. A subcommand's handler, with its text
+form and the helpers only it uses, is run() in cli_<subcommand>, which
+args.handler imports when the job calls it; cli_shared holds what several
+handlers share, and cli_csv the CSV writer. A handler reads each library
+name it calls off this module at the call (cli.construct_fuzzy): a name a
+caller has set here, as the benchmark's tracer does, wins, and any other
+falls through to __getattr__ and the package's lazy exports. Of the
+library, this module imports only errors, intervals and fuzzy.
 
-A job loads only the modules its subcommand runs. This module imports
-errors, intervals and fuzzy, and builds each cell's fuzzy number itself,
-passing its own construct_fuzzy to dataset.map. A handler reads every other
-library name it calls off this module (_cli), at the call: a name a caller
-has set here, as the benchmark's tracer sets its spans, wins, and any other
-falls through to __getattr__, which loads it from the package's lazy
-exports. So build loads none of attributes, similarity, ranking and topsis,
-and only topsis loads topsis.
+A handler returns (payload, header, rows, text) and never reads --format;
+_render writes it: json through _json_text (json.dumps(payload, indent=2)
+byte for byte, without the stdlib's pure-Python indent encoder), csv as the
+header and the rows (a generator) through cli_csv, and text by calling
+text(), or as JSON lines of the payload list where a command has no text
+form (build, attributes). plotdata always writes CSV.
 
-main() is the one runner: it parses the arguments, runs the job and maps its
-errors to exit codes. entry(), behind
-`python -m iaarank` and the `iaarank` script, runs main() with the cyclic
-garbage collector off and freezes the heap before it exits. A job's data
-(rows, interval sets, fuzzy numbers, attribute vectors, result records) is
-acyclic and freed by reference counting, so a collection pass during the job
-frees nothing, and the interpreter's final collection skips the frozen heap.
-The exit goes through sys.exit, so atexit handlers run and stdout and stderr
-are flushed; main() writes and closes --output itself and never touches the
-collector. It writes stdout inside its error handling, so a stdout that
-cannot encode the output exits 2 and writes nothing.
+main() runs one job: it parses the arguments, runs the handler and maps its
+errors to exit codes. It writes stdout inside its error handling, so a
+stdout that cannot encode the output exits 2 and writes nothing, and it
+never touches the collector. entry(), behind `python -m iaarank` and the
+`iaarank` script, runs main() with the cyclic collector off and freezes the
+heap before it exits through sys.exit, so atexit handlers run and the
+streams flush: a job's data is acyclic and freed by reference counting, so
+a collection would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import math
 import sys
 import warnings
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import DivisionByZero, IaaRankError, MalformedRow, RaggedCellWarning
-from .fuzzy import FuzzyNumber, construct_fuzzy
+# a global here, read off cli by the handlers, so the tracer and tests patch it here
+from .fuzzy import construct_fuzzy
 from .intervals import (
     BUNDLED_DATASETS,
     MEASURES,
@@ -58,7 +52,6 @@ from .intervals import (
     MultiCriteriaDataset,
     ScaleConfig,
     bundled_path,
-    ideal_interval_set,
     load_dataset,
 )
 
@@ -68,13 +61,20 @@ EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
 
 _package = sys.modules[__package__]
-_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     if name in _package._EXPORTS:
         return getattr(_package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _handler(command: str):
+    """A subcommand's handler: run(args) of its module, cli_<command>, which
+    only a job of that subcommand imports."""
+    def handler(args):
+        return import_module(f".cli_{command}", __package__).run(args)
+    return handler
 
 
 def _path(value: str, flag: str) -> Path:
@@ -100,89 +100,6 @@ def _read(value: str, flag: str, scale: ScaleConfig) -> MultiCriteriaDataset:
 
 def _load(args) -> MultiCriteriaDataset:
     return _read(args.input, "--input", ScaleConfig(args.scale_min, args.scale_max))
-
-
-def _check_criterion(dataset, flag: str, requested: str) -> None:
-    if requested not in dataset.criteria:
-        raise ValueError(
-            f"{flag}: criterion {requested!r} not in dataset "
-            f"(have: {', '.join(dataset.criteria)})"
-        )
-
-
-def _pick_criterion(dataset, requested: str | None) -> str:
-    """The requested criterion, or the dataset's only one."""
-    if requested is not None:
-        _check_criterion(dataset, "--criterion", requested)
-        return requested
-    if len(dataset.criteria) > 1:
-        raise ValueError(
-            "dataset has several criteria; select one with --criterion"
-        )
-    return dataset.criteria[0]
-
-
-def _auto_ideals(scale, cells) -> tuple[FuzzyNumber, FuzzyNumber]:
-    n = max(cell.n for cell in cells)
-    best = construct_fuzzy(ideal_interval_set(scale, n, "best"), scale)
-    worst = construct_fuzzy(ideal_interval_set(scale, n, "worst"), scale)
-    return best, worst
-
-
-def _file_ideals(path: str, scale: ScaleConfig) -> tuple[FuzzyNumber, FuzzyNumber]:
-    dataset = _read(path, "--ideal", scale)
-    if set(dataset.alternatives) != {"best", "worst"} or len(dataset.criteria) != 1:
-        raise ValueError(
-            "ideal file must hold exactly the alternatives 'best' and 'worst' "
-            "on a single criterion"
-        )
-    criterion = dataset.criteria[0]
-    return (
-        construct_fuzzy(dataset.cell("best", criterion), scale),
-        construct_fuzzy(dataset.cell("worst", criterion), scale),
-    )
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """--epsilon is read by rank and topsis only; the others ignore it."""
-    if epsilon < 0:
-        raise ValueError("--epsilon must be non-negative")
-    if not math.isfinite(epsilon):
-        raise ValueError("--epsilon must be finite")
-
-
-def _plain(value: float) -> str:
-    """A coordinate as text: a whole number below 1e16 as an int, else its repr."""
-    if abs(value) < 1e16 and value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
-def _field(value) -> str:
-    """A CSV field: text as is, None empty, a bool in lower case, a number as
-    its repr."""
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value)
-
-
-def _csv_text(header, rows) -> str:
-    # With its default "\r\n" row end, csv.writer quotes every field holding
-    # "\r" or "\n" (with "\n" alone, Python 3.11 leaves a bare "\r" unquoted);
-    # each row end is then cut back to "\n".
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    lines = []
-    for row in (header, *rows):
-        writer.writerow([_field(value) for value in row])
-        lines.append(buffer.getvalue()[:-2] + "\n")
-        buffer.seek(0)
-        buffer.truncate()
-    return "".join(lines)
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -265,210 +182,11 @@ def _render(fmt: str, payload, header, rows, text) -> str:
     if fmt == "json":
         return _json_text(payload) + "\n"
     if fmt == "csv":
-        return _csv_text(header, rows)
+        from .cli_csv import csv_text
+        return csv_text(header, rows)
     if text is None:
         return "".join(json.dumps(record) + "\n" for record in payload)
     return text()
-
-
-def _cell_records(args, payload) -> list[dict]:
-    """One record per dataset cell: its alternative, criterion and payload(fz)."""
-    return [
-        {"alternative": alternative, "criterion": criterion, **payload(fz)}
-        for (alternative, criterion), fz in _load(args).map(construct_fuzzy).items()
-    ]
-
-
-def cmd_build(args):
-    records = _cell_records(args, FuzzyNumber.to_dict)
-    rows = (
-        (r["alternative"], r["criterion"], _plain(left), _plain(right), height)
-        for r in records
-        for left, right, height in r["regions"]
-    )
-    return records, ("alternative", "criterion", "left", "right", "height"), rows, None
-
-
-def cmd_attributes(args):
-    vector = _cli.attribute_vector
-    records = _cell_records(args, lambda fz: vector(fz).to_dict())
-    header = ("alternative", "criterion", "q1", "q2", "q3", "q4", "q5",
-              *_cli.AttributeVector._fields[1:])
-    # each record's values are the alternative, the criterion, then the
-    # vector's fields in _fields order, quartiles first
-    rows = (
-        (alternative, criterion, *quartiles, *rest)
-        for alternative, criterion, quartiles, *rest in map(dict.values, records)
-    )
-    return records, header, rows, None
-
-
-def _matrix_text(labels, matrix) -> str:
-    width = max(len(label) for label in labels)
-    columns = [max(6, len(label)) for label in labels]
-    lines = [" " * width + "  " + "  ".join(
-        f"{label:>{column}}" for label, column in zip(labels, columns))]
-    for label, row in zip(labels, matrix):
-        lines.append(f"{label:<{width}}  " + "  ".join(
-            f"{v:{column}.4f}" for v, column in zip(row, columns)))
-    return "\n".join(lines) + "\n"
-
-
-def cmd_similarity(args):
-    dataset = _load(args)
-    criterion = _pick_criterion(dataset, args.criterion)
-    if args.matrix:
-        if args.labels:
-            raise ValueError("similarity --matrix takes no alternative labels")
-        labels = list(dataset.alternatives)
-        column = [construct_fuzzy(cell, dataset.scale)
-                  for cell in dataset.column(criterion)]
-        matrix = _cli.similarity_matrix(args.measure, column)
-        return (
-            {"measure": args.measure, "labels": labels, "matrix": matrix},
-            ("label", *labels),
-            ((label, *row) for label, row in zip(labels, matrix)),
-            lambda: _matrix_text(labels, matrix),
-        )
-    if len(args.labels) != 2:
-        raise ValueError("similarity needs two alternative labels or --matrix")
-    first, second = args.labels
-    for label in (first, second):
-        if label not in dataset.alternatives:
-            raise ValueError(f"unknown alternative {label!r}")
-    a, b = (construct_fuzzy(dataset.cell(label, criterion), dataset.scale)
-            for label in (first, second))
-    value = _cli.measure_similarity(args.measure, a, b)
-    return (
-        {"measure": args.measure, "a": first, "b": second, "similarity": value},
-        ("a", "b", "measure", "similarity"),
-        ((first, second, args.measure, value),),
-        lambda: f"{value:.4f}\n",
-    )
-
-
-def _ranked(result, text):
-    """A RankingResult: its to_dict, and one CSV row per entry in the entries'
-    _fields order (order_and_rank refuses an empty list, so entries[0] exists)."""
-    return (result.to_dict(), result.entries[0]._fields,
-            (e._values() for e in result.entries), lambda: text(result))
-
-
-def _ranking_text(result) -> str:
-    width = max(len("label"), *(len(e.label) for e in result.entries))
-    lines = [f"{'label':<{width}}  {'score':>8}  rank"]
-    for e in result.entries:
-        score = "-" if e.score is None else f"{e.score:.4f}"
-        lines.append(f"{e.label:<{width}}  {score:>8}  {e.rank:>4}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_rank(args):
-    _check_epsilon(args.epsilon)
-    dataset = _load(args)
-    cells = dataset.column(_pick_criterion(dataset, args.criterion))
-    if args.method == "baseline":
-        result = _cli.rank_baseline_mean(cells)
-    else:
-        numbers = [construct_fuzzy(cell, dataset.scale) for cell in cells]
-        if args.method == "universal":
-            result = _cli.rank_universal(numbers, args.epsilon)
-        else:
-            if args.ideal == "auto":
-                best, worst = _auto_ideals(dataset.scale, cells)
-            else:
-                best, worst = _file_ideals(args.ideal, dataset.scale)
-            result = _cli.rank_by_ideal_ratio(
-                numbers,
-                best,
-                worst,
-                measure=args.measure,
-                epsilon=args.epsilon,
-            )
-    return _ranked(result, _ranking_text)
-
-
-def _topsis_text(result) -> str:
-    lines = []
-    for ideal in result.ideals:
-        note = " (degenerate)" if ideal.degenerate else ""
-        lines.append(
-            f"criterion {ideal.criterion}: PIS={ideal.pis.label} "
-            f"NIS={ideal.nis.label}{note}"
-        )
-    width = max(len("label"), *(len(e.label) for e in result.entries))
-    lines.append(f"{'label':<{width}}  {'D+':>8}  {'D-':>8}  {'CC':>8}  rank")
-    for e in result.entries:
-        flag = " *" if e.degenerate else ""
-        lines.append(
-            f"{e.label:<{width}}  {e.d_plus:8.4f}  {e.d_minus:8.4f}  "
-            f"{e.closeness:8.4f}  {e.rank:>4}{flag}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _check_count(flag: str, values: tuple, criteria: tuple[str, ...]) -> None:
-    """A list flag gives one value per ranked criterion, none for an excluded one."""
-    count, wanted = len(values), len(criteria)
-    if count != wanted:
-        raise ValueError(
-            f"{flag}: {count} {'value' if count == 1 else 'values'} for {wanted} "
-            f"{'criterion' if wanted == 1 else 'criteria'} ({', '.join(criteria)})"
-        )
-
-
-def cmd_topsis(args):
-    _check_epsilon(args.epsilon)
-    dataset = _load(args)
-    if args.exclude_criterion is not None:
-        _check_criterion(dataset, "--exclude-criterion", args.exclude_criterion)
-        dataset = dataset.without_criterion(args.exclude_criterion)
-    if args.tie_break_criterion is not None:
-        if args.tie_break_criterion == args.exclude_criterion:
-            raise ValueError(
-                f"--tie-break-criterion: criterion {args.tie_break_criterion!r} "
-                "was removed by --exclude-criterion"
-            )
-        _check_criterion(dataset, "--tie-break-criterion", args.tie_break_criterion)
-    weights = None
-    if args.weights is not None:
-        try:
-            weights = tuple(float(part) for part in args.weights.split(","))
-        except ValueError as exc:  # float's message quotes the bad part
-            raise ValueError(f"--weights: {exc}") from None
-    directions = None
-    if args.directions is not None:
-        mapping = {"b": "benefit", "c": "cost", "benefit": "benefit", "cost": "cost"}
-        try:
-            directions = tuple(
-                mapping[part.strip().lower()] for part in args.directions.split(",")
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"--directions: unknown direction {exc.args[0]!r}"
-            ) from None
-    for flag, values in (("--weights", weights), ("--directions", directions)):
-        if values is not None:
-            _check_count(flag, values, dataset.criteria)
-    matrix = _cli.DecisionMatrix.from_dataset(dataset, weights, directions)
-    result = _cli.topsis_rank(
-        matrix,
-        measure=args.measure,
-        epsilon=args.epsilon,
-        tie_break_criterion=args.tie_break_criterion,
-    )
-    return _ranked(result, _topsis_text)
-
-
-def cmd_plotdata(args):
-    """CSV only: main renders it as CSV whatever --format says."""
-    polyline = _cli.membership_polyline
-    rows = (
-        (alternative, criterion, _plain(x), _plain(mu))
-        for (alternative, criterion), fz in _load(args).map(construct_fuzzy).items()
-        for x, mu in polyline(fz)
-    )
-    return None, ("alternative", "criterion", "x", "mu"), rows, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -494,11 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", parents=[common],
                              help="emit one fuzzy-number record per cell")
-    p_build.set_defaults(handler=cmd_build)
+    p_build.set_defaults(handler=_handler("build"))
 
     p_attr = sub.add_parser("attributes", parents=[common],
                             help="emit the attribute vector per cell")
-    p_attr.set_defaults(handler=cmd_attributes)
+    p_attr.set_defaults(handler=_handler("attributes"))
 
     p_sim = sub.add_parser("similarity", parents=[common],
                            help="similarity between two alternatives, or a matrix")
@@ -506,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", choices=MEASURES, default="combined")
     p_sim.add_argument("--matrix", action="store_true")
     p_sim.add_argument("--criterion", default=None)
-    p_sim.set_defaults(handler=cmd_similarity)
+    p_sim.set_defaults(handler=_handler("similarity"))
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
     p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
@@ -516,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'auto' for scale-extreme ideals, or a dataset file "
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
-    p_rank.set_defaults(handler=cmd_rank)
+    p_rank.set_defaults(handler=_handler("rank"))
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -528,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
-    p_topsis.set_defaults(handler=cmd_topsis)
+    p_topsis.set_defaults(handler=_handler("topsis"))
 
     p_plot = sub.add_parser("plotdata", parents=[common],
                             help="membership profile vertices as CSV")
-    p_plot.set_defaults(handler=cmd_plotdata)
+    p_plot.set_defaults(handler=_handler("plotdata"))
 
     return parser
 
@@ -543,7 +261,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = "csv" if args.handler is cmd_plotdata else args.format
+    fmt = "csv" if args.command == "plotdata" else args.format
     try:
         text = _render(fmt, *args.handler(args))
         if args.output is not None:

@@ -10,7 +10,6 @@ explicitly configured scale.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from collections import defaultdict
@@ -24,7 +23,6 @@ from .errors import (
     InvertedBounds,
     MalformedInterval,
     MalformedRow,
-    OutOfScale,
     RaggedCellWarning,
     ZeroSources,
 )
@@ -222,48 +220,6 @@ def _read_csv_rows(path: Path) -> list[tuple[int, str, str, str, str, str]]:
     return rows
 
 
-def _read_json_rows(path: Path) -> list[tuple]:
-    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is dropped
-        text = handle.read()
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise MalformedRow(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, list):
-        raise MalformedRow(f"{path}: expected a JSON array of row objects")
-    rows = []
-    for index, entry in enumerate(payload, start=1):
-        if not isinstance(entry, dict) or set(DATASET_HEADER) - set(entry):
-            raise MalformedRow(
-                f"{path} row {index}: expected keys {', '.join(DATASET_HEADER)}",
-                line=index,
-            )
-        left, right = entry["left"], entry["right"]
-        # json.loads gives a JSON number as an exact int or float; a bool is
-        # an int subclass, so exact types keep true and false out.
-        if type(left) not in (int, float) or type(right) not in (int, float):
-            raise MalformedRow(
-                f"{path} row {index}: bounds must be numbers, got "
-                f"({left!r}, {right!r})",
-                line=index,
-            )
-        labels = tuple(entry[key] for key in DATASET_HEADER[:3])
-        if not all(type(label) is str for label in labels):
-            raise MalformedRow(
-                f"{path} row {index}: labels must be strings, got "
-                f"{', '.join(map(repr, labels))}",
-                line=index,
-            )
-        try:
-            "".join(labels).encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate escape, "\ud800"
-            raise MalformedRow(
-                f"{path} row {index}: labels must be valid Unicode text", line=index
-            ) from exc
-        rows.append((index, *labels, left, right))
-    return rows
-
-
 def bundled_path(name: str) -> Path:
     """Filesystem path of a bundled example dataset ('films', 'synthetic-3x2')."""
     try:
@@ -276,35 +232,6 @@ def bundled_path(name: str) -> Path:
     return Path(__file__).parent / "data" / filename
 
 
-def _reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig) -> None:
-    """Raise the error of a row that failed the loader's guard.
-
-    Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (_interval_bounds), then the scale, which a row
-    passing the first three must fail, as the guard tests the same floats.
-    """
-    try:
-        left, right = _interval_bounds(left, right)
-    except (TypeError, ValueError) as exc:
-        raise MalformedRow(
-            f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
-            line=line_no,
-        ) from exc
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise MalformedRow(
-            f"{path} line {line_no}: bound beyond the float range", line=line_no
-        ) from exc
-    except InvertedBounds as exc:
-        raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    except MalformedInterval as exc:
-        raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    raise OutOfScale(
-        f"{path} line {line_no}: interval [{left}, {right}] outside scale "
-        f"[{scale.scale_min}, {scale.scale_max}]",
-        line=line_no,
-    )
-
-
 def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     """Load a long-format CSV (or JSON mirror) dataset and validate it.
 
@@ -313,15 +240,19 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     naming both lines. Alternatives and criteria keep first-appearance order.
     Each row is checked once, by one chained comparison of its two floats,
     scale_min <= left <= right <= scale_max, which a NaN or infinite bound
-    fails too; only a failing row goes through _reject_row, for its
-    error. Each cell's bounds are stored as two float columns, and only a
+    fails too; only a failing row goes through _rows.reject_row, for its
+    error. A JSON mirror is read by _rows.read_json_rows; that module loads
+    only on those two paths. Each cell's bounds are stored as two float columns, and only a
     cell with fewer distinct sources than rows is walked to name the repeat:
     loading costs O(rows) plus the per-cell sorts. Differing source counts
     across one alternative's criteria raise a RaggedCellWarning only: the
     aggregation accepts any number of sources per cell.
     """
     path = Path(path)
-    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
+    if path.suffix.lower() == ".json":
+        from ._rows import read_json_rows as read_rows
+    else:
+        read_rows = _read_csv_rows
     try:
         raw_rows = read_rows(path)
     except UnicodeDecodeError as exc:
@@ -338,7 +269,8 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
             lo = hi = math.nan
         # A NaN or infinite bound fails the guard too: the scale is finite.
         if not scale_min <= lo <= hi <= scale_max:
-            _reject_row(path, line_no, left, right, scale)
+            from ._rows import reject_row
+            reject_row(path, line_no, left, right, scale)
         grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.

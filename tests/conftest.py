@@ -7,6 +7,7 @@ from iaarank import (
     ideal_interval_set,
     rank_universal,
 )
+from iaarank import cli
 from iaarank.ranking import DEFAULT_EPSILON
 
 # Film review fixture: five critics scoring ten films on a 1-10 scale.
@@ -100,6 +101,20 @@ def universal_relation(a, b, epsilon=DEFAULT_EPSILON):
     if first.rank == second.rank:
         return 0
     return 1 if first.label == a.label else -1
+
+
+@pytest.fixture(autouse=True)
+def cli_namespace_unchanged():
+    """Fail a test that leaves cli's namespace changed. A handler reads its
+    library names off cli, so a name left bound there (as the undo of
+    monkeypatch.setattr binds one that cli.__getattr__ served) would change
+    what every later test runs."""
+    before = set(vars(cli))
+    yield
+    # a warning attributed to cli (the loader's, through _read) adds the
+    # warnings machinery's registry, which no handler reads
+    changed = before.symmetric_difference(vars(cli)) - {"__warningregistry__"}
+    assert not changed, f"the test left cli's namespace changed: {sorted(changed)}"
 
 
 @pytest.fixture(scope="session")

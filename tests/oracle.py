@@ -186,7 +186,7 @@ def brute_support_length(triples):
 
 def brute_agreement(triples):
     length = brute_support_length(triples)
-    if length <= 1e-12:
+    if length == 0.0:
         return 0.0
     return brute_area(triples) / length
 
@@ -198,7 +198,7 @@ def brute_quartiles(triples):
     low = min(l for l, _, _ in triples)
     high = max(r for _, r, _ in triples)
     points = [low]
-    if total > 1e-12:
+    if 0.25 * total > 0.0:
         for fraction in (0.25, 0.5, 0.75):
             target = fraction * total
             cum = 0.0

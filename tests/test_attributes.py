@@ -6,8 +6,10 @@ import pytest
 from iaarank import (
     ScaleConfig,
     attribute_vector,
+    bundled_path,
     construct_fuzzy,
     feature_vector,
+    load_dataset,
     membership_polyline,
 )
 from iaarank.errors import ScaleMismatch
@@ -244,6 +246,41 @@ class TestTranslationEquivariance:
             fz = construct_fuzzy(make_set("t", oracle.random_pairs(rng)), WIDE)
             cx = attribute_vector(fz).centroid_x
             assert fz.endpoints[0] - 1e-12 <= cx <= fz.endpoints[-1] + 1e-12
+
+
+class TestScaleUnits:
+    # A = {[2,5],[3,7],[4,6]} and B = {[1,3],[2,4]} on [0, 10]: agreement
+    # ratios 0.6 and 2/3, areas 3 and 2.
+    PAIRS = ([(2, 5), (3, 7), (4, 6)], [(1, 3), (2, 4)])
+
+    @pytest.mark.parametrize("factor", [2.0 ** -44, 2.0 ** -400, 2.0 ** 40])
+    def test_dyadic_scaling_scales_the_quartiles_and_keeps_the_agreement(self, factor):
+        # Multiplying data and scale by a power of two rounds nothing, so no
+        # threshold in scale units may switch a branch.
+        scale = ScaleConfig(0, 10 * factor)
+        for pairs, agreement in zip(self.PAIRS, (0.6, 2 / 3)):
+            base = attribute_vector(construct_fuzzy(make_set("x", pairs), WIDE))
+            scaled_set = make_set("x", [(left * factor, right * factor)
+                                        for left, right in pairs])
+            scaled = attribute_vector(construct_fuzzy(scaled_set, scale))
+            assert base.agreement_ratio == pytest.approx(agreement)
+            assert scaled.agreement_ratio == base.agreement_ratio
+            assert scaled.quartiles == tuple(q * factor for q in base.quartiles)
+
+    def test_no_bundled_or_benchmark_number_has_an_area_or_support_up_to_1e_12(self):
+        # Where none does, comparing the area and the support length with
+        # 0.0 rather than 1e-12 takes the same branch, so no output moved.
+        from workload_inputs import WORKLOADS, dataset
+
+        datasets = [load_dataset(bundled_path(name), scale) for name, scale in
+                    (("films", ScaleConfig(1, 10)), ("synthetic-3x2", WIDE))]
+        datasets += [dataset(name) for name in WORKLOADS]
+        for grid in datasets:
+            for cell in grid.cells.values():
+                fz = construct_fuzzy(cell, grid.scale)
+                for value in (attribute_vector(fz).area,
+                              oracle.brute_support_length(fz.regions)):
+                    assert not 0.0 < value <= 1e-12, (cell, value)
 
 
 class TestPolyline:

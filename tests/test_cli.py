@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from iaarank import FuzzyNumber, IntervalSet, ScaleConfig, construct_fuzzy
 from iaarank import cli
-from iaarank.cli import _plain, main
+from iaarank.cli import main
+from iaarank.cli_csv import plain as _plain
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
 SYNTH = ["--input", "synthetic-3x2", "--scale-min", "0", "--scale-max", "10"]

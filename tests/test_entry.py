@@ -1,7 +1,8 @@
 """The process entry, `python -m iaarank`: the same exit codes and bytes as
 cli.main in process, --help and usage errors included, whole outputs through
 a pipe and through --output, the atexit handlers still run, and a job loads
-only the modules its subcommand runs; and the benchmark's tracer, or any
+only the modules its subcommand runs and compiles only its own handler and
+writer; and the benchmark's tracer, or any
 caller that sets a library name on cli, still finds the CLI's library calls
 there, while no job writes a name into cli."""
 
@@ -177,6 +178,98 @@ def test_a_job_loads_only_the_modules_its_subcommand_runs(args, loaded):
     code, out, err = run_process(*args, code=script)
     assert code == 0 and out
     assert set(err.split()) & OPTIONAL == loaded
+
+
+def modules_loaded(*args, script=None):
+    """(exit code, the names under iaarank. in sys.modules as the child
+    exits) of `python -m iaarank` with args, or of a script."""
+    script = script or ("import runpy\n"
+                        "runpy.run_module('iaarank', run_name='__main__', alter_sys=True)\n")
+    head = ("import atexit, sys\n"
+            "atexit.register(lambda: sys.stderr.write(' '.join(\n"
+            "    m[8:] for m in sys.modules if m.startswith('iaarank.'))))\n")
+    code, _, err = run_process(*args, code=head + script)
+    return code, set(err.split())
+
+
+HANDLERS = {"cli_build", "cli_attributes", "cli_similarity", "cli_rank", "cli_topsis",
+            "cli_plotdata"}
+# the CLI's modules beside cli, and the library's paths a valid CSV input skips
+CLI_PARTS = HANDLERS | {"cli_shared", "cli_csv"}
+COLD = {"_rows", "_fuzzy_record"}
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["build", "--format", "json"], {"cli_build"}),
+        (["attributes", "--format", "json"], {"cli_attributes"}),
+        (["similarity", "Film A", "Film B", "--format", "json"],
+         {"cli_similarity", "cli_shared"}),
+        (["similarity", "--matrix", "--format", "json"], {"cli_similarity", "cli_shared"}),
+        (["rank", "--method", "ideal-ratio", "--format", "json"], {"cli_rank", "cli_shared"}),
+        (["topsis", "--format", "json"], {"cli_topsis", "cli_shared"}),
+        (["plotdata", "--format", "json"], {"cli_plotdata", "cli_csv"}),
+        (["build", "--format", "csv"], {"cli_build", "cli_csv"}),
+        (["attributes", "--format", "csv"], {"cli_attributes", "cli_csv"}),
+        (["rank", "--method", "baseline", "--format", "csv"],
+         {"cli_rank", "cli_shared", "cli_csv"}),
+        (["topsis", "--format", "csv"], {"cli_topsis", "cli_shared", "cli_csv"}),
+        (["build", "--format", "text"], {"cli_build"}),
+        (["similarity", "--matrix", "--format", "text"], {"cli_similarity", "cli_shared"}),
+        (["rank", "--method", "universal", "--format", "text"], {"cli_rank", "cli_shared"}),
+        (["topsis", "--format", "text"], {"cli_topsis", "cli_shared"}),
+        (["plotdata"], {"cli_plotdata", "cli_csv"}),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_a_job_compiles_only_its_handler_and_its_writer(args, loaded):
+    # A json or text job loads no CSV writer, and none loads another
+    # subcommand's handler or the loader's JSON and failing-row paths.
+    code, modules = modules_loaded(*args, *FILMS)
+    assert code == 0
+    assert modules & (CLI_PARTS | COLD) == loaded
+
+
+def test_help_loads_no_handler():
+    code, modules = modules_loaded("--help")
+    assert code == 0 and "cli" in modules
+    assert not modules & (CLI_PARTS | COLD)
+
+
+@pytest.mark.parametrize(
+    "name, rows, expected",
+    [
+        ("valid.csv", "alternative,criterion,source,left,right\nA,c,s1,1,2\n", 0),
+        ("valid.json", '[{"alternative": "A", "criterion": "c", "source": "s1", '
+         '"left": 1, "right": 2}]', 0),
+        ("off-scale.csv", "alternative,criterion,source,left,right\nA,c,s1,1,20\n", 3),
+        ("non-numeric.csv", "alternative,criterion,source,left,right\nA,c,s1,x,2\n", 2),
+    ],
+    ids=["csv", "json", "off-scale row", "non-numeric row"],
+)
+def test_the_loaders_json_and_failing_row_paths_load_only_when_taken(
+        tmp_path, name, rows, expected):
+    path = tmp_path / name
+    path.write_text(rows, encoding="utf-8")
+    code, modules = modules_loaded("build", "--input", str(path), "--scale-min", "0",
+                                   "--scale-max", "10", "--format", "json")
+    assert code == expected
+    assert ("_rows" in modules) == (name != "valid.csv")
+    assert "_fuzzy_record" not in modules
+
+
+def test_the_checks_of_from_dict_load_only_when_it_is_called():
+    script = (
+        "from iaarank import FuzzyNumber, IntervalSet, ScaleConfig, construct_fuzzy\n"
+        "scale = ScaleConfig(0, 10)\n"
+        "fz = construct_fuzzy(IntervalSet([(1, 2), (2, 3)]), scale)\n"
+        "record = fz.to_dict()\n"
+        "assert 'iaarank._fuzzy_record' not in sys.modules\n"
+        "assert FuzzyNumber.from_dict(record, scale) == fz\n"
+    )
+    code, modules = modules_loaded(script=script)
+    assert code == 0 and "_fuzzy_record" in modules and "_rows" not in modules
 
 
 @pytest.mark.parametrize(

@@ -108,7 +108,8 @@ def from_regions(regs):
 @example(from_pairs([(2.0, 2.0), (2.0, 2.0), (7.0, 7.0)]))  # all spikes
 @example(from_pairs([(0.0, 2.0), (2.0, 4.0), (4.0, 10.0)]))  # two quartiles in [4, 10]
 @example(from_pairs([(0.0, 0.0), (5e-324, 5e-324)]))  # adjacent-double spikes
-@example(from_pairs([(1.0, 1.0 + 2 ** -52)]))  # area below 1e-12: discrete quartiles
+@example(from_pairs([(1.0, 1.0 + 2 ** -52)]))  # an area of 2**-52: continuous quartiles
+@example(from_pairs([(0.0, 0.0), (5e-324, 1.5e-323)]))  # its quarter area is 0.0: discrete
 @example(from_pairs([(0.0, 1.0), (3.0, 6.0)]))  # a quarter of the area ends at 1, before a gap
 @example(from_pairs([(0.0, 4.0), (0.0, 1.0)]))  # two quartiles in [1, 4]
 @example(from_pairs([(0.0, 1.0), (0.0, 1.0), (0.0, 6.0)]))  # the first quartile in [0, 1]
