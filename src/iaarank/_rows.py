@@ -1,8 +1,9 @@
 """The loader's rows off its common path, which only a job that takes that
-path imports: the rows of a JSON dataset, and the error of a row that fails
-load_dataset's guard."""
+path imports: the rows of a JSON dataset, the error of a row that fails
+load_dataset's guard, and the error of a cell that repeats a source."""
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvertedBounds, MalformedInterval, MalformedRow, OutOfScale
@@ -78,3 +79,21 @@ def reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig) -> Non
         f"[{scale.scale_min}, {scale.scale_max}]",
         line=line_no,
     )
+
+
+def reject_repeat(path: Path, rows: list[tuple], alternative: str, criterion: str) -> None:
+    """Raise the error of a cell that names a source twice: the first repeat
+    in the cell's rows sorted stably by source, with the line it repeats."""
+    members = sorted(
+        ((source, line_no) for line_no, row_alternative, row_criterion, source, *_ in rows
+         if row_alternative == alternative and row_criterion == criterion),
+        key=itemgetter(0),
+    )
+    for (source, first), (again, line_no) in zip(members, members[1:]):
+        if source == again:
+            raise MalformedRow(
+                f"{path} line {line_no}: repeats source {source!r} of line "
+                f"{first} for alternative {alternative!r}, criterion "
+                f"{criterion!r}",
+                line=line_no,
+            )

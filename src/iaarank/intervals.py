@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from operator import itemgetter
 from pathlib import Path
 
 from ._record import Record
@@ -108,10 +106,15 @@ def ideal_interval_set(scale: ScaleConfig, n: int, which: str) -> IntervalSet:
 
 
 def midpoint_mean(interval_set: IntervalSet) -> float:
-    """Mean of interval midpoints: the traditional preprocessing baseline."""
+    """Mean of interval midpoints: the traditional preprocessing baseline.
+
+    The midpoints are added in ascending order, so the mean does not depend
+    on the order of the sources. The loop is plain: math.fsum raises where a
+    sum that overflows gives inf or nan."""
+    pairs = zip(interval_set.lefts, interval_set.rights)
     total = 0.0
-    for left, right in zip(interval_set.lefts, interval_set.rights):
-        total += (left + right) / 2
+    for midpoint in sorted((left + right) / 2 for left, right in pairs):
+        total += midpoint
     return total / interval_set.n
 
 
@@ -237,16 +240,16 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
 
     Rows are grouped per (alternative, criterion) cell and ordered by source
     label inside each cell; a source repeated within a cell is a MalformedRow
-    naming both lines. Alternatives and criteria keep first-appearance order.
-    Each row is checked once, by one chained comparison of its two floats,
+    naming both lines, and a cell missing from the grid one naming the file.
+    Alternatives and criteria keep first-appearance order. Each row is
+    checked once, by one chained comparison of its two floats,
     scale_min <= left <= right <= scale_max, which a NaN or infinite bound
-    fails too; only a failing row goes through _rows.reject_row, for its
-    error. A JSON mirror is read by _rows.read_json_rows; that module loads
-    only on those two paths. Each cell's bounds are stored as two float columns, and only a
-    cell with fewer distinct sources than rows is walked to name the repeat:
-    loading costs O(rows) plus the per-cell sorts. Differing source counts
-    across one alternative's criteria raise a RaggedCellWarning only: the
-    aggregation accepts any number of sources per cell.
+    fails too. The JSON reader and the errors of a failing row or a repeated
+    source are in _rows, which loads only on those paths. Only a cell whose
+    sources arrive out of order is sorted: loading costs O(rows) plus those
+    sorts. Differing source counts across one alternative's criteria raise a
+    RaggedCellWarning only: the aggregation accepts any number of sources
+    per cell.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -261,8 +264,11 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
         raise EmptyDataset(f"{path} contains no data rows")
 
     scale_min, scale_max = scale.scale_min, scale.scale_max
-    grouped: defaultdict[tuple[str, str], list] = defaultdict(list)
-    for line_no, alternative, criterion, source, left, right in raw_rows:
+    # A run is consecutive rows of one cell; only a row that starts one looks
+    # its cell up, so a cell split across runs gathers its rows in file order.
+    grouped: dict[tuple[str, str], tuple[list, list, list]] = {}
+    alternative = criterion = None
+    for line_no, row_alternative, row_criterion, source, left, right in raw_rows:
         try:
             lo, hi = float(left), float(right)
         except (TypeError, ValueError, OverflowError):
@@ -271,26 +277,30 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
         if not scale_min <= lo <= hi <= scale_max:
             from ._rows import reject_row
             reject_row(path, line_no, left, right, scale)
-        grouped[(alternative, criterion)].append((source, line_no, lo, hi))
+        if row_criterion != criterion or row_alternative != alternative:
+            alternative, criterion = row_alternative, row_criterion
+            columns = grouped.get((alternative, criterion))
+            if columns is None:
+                columns = grouped[(alternative, criterion)] = ([], [], [])
+            sources, lefts, rights = columns
+        sources.append(source)
+        lefts.append(lo)
+        rights.append(hi)
 
     # Each alternative and criterion first appears with its first cell.
     alternatives = tuple(dict.fromkeys(alternative for alternative, _ in grouped))
     criteria = tuple(dict.fromkeys(criterion for _, criterion in grouped))
     cells = {}
-    for (alternative, criterion), members in grouped.items():
-        members.sort(key=itemgetter(0))
-        sources, _, lefts, rights = zip(*members)
+    for (alternative, criterion), (sources, lefts, rights) in grouped.items():
+        if sorted(sources) != sources:
+            order = sorted(range(len(sources)), key=sources.__getitem__)
+            lefts = [lefts[i] for i in order]
+            rights = [rights[i] for i in order]
         if len(set(sources)) < len(sources):
-            for (source, first, *_), (again, line_no, *_) in zip(members, members[1:]):
-                if source == again:
-                    raise MalformedRow(
-                        f"{path} line {line_no}: repeats source {source!r} of line "
-                        f"{first} for alternative {alternative!r}, criterion "
-                        f"{criterion!r}",
-                        line=line_no,
-                    )
+            from ._rows import reject_repeat
+            reject_repeat(path, raw_rows, alternative, criterion)
         cells[(alternative, criterion)] = IntervalSet._from_fields(
-            lefts, rights, alternative
+            tuple(lefts), tuple(rights), alternative
         )
 
     # Under one criterion each alternative has one cell, so one source count.
@@ -309,4 +319,7 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
                     stacklevel=2,
                 )
 
-    return MultiCriteriaDataset(alternatives, criteria, cells, scale)
+    try:
+        return MultiCriteriaDataset(alternatives, criteria, cells, scale)
+    except MalformedRow as exc:  # a missing cell
+        raise MalformedRow(f"{path}: {exc}") from exc

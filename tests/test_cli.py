@@ -219,6 +219,20 @@ class TestRank:
         assert out.splitlines()[1].startswith("Film J")
         assert "10.0000" in out.splitlines()[1]
 
+    def test_baseline_ties_one_set_in_two_source_orders(self, capsys, tmp_path):
+        # B holds A's intervals in reverse source order; summed in source
+        # order, A scored 0.20000000000000004 and B 0.19999999999999998.
+        path = write_rows(tmp_path / "b.csv",
+                          "A,c,s1,0.1,0.1\nA,c,s2,0.2,0.2\nA,c,s3,0.3,0.3\n"
+                          "B,c,s1,0.3,0.3\nB,c,s2,0.2,0.2\nB,c,s3,0.1,0.1\n")
+        code, out, _ = run(capsys, "rank", "--input", path, "--scale-min", "0",
+                           "--scale-max", "1", "--method", "baseline", "--format", "json")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert [(e["label"], e["rank"]) for e in entries] == [("A", 1), ("B", 1)]
+        assert entries[0]["score"] == entries[1]["score"]
+        assert json.loads(out)["ties"] == [["A", "B"]]
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "rank", *FILMS, "--method", "universal",
                            "--format", "json")
@@ -394,6 +408,13 @@ class TestTopsisCommand:
     def test_bad_weights_exit_3(self, capsys):
         code, _, _ = run(capsys, "topsis", *SYNTH, "--weights", "0,0")
         assert code == 3
+
+    def test_missing_cell_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = write_rows(tmp_path / "m.csv", "A,c,s1,1,2\nA,d,s1,1,2\nB,c,s1,3,4\n")
+        code, out, err = run(capsys, "topsis", "--input", path,
+                             "--scale-min", "0", "--scale-max", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: missing cell for alternative 'B', criterion 'd'\n"
 
     def test_negative_weight_given_with_equals_sign_exits_3(self, capsys):
         # "--weights -1,1" is read by argparse as an unknown option (exit 2)

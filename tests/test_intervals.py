@@ -238,8 +238,11 @@ class TestLoadDataset:
     def test_missing_cell(self, tmp_path, film_scale):
         body = "A,c1,s,1,2\nA,c2,s,1,2\nB,c1,s,1,2\n"
         path = write_csv(tmp_path / "m.csv", body)
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow) as excinfo:
             load_dataset(path, film_scale)
+        assert str(excinfo.value) == (
+            f"{path}: missing cell for alternative 'B', criterion 'c2'"
+        )
 
     def test_ragged_cell_warns(self, tmp_path, film_scale):
         body = "A,c1,s1,1,2\nA,c1,s2,1,2\nA,c2,s1,1,2\n"

@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 import warnings
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -41,22 +42,36 @@ bounds = st.one_of(
 intervals = st.tuples(bounds, bounds).map(lambda ab: (min(ab), max(ab)))
 
 
+# How a file lays out its cells' rows: each cell's rows together, in source
+# order (no cell is sorted) or in drawn order; every cell in two runs, the
+# first half of each cell's rows and then the second halves; or all rows
+# permuted.
+LAYOUTS = ("source order", "drawn order", "two runs", "permuted")
+
+
 @st.composite
 def grids(draw, unique_sources=False, names=labels):
-    """Rows of a full alternatives x criteria grid, in a drawn order.
+    """Rows of a full alternatives x criteria grid, in a drawn layout.
 
     Unless unique_sources is set, a cell may name one source twice.
     """
     alternatives = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     criteria = draw(st.lists(names, min_size=1, max_size=3, unique=True))
-    rows = []
+    cells = []
     for alternative in alternatives:
         for criterion in criteria:
             sources = draw(st.lists(names, min_size=1, max_size=4,
                                     unique=unique_sources))
-            for source in sources:
-                rows.append((alternative, criterion, source, *draw(intervals)))
-    return draw(st.permutations(rows))
+            cells.append([(alternative, criterion, source, *draw(intervals))
+                          for source in sources])
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "source order":
+        return [row for cell in cells for row in sorted(cell, key=itemgetter(2))]
+    if layout == "two runs":
+        halves = [(cell[:len(cell) // 2], cell[len(cell) // 2:]) for cell in cells]
+        return [row for half in zip(*halves) for cell in half for row in cell]
+    rows = [row for cell in cells for row in cell]
+    return rows if layout == "drawn order" else draw(st.permutations(rows))
 
 
 def csv_text(rows):
@@ -147,6 +162,23 @@ class TestHostileInput:
         assert excinfo.value.line == 5
         assert str(excinfo.value) == (
             f"{path} line 5: repeats source 's1' of line 2 "
+            "for alternative 'A', criterion 'c'"
+        )
+
+    def test_repeat_in_a_cells_second_run_names_both_lines(self, tmp_path):
+        # A's second run, out of order, repeats s2 of its first; B repeats
+        # s1 too, but A's cell comes first.
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            ",".join(HEADER) + "\nA,c,s2,1,2\nB,c,s1,3,4\nB,c,s1,3,4\n"
+            "A,c,s3,2,3\nA,c,s1,1,2\nA,c,s2,4,5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as excinfo:
+            load_dataset(path, WIDE)
+        assert excinfo.value.line == 7
+        assert str(excinfo.value) == (
+            f"{path} line 7: repeats source 's2' of line 2 "
             "for alternative 'A', criterion 'c'"
         )
 

@@ -1,14 +1,19 @@
 import itertools
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iaarank import (
     ScaleConfig,
     construct_fuzzy,
     ideal_interval_set,
     ideal_ratio,
+    load_dataset,
     measure_similarity,
     rank_baseline_mean,
     rank_by_ideal_ratio,
@@ -30,6 +35,10 @@ from conftest import (
 )
 
 WIDE = ScaleConfig(0, 10)
+# Tenths as well as any float: 0.1 + 0.2 + 0.3 rounds differently from
+# 0.3 + 0.2 + 0.1.
+bounds = st.one_of(st.integers(0, 100).map(lambda k: k / 10), st.floats(0, 10))
+bound_pairs = st.tuples(bounds, bounds).map(sorted)
 
 
 def fn(regions, n=2, scale=WIDE, label=""):
@@ -240,6 +249,27 @@ class TestRankBaseline:
         result = rank_baseline_mean(sets)
         assert [e.rank for e in result.entries] == [1, 1, 1]
         assert result.ties == (("s0", "s1", "s2"),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(bound_pairs, min_size=1, max_size=6), min_size=1, max_size=5),
+           st.randoms(use_true_random=False))
+    def test_relabelled_sources_leave_every_score_bit_identical(self, cells, rng):
+        # The loader orders a cell's intervals by source label, so relabelling
+        # the sources reorders the intervals each mean adds up.
+        def ranked(relabel):
+            rows = ["alternative,criterion,source,left,right"]
+            for a, pairs in enumerate(cells):
+                sources = relabel(len(pairs))
+                rows += [f"A{a},c,s{s},{left!r},{right!r}"
+                         for s, (left, right) in zip(sources, pairs)]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "cells.csv"
+                path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+                dataset = load_dataset(path, WIDE)
+            result = rank_baseline_mean(dataset.column("c"))
+            return [(e.label, e.score.hex(), e.rank) for e in result.entries]
+
+        assert ranked(range) == ranked(lambda n: rng.sample(range(n), n))
 
     def test_result_serialization(self, film_sets):
         payload = rank_baseline_mean(list(film_sets.values())).to_dict()

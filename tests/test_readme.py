@@ -77,8 +77,8 @@ LEDGER_COMMANDS = [
 ]
 
 
-def test_ledger_holds_the_thirteen_mechanisms():
-    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 14)]
+def test_ledger_holds_the_fourteen_mechanisms():
+    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 15)]
     assert LEDGER_COMMANDS
 
 

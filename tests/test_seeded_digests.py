@@ -62,11 +62,36 @@ DIGESTS = {
 }
 
 
-def write_dataset(directory, name):
+def in_file_order(cells):
+    return [row for cell in cells for row in cell]
+
+
+def in_reverse_source_order(cells):
+    """Each cell's rows in reverse source order, so the loader sorts every
+    cell."""
+    return [row for cell in cells for row in reversed(cell)]
+
+
+def in_two_runs(cells):
+    """The first half of every cell's rows, then the second halves, so the
+    loader meets every cell in two runs."""
+    halves = [(cell[:len(cell) // 2], cell[len(cell) // 2:]) for cell in cells]
+    return [row for half in zip(*halves) for cell in half for row in cell]
+
+
+ROW_ORDERS = {"reverse source order": in_reverse_source_order, "two runs": in_two_runs}
+
+
+def write_dataset(directory, name, order=in_file_order):
+    """The seeded dataset's rows, in the given order of each cell's rows;
+    every order keeps the first-appearance order of the labels."""
     rows, seed = DATASETS[name]
+    cells = {}
+    for row in rows(random.Random(seed)):
+        cells.setdefault(row[:2], []).append(row)
     path = directory / f"{name}.csv"
     lines = ["alternative,criterion,source,left,right"]
-    lines += [",".join(row) for row in rows(random.Random(seed))]
+    lines += [",".join(row) for row in order(list(cells.values()))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -75,4 +100,12 @@ def write_dataset(directory, name):
 def test_stdout_unchanged(name, tmp_path):
     dataset, argv = RUNS[name]
     path = write_dataset(tmp_path, dataset)
+    assert digest([*argv, "--input", str(path), *SCALE]) == (0, DIGESTS[name])
+
+
+@pytest.mark.parametrize("order", sorted(ROW_ORDERS))
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_stdout_unchanged_in_other_row_orders(name, order, tmp_path):
+    dataset, argv = RUNS[name]
+    path = write_dataset(tmp_path, dataset, ROW_ORDERS[order])
     assert digest([*argv, "--input", str(path), *SCALE]) == (0, DIGESTS[name])
