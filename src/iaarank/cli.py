@@ -5,13 +5,14 @@ codes: 0 success, 2 I/O or parse failure, 3 validation failure, 4 undefined
 ranking (zero similarity to both ideals under the overlap measure).
 
 A job compiles only the code it runs. A subcommand's handler, with its text
-form and the helpers only it uses, is run() in cli_<subcommand>, which
-args.handler imports when the job calls it; cli_shared holds what several
-handlers share, and cli_csv the CSV writer. A handler reads each library
-name it calls off this module at the call (cli.construct_fuzzy): a name a
-caller has set here, as the benchmark's tracer does, wins, and any other
-falls through to __getattr__ and the package's lazy exports. Of the
-library, this module imports only errors, intervals and fuzzy.
+form and the helpers only it uses, is run() in cli_<subcommand>, which _run
+imports by the subcommand's name when the job calls it; cli_shared holds
+what several handlers share, and cli_csv the CSV writer. A handler reads
+each library name it calls off this module at the call
+(cli.construct_fuzzy): a name a caller has set here, as the benchmark's
+tracer does, wins, and any other falls through to __getattr__ and the
+package's lazy exports. Of the library, this module imports only errors,
+intervals and fuzzy.
 
 A handler returns (payload, header, rows, text) and never reads --format;
 _render writes it: json through _json_text (json.dumps(payload, indent=2)
@@ -69,12 +70,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _handler(command: str):
-    """A subcommand's handler: run(args) of its module, cli_<command>, which
-    only a job of that subcommand imports."""
-    def handler(args):
-        return import_module(f".cli_{command}", __package__).run(args)
-    return handler
+def _run(args):
+    """Run the handler of the subcommand args name: run(args) of its module,
+    cli_<command>, which only a job of that subcommand imports."""
+    return import_module(f".cli_{args.command}", __package__).run(args)
 
 
 def _path(value: str, flag: str) -> Path:
@@ -210,13 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common],
-                             help="emit one fuzzy-number record per cell")
-    p_build.set_defaults(handler=_handler("build"))
-
-    p_attr = sub.add_parser("attributes", parents=[common],
-                            help="emit the attribute vector per cell")
-    p_attr.set_defaults(handler=_handler("attributes"))
+    sub.add_parser("build", parents=[common], help="emit one fuzzy-number record per cell")
+    sub.add_parser("attributes", parents=[common], help="emit the attribute vector per cell")
 
     p_sim = sub.add_parser("similarity", parents=[common],
                            help="similarity between two alternatives, or a matrix")
@@ -224,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--measure", choices=MEASURES, default="combined")
     p_sim.add_argument("--matrix", action="store_true")
     p_sim.add_argument("--criterion", default=None)
-    p_sim.set_defaults(handler=_handler("similarity"))
 
     p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
     p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
@@ -234,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'auto' for scale-extreme ideals, or a dataset file "
                         "with alternatives 'best' and 'worst'")
     p_rank.add_argument("--criterion", default=None)
-    p_rank.set_defaults(handler=_handler("rank"))
 
     p_topsis = sub.add_parser("topsis", parents=[common],
                               help="multi-criteria closeness ranking")
@@ -246,11 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated per-criterion b|benefit or c|cost")
     p_topsis.add_argument("--exclude-criterion", default=None)
     p_topsis.add_argument("--tie-break-criterion", default=None)
-    p_topsis.set_defaults(handler=_handler("topsis"))
 
-    p_plot = sub.add_parser("plotdata", parents=[common],
-                            help="membership profile vertices as CSV")
-    p_plot.set_defaults(handler=_handler("plotdata"))
+    sub.add_parser("plotdata", parents=[common], help="membership profile vertices as CSV")
 
     return parser
 
@@ -263,7 +252,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     fmt = "csv" if args.command == "plotdata" else args.format
     try:
-        text = _render(fmt, *args.handler(args))
+        text = _render(fmt, *_run(args))
         if args.output is not None:
             _path(args.output, "--output").write_text(text, encoding="utf-8")
         else:

@@ -117,15 +117,18 @@ def _by_score(item) -> float:
     return -item[1]
 
 
-def _build_result(method, scored, levels) -> RankingResult:
-    """Rank (subject, score) pairs on levels; label entries by subject."""
-    ordered, ranks, groups = order_and_rank(scored, levels)
-    entries = tuple(
-        RankingEntry._from_fields(subject.label, score, rank)
-        for (subject, score), rank in zip(ordered, ranks)
-    )
-    ties = tuple(tuple(ordered[i][0].label for i in group) for group in groups)
-    return RankingResult(method, entries, ties)
+def ranked_entries(rows, levels, entry):
+    """Rank rows on levels with order_and_rank and make entry(row, rank) for
+    each, best first. Returns (entries, ties): each tie group is the labels
+    of its entries."""
+    ordered, ranks, groups = order_and_rank(rows, levels)
+    entries = tuple(map(entry, ordered, ranks))
+    return entries, tuple(tuple(entries[i].label for i in group) for group in groups)
+
+
+def _scored_entry(row, rank) -> RankingEntry:
+    """The entry of a (subject, score) row, labelled by its subject."""
+    return RankingEntry._from_fields(row[0].label, row[1], rank)
 
 
 def rank_universal(
@@ -140,25 +143,11 @@ def rank_universal(
     """
     for fz in items:
         check_same_scale(items[0], fz)
-    return _build_result(
-        "universal",
-        [(fz, None) for fz in items],
-        universal_levels(epsilon, number=itemgetter(0)),
-    )
-
-
-def _ratio(kernel: PairKernel, fz: FuzzyNumber, best, worst) -> float:
-    """The ideal ratio of a number against two ideals the kernel prepared."""
-    number = kernel.prepare(fz)
-    s_best = kernel(number, best)
-    s_worst = kernel(number, worst)
-    total = s_best + s_worst
-    if total == 0:
-        label = fz.label
-        raise DivisionByZero(
-            f"{label or 'alternative'}: zero similarity to both ideals", label=label
-        )
-    return s_best / total
+    return RankingResult("universal", *ranked_entries(
+        items,
+        universal_levels(epsilon),
+        lambda fz, rank: RankingEntry._from_fields(fz.label, None, rank),
+    ))
 
 
 def ideal_ratio(
@@ -171,11 +160,10 @@ def ideal_ratio(
 
     Higher means better. Raises DivisionByZero when both similarities vanish
     (possible under the pure overlap measure when the number touches neither
-    ideal); the error carries the offending label.
+    ideal); the error carries the offending label. This is the score of the
+    one-item ranking rank_by_ideal_ratio([fz], ...).
     """
-    from .similarity import PairKernel
-    kernel = PairKernel(measure, fz.scale)
-    return _ratio(kernel, fz, kernel.prepare(ideal_best), kernel.prepare(ideal_worst))
+    return rank_by_ideal_ratio([fz], ideal_best, ideal_worst, measure).entries[0].score
 
 
 def rank_by_ideal_ratio(
@@ -187,27 +175,34 @@ def rank_by_ideal_ratio(
 ) -> RankingResult:
     """Rank by descending ideal-ratio score.
 
-    Scores equal ``ideal_ratio`` item by item; the two ideals are prepared
-    for the similarity kernel once. Exact score ties are ordered on the
-    universal keys (see universal_levels) and only stay tied (sharing a
-    rank) when they fall in one tolerance cluster of those keys as well.
+    The two ideals are prepared for the similarity kernel once, then each
+    item in turn, which is scored against both. Exact score ties are ordered
+    on the universal keys (see universal_levels) and only stay tied (sharing
+    a rank) when they fall in one tolerance cluster of those keys as well.
     """
     from .similarity import PairKernel
     kernel = PairKernel(measure, ideal_best.scale)
     best = kernel.prepare(ideal_best)
     worst = kernel.prepare(ideal_worst)
-    scored = [(fz, _ratio(kernel, fz, best, worst)) for fz in items]
-    return _build_result(
-        f"ideal_ratio({measure})",
+    scored = []
+    for fz in items:
+        number = kernel.prepare(fz)
+        s_best = kernel(number, best)
+        s_worst = kernel(number, worst)
+        total = s_best + s_worst
+        if total == 0:
+            name = fz.label or "alternative"
+            raise DivisionByZero(f"{name}: zero similarity to both ideals", label=fz.label)
+        scored.append((fz, s_best / total))
+    return RankingResult(f"ideal_ratio({measure})", *ranked_entries(
         scored,
         [(_by_score, 0.0), *universal_levels(epsilon, number=itemgetter(0))],
-    )
+        _scored_entry,
+    ))
 
 
 def rank_baseline_mean(sets: Sequence[IntervalSet]) -> RankingResult:
     """Rank interval sets by descending midpoint mean (the traditional way)."""
-    return _build_result(
-        "baseline_mean",
-        [(s, midpoint_mean(s)) for s in sets],
-        [(_by_score, 0.0)],
-    )
+    return RankingResult("baseline_mean", *ranked_entries(
+        [(s, midpoint_mean(s)) for s in sets], [(_by_score, 0.0)], _scored_entry
+    ))

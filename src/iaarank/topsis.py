@@ -17,7 +17,8 @@ from ._record import Record
 from .errors import ScaleMismatch
 from .fuzzy import FuzzyNumber, construct_fuzzy
 from .intervals import SEPARATION_MEASURES, MultiCriteriaDataset, ScaleConfig
-from .ranking import DEFAULT_EPSILON, RankingResult, order_and_rank, universal_levels
+from .ranking import (DEFAULT_EPSILON, RankingResult, order_and_rank, ranked_entries,
+                      universal_levels)
 from .similarity import PairKernel
 
 DIRECTIONS = ("benefit", "cost")
@@ -45,9 +46,10 @@ class DecisionMatrix(MultiCriteriaDataset):
             raise ValueError("one direction per criterion required")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        total = 0.0
-        for w in weights:
-            total += w
+        try:
+            total = math.fsum(weights)  # correctly rounded: no criterion order shows
+        except OverflowError:  # finite weights whose sum overflows
+            total = math.inf
         if not math.isfinite(total):
             raise ValueError("weights must be finite, with a finite sum")
         if total <= 0:
@@ -141,9 +143,10 @@ def separations(
 ) -> list[tuple[float, float]]:
     """Weighted dissimilarity of every alternative to the two ideal profiles.
 
-    Returns (D+, D-) pairs aligned with matrix.alternatives; criterion terms
-    are summed in criterion order with normalized weights. Each cell and each
-    ideal is prepared for the similarity kernel once, on the matrix's scale.
+    Returns (D+, D-) pairs aligned with matrix.alternatives: math.fsum of the
+    criterion terms weight * (1 - similarity), with normalized weights, so
+    correctly rounded in any criterion order. Each cell and each ideal is
+    prepared for the similarity kernel once, on the matrix's scale.
     """
     if measure not in SEPARATION_MEASURES:
         raise ValueError(
@@ -153,20 +156,25 @@ def separations(
     prepared = [(kernel.prepare(ideal.pis), kernel.prepare(ideal.nis)) for ideal in ideals]
     pairs = []
     for alternative in matrix.alternatives:
-        d_plus = 0.0
-        d_minus = 0.0
+        plus, minus = [], []
         for index, criterion in enumerate(matrix.criteria):
             cell = kernel.prepare(matrix.cell(alternative, criterion))
             weight = matrix.weights[index]
             pis, nis = prepared[index]
-            d_plus += weight * (1.0 - kernel(cell, pis))
-            d_minus += weight * (1.0 - kernel(cell, nis))
-        pairs.append((d_plus, d_minus))
+            plus.append(weight * (1.0 - kernel(cell, pis)))
+            minus.append(weight * (1.0 - kernel(cell, nis)))
+        pairs.append((math.fsum(plus), math.fsum(minus)))
     return pairs
 
 
 class TopsisEntry(Record):
     _fields = ("label", "d_plus", "d_minus", "closeness", "rank", "degenerate")
+
+
+def _topsis_entry(row, rank) -> TopsisEntry:
+    """The entry of a (label, D+, D-, closeness, degenerate) row."""
+    label, d_plus, d_minus, closeness, degenerate = row
+    return TopsisEntry._from_fields(label, d_plus, d_minus, closeness, rank, degenerate)
 
 
 class TopsisResult(RankingResult):
@@ -223,10 +231,5 @@ def topsis_rank(
         levels += universal_levels(
             epsilon, number=lambda row: matrix.cell(row[0], tie_break_criterion)
         )
-    ordered, ranks, groups = order_and_rank(rows, levels)
-    entries = tuple(
-        TopsisEntry._from_fields(label, d_plus, d_minus, closeness, rank, degenerate)
-        for (label, d_plus, d_minus, closeness, degenerate), rank in zip(ordered, ranks)
-    )
-    ties = tuple(tuple(ordered[i][0] for i in group) for group in groups)
+    entries, ties = ranked_entries(rows, levels, _topsis_entry)
     return TopsisResult(measure, entries, ideals, ties)

@@ -477,6 +477,39 @@ class TestTopsisCommand:
         assert payload["entries"][0]["label"] == "X"
         assert payload["entries"][0]["closeness"] == 1.0
 
+    @pytest.mark.parametrize("c3_first", [False, True], ids=["c1 first", "c3 first"])
+    def test_same_cells_in_another_criterion_order_tie(self, capsys, tmp_path, c3_first):
+        # A holds P, Q, R in c1, c2, c3 and B holds Q, R, P, so equal weights
+        # tie them. Added left to right in criterion order, B's D+ ended in
+        # ...0935 and A's in ...0936, ranking B 2 and A 3 with c1 first.
+        p = ((5.763, 6.675), (3.199, 4.412), (4.172, 4.842))
+        q = ((6.561, 7.989), (2.709, 3.9), (4.676, 6.439))
+        r = ((6.106, 6.753), (7.861, 8.185), (3.927, 5.466))
+        spikes = {"Zbest": ((9.5, 9.5),) * 3, "Wworst": ((0.5, 0.5),) * 3}
+        criteria = ("c3", "c1", "c2") if c3_first else ("c1", "c2", "c3")
+        rows = "".join(
+            f"{alternative},{criterion},s{k},{left},{right}\n"
+            for criterion in criteria
+            for alternative, cells in (("A", (p, q, r)), ("B", (q, r, p)))
+            for k, (left, right) in enumerate(cells[int(criterion[1]) - 1], 1)
+        ) + "".join(
+            f"{alternative},{criterion},s{k},{left},{right}\n"
+            for criterion in criteria
+            for alternative, cell in spikes.items()
+            for k, (left, right) in enumerate(cell, 1)
+        )
+        path = write_rows(tmp_path / "orders.csv", rows)
+        code, out, _ = run(capsys, "topsis", "--input", path, "--scale-min", "0",
+                           "--scale-max", "10", "--measure", "combined", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        entries = {e["label"]: e for e in payload["entries"]}
+        a, b = entries["A"], entries["B"]
+        assert a["rank"] == b["rank"] == 2
+        assert (a["d_plus"], a["d_minus"]) == (b["d_plus"], b["d_minus"])
+        assert a["closeness"] == b["closeness"]
+        assert payload["ties"] == [["A", "B"]]
+
     def test_ragged_dataset_warns_in_one_stderr_line_under_any_filter(
             self, capsys, tmp_path):
         # A differing source count across one alternative's criteria is a

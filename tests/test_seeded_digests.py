@@ -54,7 +54,7 @@ RUNS = {
 
 DIGESTS = {
     "topsis on lattice":
-        "789e20af0822334190c77cfa18d53297058440d9ade98e6c978cd7aa658c2c75",
+        "3d60f3367e7e018818c17eddadbe944d07bc7e9a872055abcbb522e4be228f9c",
     "build on lattice":
         "669e970a7f91c14d072222ff537d3749aceb0089c45c1c8173140c583125dbfe",
     "rank --method ideal-ratio on continuous":

@@ -8,6 +8,7 @@ two attribute vectors. Results must be equal bit for bit, and errors must be the
 
 import gc
 import json
+import math
 import subprocess
 import sys
 import weakref
@@ -199,12 +200,12 @@ def test_separations_equal_reference_loop(column, criteria, pool, weights):
         def reference():
             pairs = []
             for alternative in matrix.alternatives:
-                d_plus = d_minus = 0.0
+                plus, minus = [], []
                 for index, name in enumerate(names):
                     cell, weight = matrix.cell(alternative, name), matrix.weights[index]
-                    d_plus += weight * (1.0 - reference_similarity(measure, cell, ideals[index].pis))
-                    d_minus += weight * (1.0 - reference_similarity(measure, cell, ideals[index].nis))
-                pairs.append((d_plus, d_minus))
+                    plus.append(weight * (1.0 - reference_similarity(measure, cell, ideals[index].pis)))
+                    minus.append(weight * (1.0 - reference_similarity(measure, cell, ideals[index].nis)))
+                pairs.append((math.fsum(plus), math.fsum(minus)))
             return pairs
 
         assert outcome(separations, matrix, ideals, measure) == outcome(reference)
