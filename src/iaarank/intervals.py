@@ -119,8 +119,8 @@ def midpoint_mean(interval_set: IntervalSet) -> float:
 
 
 class MultiCriteriaDataset(Record):
-    """Alternatives x criteria grid of cells on one scale: the loader's
-    interval sets, or a DecisionMatrix's fuzzy numbers."""
+    """Alternatives x criteria grid, each label once, of cells on one scale:
+    the loader's interval sets, or a DecisionMatrix's fuzzy numbers."""
 
     _fields = ("alternatives", "criteria", "cells", "scale")
 
@@ -128,6 +128,10 @@ class MultiCriteriaDataset(Record):
                  cells: Mapping[tuple[str, str], IntervalSet], scale: ScaleConfig,
                  *more):  # a subclass's further fields, which it checks itself
         alternatives, criteria, cells = tuple(alternatives), tuple(criteria), dict(cells)
+        for kind, labels in (("alternative", alternatives), ("criterion", criteria)):
+            if len(set(labels)) < len(labels):
+                first = next(x for x in labels if labels.count(x) > 1)
+                raise ValueError(f"repeated {kind} {first!r}")
         for alternative in alternatives:
             for criterion in criteria:
                 if (alternative, criterion) not in cells:

@@ -75,7 +75,7 @@ class RankingResult(Record):
 
 
 def order_and_rank(items, levels):
-    """Sort items best first on levels of (key, epsilon) and rank them.
+    """Sort items best first on levels of (key, epsilon) into tie clusters.
 
     A lower key ranks higher. The items are sorted (stably) on the first key
     and cut into clusters: a cluster opens at its first item and takes each
@@ -83,8 +83,8 @@ def order_and_rank(items, levels):
     opener's. Clusters of two or more items are sorted and cut again on the
     next level; keys are computed once per item and level, and never for a
     one-item cluster. The final clusters are the tie groups, so no result
-    depends on the input order. Returns the sorted list, its competition
-    ranks and the tie groups as tuples of positions.
+    depends on the input order. Returns them best first, each a list of
+    items in sorted order.
     """
     if not items:
         raise ValueError("nothing to rank")
@@ -103,13 +103,7 @@ def order_and_rank(items, levels):
                     refined.append([])
                 refined[-1].append(item)
         clusters = refined
-    ordered, ranks, groups = [], [], []
-    for cluster in clusters:
-        ranks += [len(ordered) + 1] * len(cluster)
-        if len(cluster) > 1:
-            groups.append(tuple(range(len(ordered), len(ordered) + len(cluster))))
-        ordered += cluster
-    return ordered, ranks, groups
+    return clusters
 
 
 def _by_score(item) -> float:
@@ -118,12 +112,17 @@ def _by_score(item) -> float:
 
 
 def ranked_entries(rows, levels, entry):
-    """Rank rows on levels with order_and_rank and make entry(row, rank) for
-    each, best first. Returns (entries, ties): each tie group is the labels
-    of its entries."""
-    ordered, ranks, groups = order_and_rank(rows, levels)
-    entries = tuple(map(entry, ordered, ranks))
-    return entries, tuple(tuple(entries[i].label for i in group) for group in groups)
+    """Make entry(row, rank) for each row, best first, a cluster of
+    order_and_rank sharing the competition rank. Returns (entries, ties):
+    each tie group is the labels of a cluster of two or more rows."""
+    entries, ties = [], []
+    for cluster in order_and_rank(rows, levels):
+        rank = len(entries) + 1
+        for row in cluster:
+            entries.append(entry(row, rank))
+        if len(cluster) > 1:
+            ties.append(tuple(e.label for e in entries[rank - 1:]))
+    return tuple(entries), tuple(ties)
 
 
 def _scored_entry(row, rank) -> RankingEntry:

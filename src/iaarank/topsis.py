@@ -100,39 +100,35 @@ class CriterionIdeals(Record):
     _fields = ("criterion", "pis", "nis", "degenerate")
 
 
+def _end_number(end, levels):
+    """Of an end cluster, listed from the end inward, the member with the end
+    item's exact keys on levels and the smallest (profile, label)."""
+    target = [key(end[0]) for key, _ in levels]
+    return min((fz for fz in end if [key(fz) for key, _ in levels] == target),
+               key=lambda fz: (fz.profile, fz.label))
+
+
 def select_ideals(
     matrix: DecisionMatrix, epsilon: float = DEFAULT_EPSILON
 ) -> tuple[CriterionIdeals, ...]:
     """Choose the per-criterion ideal solutions from the alternatives.
 
-    The top alternative under the universal ranking is the positive ideal and
-    the bottom one the negative ideal; cost criteria swap the two. Where
-    several alternatives at an end have exactly equal universal keys (a shape
-    and its mirror image, say), which always share the end's tie group, the
-    one with the smallest (profile, label) is taken, so the ideals do not
-    depend on the row order. A criterion whose alternatives all fall in one
-    universal tie group is flagged degenerate.
+    The positive ideal comes from the first universal tie cluster
+    (order_and_rank), the negative from the last; cost criteria swap them.
+    Of an end cluster's members with the exact keys of its end item (a
+    shape and its mirror image, say), the smallest (profile, label) is
+    taken, so no ideal depends on the row order. A criterion all in one
+    cluster is flagged degenerate.
     """
     levels = universal_levels(epsilon)
-
-    def keys(fz):
-        return [key(fz) for key, _ in levels]
-
-    def content(fz):
-        return fz.profile, fz.label
-
     ideals = []
     for index, criterion in enumerate(matrix.criteria):
-        ordered, ranks, _ = order_and_rank(matrix.column(criterion), levels)
-        ends = ((0, keys(ordered[0])), (-1, keys(ordered[-1])))
-        top, bottom = (
-            min((fz for fz, rank in zip(ordered, ranks)
-                 if rank == ranks[end] and keys(fz) == end_keys), key=content)
-            for end, end_keys in ends
-        )
+        clusters = order_and_rank(matrix.column(criterion), levels)
+        top = _end_number(clusters[0], levels)
+        bottom = _end_number(clusters[-1][::-1], levels)
         if matrix.directions[index] == "cost":
             top, bottom = bottom, top
-        ideals.append(CriterionIdeals(criterion, top, bottom, ranks[-1] == 1))
+        ideals.append(CriterionIdeals(criterion, top, bottom, len(clusters) == 1))
     return tuple(ideals)
 
 

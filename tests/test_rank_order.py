@@ -244,3 +244,46 @@ def test_an_added_alternative_can_break_a_tie():
         ranks = [(e.label, e.rank) for e in result.entries]
         assert ranks == [("C", 1), ("A", 1), ("B", 3)]
         assert result.ties == (("C", "A"),)
+
+
+def test_a_translation_can_break_a_tie():
+    """Translation invariance fails (Wang and Kerre 2001, axiom A6, with a
+    crisp addend): the tolerance scales with max(1, |x|, |y|), so at
+    epsilon 1e-3 two numbers 2**-8 apart rank apart on [0, 10] and tie
+    once both and the scale are shifted by 1024. The data are dyadic, so
+    no rounding makes the result."""
+    for shift, ranks, ties in ((0, [("B", 1), ("A", 2)], ()),
+                               (1024, [("B", 1), ("A", 1)], (("B", "A"),))):
+        scale = ScaleConfig(shift, shift + 10)
+        a = construct_fuzzy(make_set("A", [(shift + 1, shift + 2)]), scale)
+        b = construct_fuzzy(
+            make_set("B", [(shift + 1 + 2**-8, shift + 2 + 2**-8)]), scale
+        )
+        for pair in ([a, b], [b, a]):
+            result = rank_universal(pair, epsilon=1e-3)
+            assert [(e.label, e.rank) for e in result.entries] == ranks
+            assert result.ties == ties
+
+
+def test_a_change_of_units_can_reverse_the_ideal_ratio():
+    """Invariance under a change of units fails (Wang and Kerre 2001, axiom
+    A7, with a crisp factor): under the attribute measure, B ranks above A
+    on [0, 10], and A above B once data and scale are multiplied by 64.
+    The perimeter and the similarity's hypot(range, 0.5) mix units, as the
+    paper's formulas do. The data are dyadic, so no rounding makes the
+    result."""
+    for factor, order in ((1, ["B", "A"]), (64, ["A", "B"])):
+        scale = ScaleConfig(0, 10 * factor)
+        a = construct_fuzzy(make_set(
+            "A", [(2 * factor, 2 * factor), (5 * factor, 10 * factor),
+                  (5 * factor, 8 * factor)]), scale)
+        b = construct_fuzzy(make_set(
+            "B", [(0, 10 * factor), (7 * factor, 8 * factor),
+                  (6 * factor, 8 * factor)]), scale)
+        best = construct_fuzzy(ideal_interval_set(scale, 3, "best"), scale)
+        worst = construct_fuzzy(ideal_interval_set(scale, 3, "worst"), scale)
+        for pair in ([a, b], [b, a]):
+            result = rank_by_ideal_ratio(pair, best, worst, "attribute")
+            assert [(e.label, e.rank) for e in result.entries] == [
+                (order[0], 1), (order[1], 2)]
+            assert result.ties == ()

@@ -315,13 +315,22 @@ class TestIdealExtremes:
             )
 
 
+def competition_ranks(clusters):
+    """Each item's rank from the cluster sizes: one past the items before
+    its cluster."""
+    ranks = []
+    for cluster in clusters:
+        ranks += [len(ranks) + 1] * len(cluster)
+    return ranks
+
+
 class TestOrderAndRank:
     def test_ranks_and_tie_groups(self):
         values = [3, 9, 7, 5, 7, 3, 7]
-        ordered, ranks, groups = order_and_rank(values, [(lambda v: -v, 0.0)])
-        assert ordered == [9, 7, 7, 7, 5, 3, 3]
-        assert ranks == [1, 2, 2, 2, 5, 6, 6]
-        assert groups == [(1, 2, 3), (5, 6)]
+        clusters = order_and_rank(values, [(lambda v: -v, 0.0)])
+        assert clusters == [[9], [7, 7, 7], [5], [3, 3]]
+        assert competition_ranks(clusters) == [1, 2, 2, 2, 5, 6, 6]
+        assert [c for c in clusters if len(c) > 1] == [[7, 7, 7], [3, 3]]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nothing to rank"):
@@ -338,20 +347,19 @@ class TestOrderAndRank:
 
         items = [("a", 1, 0), ("b", 2, 5), ("c", 2, 4), ("d", 3, 0)]
         levels = [(key("first"), 0.0), (key("second"), 0.0)]
-        ordered, ranks, groups = order_and_rank(items, levels)
-        assert [item[0] for item in ordered] == ["a", "c", "b", "d"]
-        assert ranks == [1, 2, 3, 4] and groups == []
+        clusters = order_and_rank(items, levels)
+        assert [[item[0] for item in c] for c in clusters] == [["a"], ["c"], ["b"], ["d"]]
+        assert competition_ranks(clusters) == [1, 2, 3, 4]
         assert asked == {"first": ["a", "b", "c", "d"], "second": ["b", "c"]}
         asked["first"].clear()
-        order_and_rank(items[:1], levels)
+        assert order_and_rank(items[:1], levels) == [items[:1]]
         assert asked == {"first": [], "second": ["b", "c"]}
 
     def test_cluster_is_measured_from_its_opener(self):
         # 1.0 ~ 1.4 and 1.4 ~ 1.8 within 30%, but 1.8 is not close to 1.0
-        ordered, ranks, groups = order_and_rank([1.8, 1.4, 1.0], [(float, 0.3)])
-        assert ordered == [1.0, 1.4, 1.8]
-        assert ranks == [1, 1, 3]
-        assert groups == [(0, 1)]
+        clusters = order_and_rank([1.8, 1.4, 1.0], [(float, 0.3)])
+        assert clusters == [[1.0, 1.4], [1.8]]
+        assert competition_ranks(clusters) == [1, 1, 3]
 
 
 class TestToleranceClusters:

@@ -86,6 +86,21 @@ class TestDecisionMatrix:
                 synthetic, directions=("benefit", "benefit", "cost")
             )
 
+    @pytest.mark.parametrize("alternatives, criteria, message", [
+        (("A", "A", "B"), ("c", "c"), "^repeated alternative 'A'$"),
+        (("A", "B"), ("c", "d", "c"), "^repeated criterion 'c'$"),
+    ], ids=["alternative", "criterion"])
+    def test_rejects_repeated_labels(self, alternatives, criteria, message):
+        # A repeated criterion would split its weight over two columns, and
+        # a repeated alternative would be ranked twice and tie with itself.
+        sets = {(a, c): make_set(a, [(1, 2)]) for a in alternatives for c in criteria}
+        with pytest.raises(ValueError, match=message):
+            MultiCriteriaDataset(alternatives, criteria, sets, SCALE)
+        cells = {key: construct_fuzzy(s, SCALE) for key, s in sets.items()}
+        with pytest.raises(ValueError, match=message):
+            DecisionMatrix(alternatives, criteria, cells, SCALE,
+                           (1,) * len(criteria), ("benefit",) * len(criteria))
+
     def test_unknown_column_names_the_criterion_as_the_dataset_does(
         self, synthetic, matrix
     ):

@@ -31,3 +31,10 @@ def test_ci_installs_the_test_extra_which_names_every_test_dependency():
         if step.get("name", "").startswith("Install test dependencies")
     )
     assert install["run"] == 'python -m pip install ".[test]"'
+
+
+def test_the_test_job_has_a_time_limit():
+    # A hung property test or benchmark step would otherwise hold a runner
+    # for GitHub's six-hour default.
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    assert workflow["jobs"]["test"]["timeout-minutes"] == 30
