@@ -119,8 +119,8 @@ def midpoint_mean(interval_set: IntervalSet) -> float:
 
 
 class MultiCriteriaDataset(Record):
-    """Alternatives x criteria grid, each label once, of cells on one scale:
-    the loader's interval sets, or a DecisionMatrix's fuzzy numbers."""
+    """Alternatives x criteria grid, each label once, of exactly its cells on
+    one scale: the loader's interval sets, or a DecisionMatrix's fuzzy numbers."""
 
     _fields = ("alternatives", "criteria", "cells", "scale")
 
@@ -139,6 +139,10 @@ class MultiCriteriaDataset(Record):
                         f"missing cell for alternative {alternative!r}, "
                         f"criterion {criterion!r}"
                     )
+        if len(cells) > len(alternatives) * len(criteria):
+            grid = {(alt, crit) for alt in alternatives for crit in criteria}
+            extra = next(key for key in cells if key not in grid)
+            raise ValueError(f"cell {extra!r} outside the alternatives x criteria grid")
         super().__init__(alternatives, criteria, cells, scale, *more)
 
     def cell(self, alternative: str, criterion: str):

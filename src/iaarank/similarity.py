@@ -64,30 +64,27 @@ def _overlap(a, b) -> float:
     At a breakpoint of one operand only, the other one reads its stretch
     membership; outside its support, that is zero, the minimum, so there
     only the denominator grows. Supports that do not meet give 0.0 at once.
-    Otherwise the breakpoints of the operand that starts first, up to the
-    other's first breakpoint (found by bisection), go to the denominator
-    alone; the merge covers the rest, and each operand's points past the
-    other's last go to the denominator alone. The breakpoints are the
-    endpoints, so the sums add the same terms in the same order as a walk
-    over ``evaluation_points``.
+    Otherwise ``a`` is the operand that starts first (the measure is
+    symmetric): its breakpoints before ``b``'s first (found by bisection) go
+    to the denominator alone, the merge covers the rest, and the points of
+    whichever operand ends last, past the other's last, go to the
+    denominator alone. The breakpoints are the endpoints, so the sums add
+    the same terms in the same order as a walk over ``evaluation_points``.
     """
     xs_a, points_a, segments_a = a
     xs_b, points_b, segments_b = b
     if xs_a[-1] < xs_b[0] or xs_b[-1] < xs_a[0]:
         return 0.0
+    if xs_b[0] < xs_a[0]:
+        (xs_a, points_a, segments_a), (xs_b, points_b, segments_b) = b, a
     k_a = len(xs_a)
     k_b = len(xs_b)
-    i = j = 0
+    i = bisect_left(xs_a, xs_b[0])
+    j = 0
     numerator = 0.0
     denominator = 0.0
-    if xs_a[0] < xs_b[0]:
-        i = bisect_left(xs_a, xs_b[0])
-        for p in range(i):
-            denominator += points_a[p]
-    elif xs_b[0] < xs_a[0]:
-        j = bisect_left(xs_b, xs_a[0])
-        for q in range(j):
-            denominator += points_b[q]
+    for p in range(i):
+        denominator += points_a[p]
     while i < k_a and j < k_b:
         x = xs_a[i]
         y = xs_b[j]
@@ -110,10 +107,8 @@ def _overlap(a, b) -> float:
         else:
             numerator += mu_b
             denominator += mu_a
-    for p in range(i, k_a):
-        denominator += points_a[p]
-    for q in range(j, k_b):
-        denominator += points_b[q]
+    for mu in points_a[i:] if i < k_a else points_b[j:]:
+        denominator += mu
     # Unreachable from the public constructors, whose first breakpoint has
     # a positive point membership; kept as division safety.
     if denominator <= 0:

@@ -2,10 +2,10 @@
 
 Everything here works straight on raw (left, right) pairs or plain
 (left, right, height) triples, with independently written loops, so the
-package internals are cross-checked rather than echoed. Only
-fuzzy_from_regions calls the package: it reads its brute-force record back
-with FuzzyNumber.from_dict, the one way into a number besides
-construct_fuzzy.
+package internals are cross-checked rather than echoed. Two functions call
+the package: fuzzy_from_regions reads its brute-force record back with
+FuzzyNumber.from_dict, the one way into a number besides construct_fuzzy,
+and exact_jaccard reads memberships at the package's evaluation points.
 """
 
 import math
@@ -246,6 +246,24 @@ def brute_jaccard(pairs_a, pairs_b):
     minimum = maximum = 0.0  # left to right over the union, as brute_area
     for x in xs:
         mu_a, mu_b = count_membership(pairs_a, x), count_membership(pairs_b, x)
+        minimum += min(mu_a, mu_b)
+        maximum += max(mu_a, mu_b)
+    return minimum / maximum
+
+
+def exact_jaccard(a, b):
+    """The Jaccard of two FuzzyNumbers in exact arithmetic, as a Fraction:
+    the sum of the min over the sum of the max of their memberships at
+    every point of evaluation_points(a, b)."""
+    # imported here: perfbench's checker loads this module without the
+    # package, and its peak_rss_mb would count the fractions module
+    from fractions import Fraction
+
+    from iaarank import evaluation_points
+
+    minimum = maximum = Fraction(0)
+    for x in evaluation_points(a, b):
+        mu_a, mu_b = Fraction(a.membership(x)), Fraction(b.membership(x))
         minimum += min(mu_a, mu_b)
         maximum += max(mu_a, mu_b)
     return minimum / maximum

@@ -9,9 +9,11 @@ two attribute vectors. Results must be equal bit for bit, and errors must be the
 import gc
 import json
 import math
+import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -132,8 +134,31 @@ def number_lists(draw, min_size=1, max_size=6, mixed_scales=True):
     return numbers
 
 
+# The operand shapes of the overlap merge, as (a, b) interval lists.
+MERGE_SHAPES = (
+    ([(1.0, 9.0), (2.0, 6.0)], [(3.0, 5.0), (4.0, 7.0)]),  # a starts first and ends last
+    ([(1.0, 5.0), (2.0, 6.0)], [(3.0, 8.0), (4.0, 9.0)]),  # a starts first, b ends last
+    ([(2.0, 5.0), (3.0, 4.0)], [(2.0, 7.0), (2.5, 2.5)]),  # equal starts
+    ([(1.0, 6.0), (2.0, 3.0)], [(3.0, 6.0), (4.0, 6.0)]),  # equal ends
+    ([(1.0, 4.0), (2.0, 3.0)], [(4.0, 7.0), (5.0, 6.0)]),  # supports touch at one point
+    ([(1.0, 3.0), (2.0, 2.0)], [(5.0, 7.0), (6.0, 6.0)]),  # disjoint
+    ([(5.0, 5.0)], [(5.0, 5.0), (5.0, 5.0)]),  # one-breakpoint spikes at one point
+    ([(5.0, 5.0)], [(2.0, 8.0)]),  # a spike inside the other's segment
+    ([(2.0, 2.0)], [(2.0, 6.0)]),  # a spike on the other's first breakpoint
+)
+
+
+def with_merge_shapes(test):
+    """test with an @example of every merge shape in both argument orders."""
+    for pairs_a, pairs_b in MERGE_SHAPES:
+        a, b = build("x0", pairs_a), build("x1", pairs_b)
+        test = example([a, b])(example([b, a])(test))
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(number_lists(min_size=2, max_size=2))
+@with_merge_shapes
 def test_pair_equals_references(numbers):
     a, b = numbers
     for measure in MEASURES:
@@ -177,27 +202,35 @@ def test_ideal_ratio_equals_reference_loop(numbers):
     st.integers(1, 3),
     number_lists(min_size=6, max_size=6),
     st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    st.permutations(range(3)),
 )
-def test_separations_equal_reference_loop(column, criteria, pool, weights):
+def test_separations_equal_reference_loop(column, criteria, pool, weights, permutation):
     names = [f"c{k}" for k in range(criteria)]
     cells = {
         (fz.label, name): fz for fz in column for name in names
     }
-    matrix = DecisionMatrix(
-        alternatives=[fz.label for fz in column],
-        criteria=names,
-        cells=cells,
-        scale=WIDE,
-        weights=weights[:criteria],
-        directions=("benefit",) * criteria,
-    )
+
+    def decision_matrix(order):
+        """The matrix with its criteria, weights and directions in order."""
+        return DecisionMatrix(
+            alternatives=[fz.label for fz in column],
+            criteria=[names[k] for k in order],
+            cells=cells,
+            scale=WIDE,
+            weights=[weights[k] for k in order],
+            directions=[("benefit", "cost", "benefit")[k] for k in order],
+        )
+
+    matrix = decision_matrix(range(criteria))
     ideals = [
         CriterionIdeals(name, pool[2 * k], pool[2 * k + 1], False)
         for k, name in enumerate(names)
     ]
+    order = [k for k in permutation if k < criteria]
+    permuted = decision_matrix(order)
     for measure in ("attribute", "combined"):
 
-        def reference():
+        def reference(total):
             pairs = []
             for alternative in matrix.alternatives:
                 plus, minus = [], []
@@ -205,10 +238,15 @@ def test_separations_equal_reference_loop(column, criteria, pool, weights):
                     cell, weight = matrix.cell(alternative, name), matrix.weights[index]
                     plus.append(weight * (1.0 - reference_similarity(measure, cell, ideals[index].pis)))
                     minus.append(weight * (1.0 - reference_similarity(measure, cell, ideals[index].nis)))
-                pairs.append((math.fsum(plus), math.fsum(minus)))
+                pairs.append((total(plus), total(minus)))
             return pairs
 
-        assert outcome(separations, matrix, ideals, measure) == outcome(reference)
+        result = outcome(separations, matrix, ideals, measure)
+        assert result == outcome(reference, math.fsum)
+        # the exact sum, correctly rounded once, checks fsum's rounding too
+        assert result == outcome(reference, lambda terms: float(sum(map(Fraction, terms))))
+        if isinstance(result, list):  # an error may name another pair first
+            assert separations(permuted, [ideals[k] for k in order], measure) == result
 
 
 class TestErrorParity:
@@ -274,6 +312,42 @@ def test_jaccard_equals_oracle(pairs_a, pairs_b):
     expected = oracle.brute_jaccard(pairs_a, pairs_b)
     assert measure_similarity("jaccard", a, b) == expected
     assert measure_similarity("jaccard", b, a) == expected
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two numbers of 1 to 600 sources on [low, low + 10], low 0 or 1e12,
+    each number's sources in its own random window of the scale (so about a
+    third of the pairs are disjoint), with continuous or quarter-lattice
+    bounds."""
+    low = draw(st.sampled_from([0.0, 1e12]))
+    lattice = draw(st.sampled_from([0.0, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    numbers = []
+    for label in ("a", "b"):
+        window = sorted(rng.uniform(low, low + 10) for _ in range(2))
+        pairs = oracle.random_pairs(rng, *window, max_n=600, lattice_prob=lattice)
+        numbers.append(construct_fuzzy(make_set(label, pairs), ScaleConfig(low, low + 10)))
+    return numbers
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_pairs())
+def test_jaccard_within_the_stated_bound_of_the_exact_value(numbers):
+    # Each sum adds k non-negative terms, with a relative error of at most
+    # gamma(k - 1), and the quotient adds one rounding: at most gamma(2k) in
+    # all, where gamma(n) = n u / (1 - n u) and u = 2**-53 (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2002, section 3.1). The result
+    # need not be the correctly rounded one, so no equality is asserted.
+    a, b = numbers
+    exact = oracle.exact_jaccard(a, b)
+    n = 2 * len(evaluation_points(a, b))
+    gamma = n * Fraction(1, 2**53) / (1 - n * Fraction(1, 2**53))
+    for computed in (measure_similarity("jaccard", a, b), measure_similarity("jaccard", b, a)):
+        if exact == 0:
+            assert computed == 0.0
+        else:
+            assert abs(Fraction(computed) - exact) <= gamma * exact
 
 
 @settings(max_examples=40, deadline=None)

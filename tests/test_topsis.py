@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -100,6 +101,20 @@ class TestDecisionMatrix:
         with pytest.raises(ValueError, match=message):
             DecisionMatrix(alternatives, criteria, cells, SCALE,
                            (1,) * len(criteria), ("benefit",) * len(criteria))
+
+    @pytest.mark.parametrize("extra", [("Z", "c"), ("A", "x")],
+                             ids=["alternative", "criterion"])
+    def test_rejects_cells_outside_the_grid(self, extra):
+        # An extra cell would make two equal grids unequal, and a matrix's
+        # scale check, which walks the grid, would keep one on another scale.
+        message = f"^cell {re.escape(repr(extra))} outside the alternatives x criteria grid$"
+        cell, other = make_set("A", [(1, 2)]), make_set("Z", [(3, 4)])
+        with pytest.raises(ValueError, match=message):
+            MultiCriteriaDataset(["A"], ["c"], {("A", "c"): cell, extra: other}, SCALE)
+        cells = {("A", "c"): construct_fuzzy(cell, SCALE),
+                 extra: construct_fuzzy(other, ScaleConfig(0, 20))}
+        with pytest.raises(ValueError, match=message):
+            DecisionMatrix(["A"], ["c"], cells, SCALE, (1,), ("benefit",))
 
     def test_unknown_column_names_the_criterion_as_the_dataset_does(
         self, synthetic, matrix

@@ -38,3 +38,11 @@ def test_the_test_job_has_a_time_limit():
     # for GitHub's six-hour default.
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     assert workflow["jobs"]["test"]["timeout-minutes"] == 30
+
+
+def test_a_newer_push_to_a_pull_request_cancels_its_runs():
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    assert workflow["concurrency"] == {
+        "group": "ci-${{ github.ref }}",
+        "cancel-in-progress": "${{ github.event_name == 'pull_request' }}",
+    }
