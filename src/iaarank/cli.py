@@ -21,8 +21,15 @@ header and the rows (a generator) through cli_csv, and text by calling
 text(), or as JSON lines of the payload list where a command has no text
 form (build, attributes). plotdata always writes CSV.
 
-main() runs one job: it parses the arguments, runs the handler and maps its
-errors to exit codes. It writes stdout inside its error handling, so a
+main() runs one job: it reads the arguments, runs the handler and maps its
+errors to exit codes. One option table (_SHARED and _COMMANDS) holds every
+subcommand's flags. _read_argv reads the argv that argparse reads alike on
+every supported Python off it, without importing argparse, and
+_build_parser builds the argparse parser from it for any argv the reader
+declines, so every help text, usage error and exit code is argparse's. The
+JSON writer takes its string escaper from _json, the C function json.encoder
+binds, and json itself loads only for the JSON-lines form and for values of
+other types. It writes stdout inside its error handling, so a
 stdout that cannot encode the output exits 2 and writes nothing, and it
 never touches the collector. entry(), behind `python -m iaarank` and the
 `iaarank` script, runs main() with the cyclic collector off and freezes the
@@ -33,15 +40,13 @@ a collection would free nothing.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import math
 import sys
 import warnings
+from _json import encode_basestring_ascii
 from importlib import import_module
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DivisionByZero, IaaRankError, MalformedRow, RaggedCellWarning
 # a global here, read off cli by the handlers, so the tracer and tests patch it here
@@ -102,6 +107,7 @@ def _load(args) -> MultiCriteriaDataset:
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _STR = {str}
 
 
@@ -110,14 +116,16 @@ class _FloatText(dict):
     value is formatted once (a build payload holds each breakpoint three
     times: in two regions and in the endpoints). Only finite non-zero values
     become keys: 0.0 and -0.0 are equal keys with different texts, and a NaN
-    equals nothing; those and the infinities take the stdlib's text each
-    time."""
+    equals nothing. A NaN or an infinity takes json.dumps's text, through
+    _NON_FINITE."""
 
     def __missing__(self, value: float) -> str:
-        if 0.0 < abs(value) < math.inf:
-            text = self[value] = float.__repr__(value)
-            return text
-        return json.dumps(value)
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            return _NON_FINITE[text]
+        if value:
+            self[value] = text
+        return text
 
 
 def _json_text(value) -> str:
@@ -169,6 +177,7 @@ def _json_text(value) -> str:
                 write(item, inner)
             append(pad + "}" if value else "{}")
         else:
+            import json
             append(json.dumps(value, indent=2).replace("\n", pad))
 
     write(value, "\n")
@@ -184,23 +193,115 @@ def _render(fmt: str, payload, header, rows, text) -> str:
         from .cli_csv import csv_text
         return csv_text(header, rows)
     if text is None:
+        import json
         return "".join(json.dumps(record) + "\n" for record in payload)
     return text()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--input",
-        default="films",
-        help="dataset path, or a bundled name: " + ", ".join(sorted(BUNDLED_DATASETS)),
-    )
-    common.add_argument("--scale-min", type=float, required=True)
-    common.add_argument("--scale-max", type=float, required=True)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--output", default=None, help="write here instead of stdout")
-    common.add_argument("--epsilon", type=float, default=1e-9,
-                        help="relative tie tolerance; ties are tolerance clusters")
+# The option table, which both _read_argv and _build_parser read: each
+# subcommand's help and its options after _SHARED's. An option is (flag,
+# kind, default, help): kind is str or float for a value, a tuple of its
+# choices, bool for a store-true switch, or list for similarity's run of
+# positional labels; a default of _REQUIRED makes the flag required.
+_REQUIRED = object()
+_SHARED = (
+    ("--input", str, "films",
+     "dataset path, or a bundled name: " + ", ".join(sorted(BUNDLED_DATASETS))),
+    ("--scale-min", float, _REQUIRED, None),
+    ("--scale-max", float, _REQUIRED, None),
+    ("--format", ("text", "json", "csv"), "text", None),
+    ("--output", str, None, "write here instead of stdout"),
+    ("--epsilon", float, 1e-9, "relative tie tolerance; ties are tolerance clusters"),
+)
+_COMMANDS = {
+    "build": ("emit one fuzzy-number record per cell", ()),
+    "attributes": ("emit the attribute vector per cell", ()),
+    "similarity": ("similarity between two alternatives, or a matrix", (
+        ("labels", list, None, "two alternative labels"),
+        ("--measure", MEASURES, "combined", None),
+        ("--matrix", bool, False, None),
+        ("--criterion", str, None, None),
+    )),
+    "rank": ("rank the alternatives", (
+        ("--method", ("universal", "ideal-ratio", "baseline"), "universal", None),
+        ("--measure", MEASURES, "combined", None),
+        ("--ideal", str, "auto", "'auto' for scale-extreme ideals, or a dataset file "
+         "with alternatives 'best' and 'worst'"),
+        ("--criterion", str, None, None),
+    )),
+    "topsis": ("multi-criteria closeness ranking", (
+        ("--measure", SEPARATION_MEASURES, "combined", None),
+        ("--weights", str, None, "comma-separated per-criterion weights; write "
+         "--weights=-1,1 when the list starts with a minus sign"),
+        ("--directions", str, None, "comma-separated per-criterion b|benefit or c|cost"),
+        ("--exclude-criterion", str, None, None),
+        ("--tie-break-criterion", str, None, None),
+    )),
+    "plotdata": ("membership profile vertices as CSV", ()),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse names a flag's value by."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace _build_parser().parse_args(argv) returns, for argv that
+    argparse reads alike on every supported Python: a subcommand, then its
+    exact long flags, each `--flag value` (a value not starting with "-") or
+    `--flag=value`, and for similarity one contiguous run of labels. None
+    for anything else (help, an abbreviation, an unknown or missing flag, a
+    missing value, a value "--", a float or a choice argparse rejects, a
+    second run of labels), which argparse then reads or rejects itself."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _SHARED + _COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {_dest(flag): default for flag, _, default, _ in options}
+    values["command"] = argv[0]
+    labels = []
+    run_end = i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if "labels" not in kinds or labels and run_end != i - 1:
+                return None
+            labels.append(token)
+            run_end = i
+            continue
+        flag, eq, value = token.partition("=")
+        kind = kinds.get(flag)
+        if kind is bool and not eq:
+            value = True
+        elif kind is None or kind is bool:
+            return None
+        else:
+            if not eq:
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+                i += 1
+            if value == "--":  # which argparse on 3.11 reads as []
+                return None
+            if kind is float:
+                try:
+                    value = float(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+        values[_dest(flag)] = value
+    if "labels" in kinds:
+        values["labels"] = labels
+    return None if _REQUIRED in values.values() else SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of the option table. It reads the argv that
+    _read_argv declines, and writes every help text and usage error."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="iaarank",
@@ -208,46 +309,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare them, and rank alternatives.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("build", parents=[common], help="emit one fuzzy-number record per cell")
-    sub.add_parser("attributes", parents=[common], help="emit the attribute vector per cell")
-
-    p_sim = sub.add_parser("similarity", parents=[common],
-                           help="similarity between two alternatives, or a matrix")
-    p_sim.add_argument("labels", nargs="*", help="two alternative labels")
-    p_sim.add_argument("--measure", choices=MEASURES, default="combined")
-    p_sim.add_argument("--matrix", action="store_true")
-    p_sim.add_argument("--criterion", default=None)
-
-    p_rank = sub.add_parser("rank", parents=[common], help="rank the alternatives")
-    p_rank.add_argument("--method", choices=("universal", "ideal-ratio", "baseline"),
-                        default="universal")
-    p_rank.add_argument("--measure", choices=MEASURES, default="combined")
-    p_rank.add_argument("--ideal", default="auto",
-                        help="'auto' for scale-extreme ideals, or a dataset file "
-                        "with alternatives 'best' and 'worst'")
-    p_rank.add_argument("--criterion", default=None)
-
-    p_topsis = sub.add_parser("topsis", parents=[common],
-                              help="multi-criteria closeness ranking")
-    p_topsis.add_argument("--measure", choices=SEPARATION_MEASURES, default="combined")
-    p_topsis.add_argument("--weights", default=None,
-                          help="comma-separated per-criterion weights; write "
-                          "--weights=-1,1 when the list starts with a minus sign")
-    p_topsis.add_argument("--directions", default=None,
-                          help="comma-separated per-criterion b|benefit or c|cost")
-    p_topsis.add_argument("--exclude-criterion", default=None)
-    p_topsis.add_argument("--tie-break-criterion", default=None)
-
-    sub.add_parser("plotdata", parents=[common], help="membership profile vertices as CSV")
-
+    for command, (summary, options) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        for flag, kind, default, text in _SHARED + options:
+            if kind is list:
+                subparser.add_argument(flag, nargs="*", help=text)
+            elif kind is bool:
+                subparser.add_argument(flag, action="store_true", help=text)
+            else:
+                subparser.add_argument(
+                    flag, type=float if kind is float else None,
+                    choices=kind if type(kind) is tuple else None,
+                    default=None if default is _REQUIRED else default,
+                    required=default is _REQUIRED, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one job on argv (default sys.argv[1:]); return its exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     fmt = "csv" if args.command == "plotdata" else args.format

@@ -76,9 +76,15 @@ def write_wide_dataset(path):
          "error: "),
         (["rank", *FILMS, "--method", "ideal-ratio", "--measure", "jaccard"], 4,
          "error: "),
+        (["rank", "--help"], 0, None),
+        (["build", "--inp", "films", "--scale-min", "1", "--scale-max", "10"], 0, None),
+        (["topsis", *FILMS, "--weights", "-1,1"], 2, "usage: iaarank topsis "),
+        (["build", "--input", "films", "--scale-min", "1"], 2, "usage: iaarank build "),
+        (["similarity", "X", "--matrix", "Y", *FILMS], 2, "usage: iaarank "),
     ],
     ids=["ok", "--help", "usage error", "missing input", "inverted scale",
-         "undefined ranking"],
+         "undefined ranking", "rank --help", "abbreviated flag", "value like a flag",
+         "missing required flag", "second run of labels"],
 )
 def test_process_matches_main(tmp_path, monkeypatch, args, expected, err_start):
     # argparse wraps --help and usage lines to COLUMNS, read on both sides
@@ -92,6 +98,27 @@ def test_process_matches_main(tmp_path, monkeypatch, args, expected, err_start):
         assert out and err == ""
     else:
         assert out == b"" and err.startswith(err_start)
+
+
+def test_a_well_formed_job_loads_neither_argparse_nor_json():
+    # cli._read_argv reads the job's argv off the option table, and the JSON
+    # writer needs only _json's escaper: the job adds neither argparse, nor
+    # the gettext and locale its messages load, nor json to what the
+    # interpreter had loaded before it.
+    script = (
+        "import atexit, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "atexit.register(lambda: sys.stderr.write(' '.join(\n"
+        "    {'argparse', 'gettext', 'locale', 'json'} & set(sys.modules) - before)))\n"
+        "runpy.run_module('iaarank', run_name='__main__', alter_sys=True)\n"
+    )
+    args = ["similarity", "--matrix", "--measure", "combined", "--format", "json", *FILMS]
+    code, out, err = run_process(*args, code=script)
+    assert (code, out, err) == (0, run_in_process(*args)[1], "")
+
+
+def test_the_writer_escapes_strings_with_the_stdlibs_function():
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def test_large_output_arrives_whole(tmp_path):

@@ -77,8 +77,8 @@ LEDGER_COMMANDS = [
 ]
 
 
-def test_ledger_holds_the_fourteen_mechanisms():
-    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 15)]
+def test_ledger_holds_the_fifteen_mechanisms():
+    assert [row[0] for row in LEDGER] == [str(i) for i in range(1, 16)]
     assert LEDGER_COMMANDS
 
 

@@ -412,6 +412,8 @@ def test_public_names():
     ]
     for name in iaarank.__all__:
         assert getattr(iaarank, name) is not None
+    listed = dir(iaarank)
+    assert listed == sorted(listed) and set(iaarank.__all__) <= set(listed)
 
 
 def test_import_does_not_load_the_cli():
