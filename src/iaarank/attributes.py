@@ -93,7 +93,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
         return vector
     xs, points, segments = fz.profile
     count = 0
-    total_height = total_area = moment = half_heights = outline = length = 0.0
+    total_height = total_area = moment = outline = length = 0.0
     areas = []  # the running area at each breakpoint, its segment included
     for i, x in enumerate(xs):
         left, top, right = segments[i], points[i], segments[i + 1]
@@ -104,14 +104,12 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
             count += 1
             total_height += top
             moment += top * (x + x)
-            half_heights += top / 2
         if right > 0:
             after = xs[i + 1]
             count += 1
             total_height += right
             total_area += right * (after - x)
             moment += right * (x + after)
-            half_heights += right / 2
         else:
             outline += 2 * (x - edge) + vertical
             length += x - edge
@@ -139,7 +137,7 @@ def attribute_vector(fz: FuzzyNumber) -> AttributeVector:
     vector = AttributeVector._from_fields(
         tuple(quartiles),
         moment / (2 * total_height),  # centroid_x
-        half_heights / count,  # centroid_y
+        total_height / 2 / count,  # centroid_y, the mean half-height: halving is exact
         total_area,
         max(points),  # height
         outline,  # perimeter

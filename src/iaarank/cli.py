@@ -329,10 +329,18 @@ def main(argv=None) -> int:
     """Run one job on argv (default sys.argv[1:]); return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _read_argv(argv) or _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+            # argparse releases that strip "--" from --input=-- (3.10, 3.11,
+            # early 3.12) store []; only similarity's labels are a list.
+            for flag, kind, _, _ in _SHARED + _COMMANDS[args.command][1]:
+                if kind is not list and type(getattr(args, _dest(flag))) is list:
+                    parser.error(f"argument {flag}: expected one argument")
+        except SystemExit as exc:
+            return int(exc.code or 0)
     fmt = "csv" if args.command == "plotdata" else args.format
     try:
         text = _render(fmt, *_run(args))

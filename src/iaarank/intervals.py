@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 from pathlib import Path
 
 from ._record import Record
@@ -252,9 +254,8 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     Alternatives and criteria keep first-appearance order. Each row is
     checked once, by one chained comparison of its two floats,
     scale_min <= left <= right <= scale_max, which a NaN or infinite bound
-    fails too. The JSON reader and the errors of a failing row or a repeated
-    source are in _rows, which loads only on those paths. Only a cell whose
-    sources arrive out of order is sorted: loading costs O(rows) plus those
+    fails too. The JSON reader and the error of a failing row are in _rows,
+    which loads only on those paths. Loading costs O(rows) plus the per-cell
     sorts. Differing source counts across one alternative's criteria raise a
     RaggedCellWarning only: the aggregation accepts any number of sources
     per cell.
@@ -272,11 +273,8 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
         raise EmptyDataset(f"{path} contains no data rows")
 
     scale_min, scale_max = scale.scale_min, scale.scale_max
-    # A run is consecutive rows of one cell; only a row that starts one looks
-    # its cell up, so a cell split across runs gathers its rows in file order.
-    grouped: dict[tuple[str, str], tuple[list, list, list]] = {}
-    alternative = criterion = None
-    for line_no, row_alternative, row_criterion, source, left, right in raw_rows:
+    grouped: defaultdict[tuple[str, str], list] = defaultdict(list)
+    for line_no, alternative, criterion, source, left, right in raw_rows:
         try:
             lo, hi = float(left), float(right)
         except (TypeError, ValueError, OverflowError):
@@ -285,30 +283,26 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
         if not scale_min <= lo <= hi <= scale_max:
             from ._rows import reject_row
             reject_row(path, line_no, left, right, scale)
-        if row_criterion != criterion or row_alternative != alternative:
-            alternative, criterion = row_alternative, row_criterion
-            columns = grouped.get((alternative, criterion))
-            if columns is None:
-                columns = grouped[(alternative, criterion)] = ([], [], [])
-            sources, lefts, rights = columns
-        sources.append(source)
-        lefts.append(lo)
-        rights.append(hi)
+        grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.
     alternatives = tuple(dict.fromkeys(alternative for alternative, _ in grouped))
     criteria = tuple(dict.fromkeys(criterion for _, criterion in grouped))
     cells = {}
-    for (alternative, criterion), (sources, lefts, rights) in grouped.items():
-        if sorted(sources) != sources:
-            order = sorted(range(len(sources)), key=sources.__getitem__)
-            lefts = [lefts[i] for i in order]
-            rights = [rights[i] for i in order]
+    for (alternative, criterion), members in grouped.items():
+        members.sort(key=itemgetter(0))
+        sources, _, lefts, rights = zip(*members)
         if len(set(sources)) < len(sources):
-            from ._rows import reject_repeat
-            reject_repeat(path, raw_rows, alternative, criterion)
+            for (source, first, *_), (again, line_no, *_) in zip(members, members[1:]):
+                if source == again:
+                    raise MalformedRow(
+                        f"{path} line {line_no}: repeats source {source!r} of line "
+                        f"{first} for alternative {alternative!r}, criterion "
+                        f"{criterion!r}",
+                        line=line_no,
+                    )
         cells[(alternative, criterion)] = IntervalSet._from_fields(
-            tuple(lefts), tuple(rights), alternative
+            lefts, rights, alternative
         )
 
     # Under one criterion each alternative has one cell, so one source count.

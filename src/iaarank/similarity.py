@@ -14,10 +14,9 @@ many pairs' is ``similarity_matrix``; both run through one pair kernel. A
 computes the two scale normalisers then; the squared weights are computed
 once, at import. Each number is prepared once per call: its step profile,
 whose breakpoints are its endpoints, and its attribute row. The overlap
-measure then merges the two breakpoint lists in one walk over the shared
-support, evaluating at every point it meets, so one pair costs at most
-O(k_a + k_b) for k_a and k_b breakpoints and builds no set and sorts
-nothing; a pair whose supports do not meet costs O(1). The attribute measure
+measure then merges the two breakpoint lists in one walk, evaluating at
+every point it meets, so one pair costs O(k_a + k_b) for k_a and k_b
+breakpoints and builds no set and sorts nothing. The attribute measure
 weighs the six differences ``PairKernel.features`` computes from the two
 rows with the kernel's normalisers; ``feature_vector`` returns the same six
 for one pair, so the feature arithmetic is written once. All three measures
@@ -28,7 +27,6 @@ pairs on and above the diagonal and mirrors each value below it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 
 from . import attributes
@@ -59,32 +57,21 @@ def attribute_row(fz: FuzzyNumber) -> tuple[float, ...]:
 
 
 def _overlap(a, b) -> float:
-    """Jaccard of two step profiles: one merge of their shared support.
+    """Jaccard of two step profiles: one merge of their breakpoints.
 
     At a breakpoint of one operand only, the other one reads its stretch
-    membership; outside its support, that is zero, the minimum, so there
-    only the denominator grows. Supports that do not meet give 0.0 at once.
-    Otherwise ``a`` is the operand that starts first (the measure is
-    symmetric): its breakpoints before ``b``'s first (found by bisection) go
-    to the denominator alone, the merge covers the rest, and the points of
-    whichever operand ends last, past the other's last, go to the
-    denominator alone. The breakpoints are the endpoints, so the sums add
-    the same terms in the same order as a walk over ``evaluation_points``.
+    membership; outside its support (before its first breakpoint or past its
+    last), that is zero, the minimum, so only the denominator grows. As the
+    breakpoints are the endpoints, the merge visits each ``evaluation_points``
+    point once, ascending, adding the same terms in the same order as a walk.
     """
     xs_a, points_a, segments_a = a
     xs_b, points_b, segments_b = b
-    if xs_a[-1] < xs_b[0] or xs_b[-1] < xs_a[0]:
-        return 0.0
-    if xs_b[0] < xs_a[0]:
-        (xs_a, points_a, segments_a), (xs_b, points_b, segments_b) = b, a
     k_a = len(xs_a)
     k_b = len(xs_b)
-    i = bisect_left(xs_a, xs_b[0])
-    j = 0
+    i = j = 0
     numerator = 0.0
     denominator = 0.0
-    for p in range(i):
-        denominator += points_a[p]
     while i < k_a and j < k_b:
         x = xs_a[i]
         y = xs_b[j]
@@ -107,6 +94,8 @@ def _overlap(a, b) -> float:
         else:
             numerator += mu_b
             denominator += mu_a
+    # Past the other operand's last breakpoint its membership is 0, the
+    # minimum, so only the denominator grows.
     for mu in points_a[i:] if i < k_a else points_b[j:]:
         denominator += mu
     # Unreachable from the public constructors, whose first breakpoint has
