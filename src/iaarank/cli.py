@@ -4,10 +4,11 @@ Subcommands: build, attributes, similarity, rank, topsis, plotdata. Exit
 codes: 0 success, 2 I/O or parse failure, 3 validation failure, 4 undefined
 ranking (zero similarity to both ideals under the overlap measure).
 
-A job compiles only the code it runs. A subcommand's handler, with its text
-form and the helpers only it uses, is run() in cli_<subcommand>, which _run
-imports by the subcommand's name when the job calls it; cli_shared holds
-what several handlers share, and cli_csv the CSV writer. A handler reads
+The CLI follows one rule: this module holds every line that more than one
+subcommand runs, and cli_<subcommand> what only that subcommand runs. A
+subcommand's handler, with its text form and the helpers only it uses, is
+run() in its module, which _run imports by the subcommand's name when the
+job calls it, so a job compiles no other subcommand's code. A handler reads
 each library name it calls off this module at the call
 (cli.construct_fuzzy): a name a caller has set here, as the benchmark's
 tracer does, wins, and any other falls through to __getattr__ and the
@@ -17,7 +18,7 @@ intervals and fuzzy.
 A handler returns (payload, header, rows, text) and never reads --format;
 _render writes it: json through _json_text (json.dumps(payload, indent=2)
 byte for byte, without the stdlib's pure-Python indent encoder), csv as the
-header and the rows (a generator) through cli_csv, and text by calling
+header and the rows (a generator) through csv_text, and text by calling
 text(), or as JSON lines of the payload list where a command has no text
 form (build, attributes). plotdata always writes CSV.
 
@@ -40,7 +41,10 @@ a collection would free nothing.
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
+import math
 import sys
 import warnings
 from _json import encode_basestring_ascii
@@ -104,6 +108,41 @@ def _read(value: str, flag: str, scale: ScaleConfig) -> MultiCriteriaDataset:
 
 def _load(args) -> MultiCriteriaDataset:
     return _read(args.input, "--input", ScaleConfig(args.scale_min, args.scale_max))
+
+
+def check_criterion(dataset, flag: str, requested: str) -> None:
+    if requested not in dataset.criteria:
+        raise ValueError(
+            f"{flag}: criterion {requested!r} not in dataset "
+            f"(have: {', '.join(dataset.criteria)})"
+        )
+
+
+def pick_criterion(dataset, requested: str | None) -> str:
+    """The requested criterion, or the dataset's only one."""
+    if requested is not None:
+        check_criterion(dataset, "--criterion", requested)
+        return requested
+    if len(dataset.criteria) > 1:
+        raise ValueError(
+            "dataset has several criteria; select one with --criterion"
+        )
+    return dataset.criteria[0]
+
+
+def check_epsilon(epsilon: float) -> None:
+    """--epsilon is read by rank and topsis only; the others ignore it."""
+    if epsilon < 0:
+        raise ValueError("--epsilon must be non-negative")
+    if not math.isfinite(epsilon):
+        raise ValueError("--epsilon must be finite")
+
+
+def ranked(result, text):
+    """A RankingResult: its to_dict, and one CSV row per entry in the entries'
+    _fields order (order_and_rank refuses an empty list, so entries[0] exists)."""
+    return (result.to_dict(), result.entries[0]._fields,
+            (e._values() for e in result.entries), lambda: text(result))
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -184,13 +223,46 @@ def _json_text(value) -> str:
     return "".join(parts)
 
 
+def plain(value: float) -> str:
+    """A coordinate as text: a whole number below 1e16 as an int, else its repr."""
+    if abs(value) < 1e16 and value == int(value):
+        return str(int(value))
+    return repr(value)
+
+
+def _field(value) -> str:
+    """A CSV field: text as is, None empty, a bool in lower case, a number as
+    its repr."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def csv_text(header, rows) -> str:
+    # With its default "\r\n" row end, csv.writer quotes every field holding
+    # "\r" or "\n" (with "\n" alone, Python 3.11 leaves a bare "\r" unquoted);
+    # each row end is then cut back to "\n".
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    lines = []
+    for row in (header, *rows):
+        writer.writerow([_field(value) for value in row])
+        lines.append(buffer.getvalue()[:-2] + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+    return "".join(lines)
+
+
 def _render(fmt: str, payload, header, rows, text) -> str:
     """The one writer: the payload as JSON, the header and rows as CSV, or
     text(); with no text form, the payload list as JSON lines."""
     if fmt == "json":
         return _json_text(payload) + "\n"
     if fmt == "csv":
-        from .cli_csv import csv_text
         return csv_text(header, rows)
     if text is None:
         import json
@@ -334,11 +406,12 @@ def main(argv=None) -> int:
         parser = _build_parser()
         try:
             args = parser.parse_args(argv)
-            # argparse releases that strip "--" from --input=-- (3.10, 3.11,
-            # early 3.12) store []; only similarity's labels are a list.
+            # --input=-- stores [] where argparse strips the "--" (3.10, 3.11,
+            # early 3.12) and "--" where it keeps it: either way a missing
+            # value, which argparse rejects under the subcommand's usage.
             for flag, kind, _, _ in _SHARED + _COMMANDS[args.command][1]:
-                if kind is not list and type(getattr(args, _dest(flag))) is list:
-                    parser.error(f"argument {flag}: expected one argument")
+                if kind is not list and getattr(args, _dest(flag)) in ([], "--"):
+                    parser.parse_args([args.command, flag])
         except SystemExit as exc:
             return int(exc.code or 0)
     fmt = "csv" if args.command == "plotdata" else args.format

@@ -1,6 +1,7 @@
 """The build subcommand: one fuzzy-number record per cell."""
 
 from . import cli
+from .cli import plain
 
 
 def run(args):
@@ -10,12 +11,9 @@ def run(args):
         for (alternative, criterion), fz in numbers.items()
     ]
     header = ("alternative", "criterion", "left", "right", "height")
-    return records, header, _rows(records), None
-
-
-def _rows(records):
-    """One CSV row per region; cli_csv loads only when a csv job reads them."""
-    from .cli_csv import plain
-    for r in records:
-        for left, right, height in r["regions"]:
-            yield r["alternative"], r["criterion"], plain(left), plain(right), height
+    rows = (
+        (r["alternative"], r["criterion"], plain(left), plain(right), height)
+        for r in records
+        for left, right, height in r["regions"]
+    )
+    return records, header, rows, None

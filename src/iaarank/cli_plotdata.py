@@ -1,7 +1,7 @@
 """The plotdata subcommand: each cell's membership outline, always as CSV."""
 
 from . import cli
-from .cli_csv import plain
+from .cli import plain
 
 
 def run(args):

@@ -2,7 +2,7 @@
 the ideal ratio or the baseline mean."""
 
 from . import cli
-from .cli_shared import check_epsilon, pick_criterion, ranked
+from .cli import check_epsilon, pick_criterion, ranked
 from .fuzzy import FuzzyNumber
 from .intervals import ScaleConfig, ideal_interval_set
 

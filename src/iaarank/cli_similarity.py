@@ -2,7 +2,7 @@
 criterion's alternatives."""
 
 from . import cli
-from .cli_shared import pick_criterion
+from .cli import pick_criterion
 
 
 def _matrix_text(labels, matrix) -> str:

@@ -1,7 +1,7 @@
 """The topsis subcommand: the closeness ranking over every criterion."""
 
 from . import cli
-from .cli_shared import check_criterion, check_epsilon, ranked
+from .cli import check_criterion, check_epsilon, ranked
 
 
 def _topsis_text(result) -> str:

@@ -269,6 +269,41 @@ def exact_jaccard(a, b):
     return minimum / maximum
 
 
+def exact_attributes(fz):
+    """Six attributes of a FuzzyNumber in exact arithmetic, as Fractions of
+    its stored profile's floats: centroid x and y, area, height, perimeter
+    and agreement ratio, by AttributeVector's definitions.
+
+    The regions are each stretch of positive membership between neighbouring
+    breakpoints and each breakpoint whose membership exceeds both stretches
+    beside it. A support component is a run of breakpoints joined by
+    positive stretches; its outline is twice its length plus the vertical
+    travel at each of its breakpoints, up to the point membership and back.
+    """
+    from fractions import Fraction  # as in exact_jaccard
+
+    xs, points, segments = ([Fraction(v) for v in column] for column in fz.profile)
+    regions = [(x, x, point) for x, point, left, right
+               in zip(xs, points, segments, segments[1:]) if point > max(left, right)]
+    regions += [(left, right, height) for left, right, height
+                in zip(xs, xs[1:], segments[1:]) if height > 0]
+    weight = sum(h for _, _, h in regions)
+    area = sum(h * (r - l) for l, r, h in regions)
+    starts = [i for i in range(len(xs)) if segments[i] == 0]
+    ends = [i for i in range(len(xs)) if segments[i + 1] == 0]
+    length = sum(xs[end] - xs[start] for start, end in zip(starts, ends))
+    travel = sum(abs(point - left) + abs(point - right)
+                 for point, left, right in zip(points, segments, segments[1:]))
+    return (
+        sum(h * (l + r) / 2 for l, r, h in regions) / weight,  # centroid_x
+        weight / 2 / len(regions),  # centroid_y
+        area,
+        max(points),  # height
+        2 * length + travel,  # perimeter
+        area / length if length else Fraction(0),  # agreement_ratio
+    )
+
+
 def brute_attribute_similarity(pairs_a, pairs_b, scale_min, scale_max):
     span = scale_max - scale_min
     ra, rb = brute_regions(pairs_a), brute_regions(pairs_b)

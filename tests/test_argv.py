@@ -147,34 +147,44 @@ def test_every_benchmark_job_and_readme_command_is_read(argv):
 
 
 # An option given "--" with "=": argparse releases that strip the "--"
-# (3.10, 3.11 and early 3.12) store [], which main rejects as a usage error;
-# later releases keep "--" as the value, which fails as that value would.
+# (3.10, 3.11 and early 3.12) leave the flag no value, and later ones keep
+# "--" as its value, which main takes for no value. Either way it is a usage
+# error under the subcommand's usage: a text flag's "expected one argument"
+# on every Python, and where argparse keeps the "--", a float or a choice
+# flag's own invalid-value message (None: the same on every Python).
 STRIPS = _build_parser().parse_args(["build", "--input=--", *SCALE]).input == []
+FLOAT, CHOICE = "invalid float value: '--'", "invalid choice: '--'"
 DASH_DASH = [
-    (["build", "--input=--", *SCALE], "--input", 2),
-    (["build", "--scale-min=--", "--scale-max", "10"], "--scale-min", 2),
-    (["build", "--scale-min", "0", "--scale-max=--"], "--scale-max", 2),
-    (["rank", *SCALE, "--epsilon=--"], "--epsilon", 2),
-    (["topsis", *SCALE, "--epsilon=--"], "--epsilon", 2),
-    (["topsis", *SCALE, "--weights=--"], "--weights", 3),
-    (["topsis", *SCALE, "--directions=--"], "--directions", 3),
-    (["rank", *SCALE, "--criterion=--"], "--criterion", 3),
-    (["build", *SCALE, "--format=--"], "--format", 2),
+    (["build", "--input=--", *SCALE], "--input", None),
+    (["build", "--scale-min=--", "--scale-max", "10"], "--scale-min", FLOAT),
+    (["build", "--scale-min", "0", "--scale-max=--"], "--scale-max", FLOAT),
+    (["rank", *SCALE, "--epsilon=--"], "--epsilon", FLOAT),
+    (["topsis", *SCALE, "--epsilon=--"], "--epsilon", FLOAT),
+    (["topsis", *SCALE, "--weights=--"], "--weights", None),
+    (["topsis", *SCALE, "--directions=--"], "--directions", None),
+    (["rank", *SCALE, "--criterion=--"], "--criterion", None),
+    (["rank", *SCALE, "--ideal=--"], "--ideal", None),  # universal never reads it
+    (["build", *SCALE, "--output=--"], "--output", None),
+    (["topsis", *SCALE, "--exclude-criterion=--"], "--exclude-criterion", None),
+    (["topsis", *SCALE, "--tie-break-criterion=--"], "--tie-break-criterion", None),
+    (["build", *SCALE, "--format=--"], "--format", CHOICE),
+    (["rank", *SCALE, "--method=--"], "--method", CHOICE),
 ]
 
 
-@pytest.mark.parametrize("argv, flag, code_kept", DASH_DASH,
+@pytest.mark.parametrize("argv, flag, kept", DASH_DASH,
                          ids=[f"{argv[0]} {flag}=--" for argv, flag, _ in DASH_DASH])
-def test_a_dash_dash_value_is_a_usage_error(argv, flag, code_kept):
+def test_a_dash_dash_value_is_a_usage_error(tmp_path, monkeypatch, argv, flag, kept):
+    monkeypatch.chdir(tmp_path)  # --output=-- must not write a file named "--"
     with contextlib.redirect_stderr(io.StringIO()) as err, \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
-    if STRIPS:
-        assert code == 2
-        assert err.getvalue().startswith("usage: iaarank ")
+    assert code == 2 and not out.getvalue() and not list(tmp_path.iterdir())
+    assert err.getvalue().startswith(f"usage: iaarank {argv[0]} ")
+    if kept is None or STRIPS:
         assert err.getvalue().endswith(f"error: argument {flag}: expected one argument\n")
     else:
-        assert code == code_kept
+        assert f"\niaarank {argv[0]}: error: argument {flag}: {kept}" in err.getvalue()
 
 
 # U's property: any argv drawn from the option table, on any of a fixed set

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from iaarank import FuzzyNumber, IntervalSet, ScaleConfig, construct_fuzzy
 from iaarank import cli
 from iaarank.cli import main
-from iaarank.cli_csv import plain as _plain
 
 FILMS = ["--input", "films", "--scale-min", "1", "--scale-max", "10"]
 SYNTH = ["--input", "synthetic-3x2", "--scale-min", "0", "--scale-max", "10"]
@@ -183,7 +182,7 @@ class TestBuild:
 @example(1e300)
 @example(9999999999999998.0)
 def test_plain_coordinate_reads_back_no_longer_than_repr(x):
-    text = _plain(x)
+    text = cli.plain(x)
     assert float(text) == x
     assert len(text) <= len(repr(x))
     if abs(x) < 1e16:  # the whole-number rule of earlier releases

@@ -221,47 +221,43 @@ def modules_loaded(*args, script=None):
 
 HANDLERS = {"cli_build", "cli_attributes", "cli_similarity", "cli_rank", "cli_topsis",
             "cli_plotdata"}
-# the CLI's modules beside cli, and the library's paths a valid CSV input skips
-CLI_PARTS = HANDLERS | {"cli_shared", "cli_csv"}
+# the CLI's modules, and the library's paths a valid CSV input skips
+CLI_PARTS = HANDLERS | {"cli"}
 COLD = {"_rows", "_fuzzy_record"}
+JOBS = [
+    ["build", "--format", "json"],
+    ["attributes", "--format", "json"],
+    ["similarity", "Film A", "Film B", "--format", "json"],
+    ["similarity", "--matrix", "--format", "json"],
+    ["rank", "--method", "ideal-ratio", "--format", "json"],
+    ["topsis", "--format", "json"],
+    ["plotdata", "--format", "json"],
+    ["build", "--format", "csv"],
+    ["attributes", "--format", "csv"],
+    ["rank", "--method", "baseline", "--format", "csv"],
+    ["topsis", "--format", "csv"],
+    ["build", "--format", "text"],
+    ["similarity", "--matrix", "--format", "text"],
+    ["rank", "--method", "universal", "--format", "text"],
+    ["topsis", "--format", "text"],
+    ["plotdata"],
+]
 
 
-@pytest.mark.parametrize(
-    "args, loaded",
-    [
-        (["build", "--format", "json"], {"cli_build"}),
-        (["attributes", "--format", "json"], {"cli_attributes"}),
-        (["similarity", "Film A", "Film B", "--format", "json"],
-         {"cli_similarity", "cli_shared"}),
-        (["similarity", "--matrix", "--format", "json"], {"cli_similarity", "cli_shared"}),
-        (["rank", "--method", "ideal-ratio", "--format", "json"], {"cli_rank", "cli_shared"}),
-        (["topsis", "--format", "json"], {"cli_topsis", "cli_shared"}),
-        (["plotdata", "--format", "json"], {"cli_plotdata", "cli_csv"}),
-        (["build", "--format", "csv"], {"cli_build", "cli_csv"}),
-        (["attributes", "--format", "csv"], {"cli_attributes", "cli_csv"}),
-        (["rank", "--method", "baseline", "--format", "csv"],
-         {"cli_rank", "cli_shared", "cli_csv"}),
-        (["topsis", "--format", "csv"], {"cli_topsis", "cli_shared", "cli_csv"}),
-        (["build", "--format", "text"], {"cli_build"}),
-        (["similarity", "--matrix", "--format", "text"], {"cli_similarity", "cli_shared"}),
-        (["rank", "--method", "universal", "--format", "text"], {"cli_rank", "cli_shared"}),
-        (["topsis", "--format", "text"], {"cli_topsis", "cli_shared"}),
-        (["plotdata"], {"cli_plotdata", "cli_csv"}),
-    ],
-    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
-)
-def test_a_job_compiles_only_its_handler_and_its_writer(args, loaded):
-    # A json or text job loads no CSV writer, and none loads another
-    # subcommand's handler or the loader's JSON and failing-row paths.
+@pytest.mark.parametrize("args", JOBS, ids=" ".join)
+def test_a_job_loads_only_cli_and_its_own_handler(args):
+    # Whatever its format, a job loads no other subcommand's handler, and a
+    # valid CSV input loads neither the loader's JSON and failing-row paths
+    # nor the checks of from_dict.
     code, modules = modules_loaded(*args, *FILMS)
     assert code == 0
-    assert modules & (CLI_PARTS | COLD) == loaded
+    assert modules & (CLI_PARTS | COLD) == {"cli", f"cli_{args[0]}"}
 
 
 def test_help_loads_no_handler():
     code, modules = modules_loaded("--help")
-    assert code == 0 and "cli" in modules
-    assert not modules & (CLI_PARTS | COLD)
+    assert code == 0
+    assert modules & (CLI_PARTS | COLD) == {"cli"}
 
 
 @pytest.mark.parametrize(
