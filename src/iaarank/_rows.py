@@ -1,12 +1,11 @@
-"""The loader's rows off its common path, which only a job that takes that
-path imports: the rows of a JSON dataset, and the error of a row that fails
-load_dataset's guard."""
+"""The loader's JSON reader, which only a job that loads a JSON dataset
+imports."""
 
 import json
 from pathlib import Path
 
-from .errors import InvertedBounds, MalformedInterval, MalformedRow, OutOfScale
-from .intervals import DATASET_HEADER, ScaleConfig, _interval_bounds
+from .errors import MalformedRow
+from .intervals import DATASET_HEADER
 
 
 def read_json_rows(path: Path) -> list[tuple]:
@@ -50,31 +49,3 @@ def read_json_rows(path: Path) -> list[tuple]:
         rows.append((index, *labels, left, right))
     return rows
 
-
-def reject_row(path: Path, line_no: int, left, right, scale: ScaleConfig) -> None:
-    """Raise the error of a row that failed the loader's guard.
-
-    Reruns the full checks in their documented order: conversion to float,
-    finiteness and order (_interval_bounds), then the scale, which a row
-    passing the first three must fail, as the guard tests the same floats.
-    """
-    try:
-        left, right = _interval_bounds(left, right)
-    except (TypeError, ValueError) as exc:
-        raise MalformedRow(
-            f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
-            line=line_no,
-        ) from exc
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise MalformedRow(
-            f"{path} line {line_no}: bound beyond the float range", line=line_no
-        ) from exc
-    except InvertedBounds as exc:
-        raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    except MalformedInterval as exc:
-        raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
-    raise OutOfScale(
-        f"{path} line {line_no}: interval [{left}, {right}] outside scale "
-        f"[{scale.scale_min}, {scale.scale_max}]",
-        line=line_no,
-    )

@@ -23,6 +23,7 @@ from .errors import (
     InvertedBounds,
     MalformedInterval,
     MalformedRow,
+    OutOfScale,
     RaggedCellWarning,
     ZeroSources,
 )
@@ -252,13 +253,13 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     label inside each cell; a source repeated within a cell is a MalformedRow
     naming both lines, and a cell missing from the grid one naming the file.
     Alternatives and criteria keep first-appearance order. Each row is
-    checked once, by one chained comparison of its two floats,
-    scale_min <= left <= right <= scale_max, which a NaN or infinite bound
-    fails too. The JSON reader and the error of a failing row are in _rows,
-    which loads only on those paths. Loading costs O(rows) plus the per-cell
-    sorts. Differing source counts across one alternative's criteria raise a
-    RaggedCellWarning only: the aggregation accepts any number of sources
-    per cell.
+    checked once, as IntervalSet checks a pair (_interval_bounds: both bounds
+    convert to float, are finite and in order), and then against the scale;
+    the first check it fails gives its error, naming the file and line. The
+    JSON reader is in _rows, which loads only on that path. Loading costs
+    O(rows) plus the per-cell sorts. Differing source counts across one
+    alternative's criteria raise a RaggedCellWarning only: the aggregation
+    accepts any number of sources per cell.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -276,13 +277,26 @@ def load_dataset(path: str | Path, scale: ScaleConfig) -> MultiCriteriaDataset:
     grouped: defaultdict[tuple[str, str], list] = defaultdict(list)
     for line_no, alternative, criterion, source, left, right in raw_rows:
         try:
-            lo, hi = float(left), float(right)
-        except (TypeError, ValueError, OverflowError):
-            lo = hi = math.nan
-        # A NaN or infinite bound fails the guard too: the scale is finite.
-        if not scale_min <= lo <= hi <= scale_max:
-            from ._rows import reject_row
-            reject_row(path, line_no, left, right, scale)
+            lo, hi = _interval_bounds(left, right)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRow(
+                f"{path} line {line_no}: non-numeric bound ({left!r}, {right!r})",
+                line=line_no,
+            ) from exc
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise MalformedRow(
+                f"{path} line {line_no}: bound beyond the float range", line=line_no
+            ) from exc
+        except InvertedBounds as exc:
+            raise InvertedBounds(f"{path} line {line_no}: {exc}", line=line_no) from exc
+        except MalformedInterval as exc:
+            raise MalformedRow(f"{path} line {line_no}: {exc}", line=line_no) from exc
+        if lo < scale_min or scale_max < hi:
+            raise OutOfScale(
+                f"{path} line {line_no}: interval [{lo}, {hi}] outside scale "
+                f"[{scale_min}, {scale_max}]",
+                line=line_no,
+            )
         grouped[(alternative, criterion)].append((source, line_no, lo, hi))
 
     # Each alternative and criterion first appears with its first cell.

@@ -304,6 +304,59 @@ def exact_attributes(fz):
     )
 
 
+def exact_quantile(fz, share, last=False):
+    """Where the cumulative measure of a FuzzyNumber's stored profile, in
+    exact arithmetic, first reaches share (a Fraction) of its total, or,
+    with last, the last point at which it is still at most that share.
+
+    The measure is the one AttributeVector's quartiles read: the area, each
+    segment's spread evenly across it; or, when the exact quarter area
+    rounds to 0.0 (all mass in spikes, or a subnormal area), the heights of
+    the regions in position order, each at its midpoint. A share at or
+    below 0 gives the first breakpoint, and one at or above 1, with last,
+    the last.
+    """
+    from fractions import Fraction  # as in exact_jaccard
+
+    xs, points, segments = ([Fraction(v) for v in column] for column in fz.profile)
+    pieces = [(left, right, height) for left, right, height
+              in zip(xs, xs[1:], segments[1:]) if height > 0]
+    area = sum(h * (r - l) for l, r, h in pieces)
+    if float(area / 4) != 0.0:
+        steps = [(l, h * (r - l), h) for l, r, h in pieces]
+        total = area
+    else:
+        spikes = [(x, x, point) for x, point, left, right
+                  in zip(xs, points, segments, segments[1:]) if point > max(left, right)]
+        # sorted, a spike falls between the segments ending and starting at it
+        steps = [((l + r) / 2, h, None) for l, r, h in sorted(spikes + pieces)]
+        total = sum(h for _, h, _ in steps)
+    target = share * total
+    if target <= 0 and not last:
+        return xs[0]
+    if target >= total and last:
+        return xs[-1]
+    cumulative = 0
+    for start, mass, height in steps:
+        after = cumulative + mass
+        if after > target if last else after >= target:
+            # inside a segment the area grows at its height; a point mass
+            # sits at its midpoint
+            return start if height is None else start + (target - cumulative) / height
+        cumulative = after
+    return xs[-1]
+
+
+def exact_quartiles(fz):
+    """The three inner quartiles of a FuzzyNumber in exact arithmetic, as
+    Fractions of its stored profile's floats: where the area first reaches
+    1/4, 1/2 and 3/4 of the total, by AttributeVector's definitions
+    (exact_quantile has both rules)."""
+    from fractions import Fraction  # as in exact_jaccard
+
+    return tuple(exact_quantile(fz, Fraction(k, 4)) for k in (1, 2, 3))
+
+
 def brute_attribute_similarity(pairs_a, pairs_b, scale_min, scale_max):
     span = scale_max - scale_min
     ra, rb = brute_regions(pairs_a), brute_regions(pairs_b)
@@ -375,13 +428,16 @@ def brute_load(rows):
 
 
 def brute_row_ok(left_text, right_text, scale_min, scale_max):
-    """Whether a row's two bound texts make an interval the loader keeps:
-    stripped with str.strip, as a CSV row's bounds are, both parse as
-    floats, both are finite, left <= right, and both lie on
-    [scale_min, scale_max]."""
+    """Whether a row's two bound texts, or its two JSON numbers, make an
+    interval the loader keeps: a text stripped with str.strip, as a CSV
+    row's bounds are, both convert to floats, both are finite, left <= right,
+    and both lie on [scale_min, scale_max]."""
+    def number(value):
+        return float(value.strip() if isinstance(value, str) else value)
+
     try:
-        left, right = float(left_text.strip()), float(right_text.strip())
-    except ValueError:
+        left, right = number(left_text), number(right_text)
+    except (ValueError, OverflowError):
         return False
     if not (math.isfinite(left) and math.isfinite(right)):
         return False
@@ -391,17 +447,20 @@ def brute_row_ok(left_text, right_text, scale_min, scale_max):
 
 
 def brute_row_error(where, left_text, right_text, scale_min, scale_max):
-    """The error a row's stripped bound texts give when they fail the
-    loader, as (error class name, message), with where ("<path> line N")
-    before the message. The checks run in their documented order on plain
-    floats: both texts parse, both bounds are finite, left <= right, and
-    both lie on [scale_min, scale_max]."""
+    """The error a row's stripped bound texts, or its two JSON numbers, give
+    when they fail the loader, as (error class name, message), with where
+    ("<path> line N") before the message. The checks run in their documented
+    order on plain floats: both bounds convert (a text parses, a JSON integer
+    fits the float range), both are finite, left <= right, and both lie on
+    [scale_min, scale_max]."""
     try:
         left, right = float(left_text), float(right_text)
     except ValueError:
         return "MalformedRow", (
             f"{where}: non-numeric bound ({left_text!r}, {right_text!r})"
         )
+    except OverflowError:
+        return "MalformedRow", f"{where}: bound beyond the float range"
     if not (math.isfinite(left) and math.isfinite(right)):
         return "MalformedRow", (
             f"{where}: interval bounds must be finite, got [{left}, {right}]"

@@ -268,17 +268,19 @@ def test_help_loads_no_handler():
          '"left": 1, "right": 2}]', 0),
         ("off-scale.csv", "alternative,criterion,source,left,right\nA,c,s1,1,20\n", 3),
         ("non-numeric.csv", "alternative,criterion,source,left,right\nA,c,s1,x,2\n", 2),
+        ("off-scale.json", '[{"alternative": "A", "criterion": "c", "source": "s1", '
+         '"left": 1, "right": 20}]', 3),
     ],
-    ids=["csv", "json", "off-scale row", "non-numeric row"],
+    ids=["csv", "json", "off-scale row", "non-numeric row", "off-scale json row"],
 )
-def test_the_loaders_json_and_failing_row_paths_load_only_when_taken(
-        tmp_path, name, rows, expected):
+def test_only_a_json_dataset_loads_the_loaders_json_reader(tmp_path, name, rows, expected):
+    # a failing CSV row is named by the loader's one check, in intervals
     path = tmp_path / name
     path.write_text(rows, encoding="utf-8")
     code, modules = modules_loaded("build", "--input", str(path), "--scale-min", "0",
                                    "--scale-max", "10", "--format", "json")
     assert code == expected
-    assert ("_rows" in modules) == (name != "valid.csv")
+    assert ("_rows" in modules) == name.endswith(".json")
     assert "_fuzzy_record" not in modules
 
 

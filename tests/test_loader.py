@@ -341,9 +341,62 @@ class TestRowGuard:
             assert loaded.line == 2
 
 
+# JSON number texts on and off the scale [0, 10]: floats, integers, signed
+# zeros, integers beyond the float range, and the non-finite extensions that
+# json.loads reads; a float beyond the range reads as an infinity.
+json_numbers = st.one_of(
+    st.floats(-5, 15, allow_nan=False).map(json.dumps),
+    st.integers(-5, 15).map(json.dumps),
+    st.sampled_from(["-0", "-0.0", "0", "10", "10.0", "1e1", "1E-320", "1e400", "-1e400",
+                     "NaN", "Infinity", "-Infinity", str(10**400), str(-10**400),
+                     "1" + "0" * 309]),
+)
+json_pairs = st.one_of(
+    st.tuples(json_numbers, json_numbers),
+    st.tuples(st.floats(-1, 11), st.floats(-1, 11)).map(
+        lambda ab: (json.dumps(min(ab)), json.dumps(max(ab)))
+    ),
+)
+
+
+class TestJsonRowGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(json_pairs, st.integers(0, 2))
+    def test_row_loads_exactly_when_the_brute_predicate_holds(self, pair, before):
+        # the drawn row follows `before` good rows, so its line is before + 1
+        texts = [("1", "2")] * before + [pair]
+        rows = ", ".join(
+            f'{{"alternative": "A", "criterion": "c", "source": "s{i}", '
+            f'"left": {left}, "right": {right}}}' for i, (left, right) in enumerate(texts)
+        )
+        left, right = (json.loads(text) for text in pair)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "row.json"
+            path.write_text(f"[{rows}]", encoding="utf-8")
+            try:
+                loaded = load_dataset(path, WIDE)
+            except (MalformedRow, InvertedBounds, OutOfScale) as exc:
+                loaded = exc
+        if oracle.brute_row_ok(left, right, WIDE.scale_min, WIDE.scale_max):
+            assert not isinstance(loaded, Exception), loaded
+            cell = loaded.cell("A", "c")
+            # repr tells -0.0 from 0.0
+            assert [repr(cell.lefts[-1]), repr(cell.rights[-1])] == [
+                repr(float(left)), repr(float(right))
+            ]
+        else:
+            assert isinstance(loaded, Exception), pair
+            kind, message = oracle.brute_row_error(
+                f"{path} line {before + 1}", left, right, WIDE.scale_min, WIDE.scale_max,
+            )
+            assert type(loaded).__name__ == kind
+            assert str(loaded) == message
+            assert loaded.line == before + 1
+
+
 class TestPaddedBounds:
     """The CSV reader strips the labels only; a bound keeps its padding until
-    it fails the guard."""
+    it fails the loader's row check."""
 
     def test_padded_bounds_load_as_the_same_floats(self, tmp_path):
         path = tmp_path / "padded.csv"

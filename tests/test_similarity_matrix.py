@@ -429,6 +429,96 @@ def test_attributes_within_the_stated_bounds_near_the_top_of_the_float_range():
     assert_attributes_within_bounds(1e308, 1.7e308, 0.0, 0)
 
 
+def assert_quartiles_within_bounds(low, high, lattice, spikes, seed):
+    """Draw one number of 1 to 600 sources in a random window of [low, high],
+    all spikes or not, and hold each float inner quartile between the exact
+    positions of two targets around its exact target.
+
+    The walk's running areas are never exact and the quartiles are often
+    not correctly rounded, so the bound brackets the target: with u = 2**-53
+    and gamma as above (Higham 2002, section 3.1 and lemma 3.3), on a profile
+    with s segments of positive height, exact area A and quartile target
+    t = f A (f = 1/4, 1/2, 3/4):
+    - each running area adds at most s non-negative terms h * (after - x),
+      two roundings each, so it is within gamma(s + 1) A of the exact one,
+      and the total with it; the target f * total rounds once more (f = 3/4),
+      so it is within gamma(s + 2) t of t;
+    - inside the segment found, (target - before) / h rounds twice, an error
+      of at most gamma(2) times a difference at most the float target.
+    Together the point x_i + (target - before) / h, before the last addition
+    rounds, is where the exact cumulative area reaches some tau within
+    E = gamma(s + 1) A + gamma(s + 4) t of t. So it lies between the first
+    point at which the exact area reaches t - E and the last at which it is
+    at most t + E. That allows for the bisection landing one segment over
+    near a breakpoint, or across a gap when t falls on a component's end.
+    The last addition x_i + r, and the min with x_(i + 1), move it by at most
+    u |x| <= u max(|low|, |high|) more; a point found past its segment's end
+    becomes that end, whose exact area is at least t - E.
+    All spikes, the quarter area is 0.0 and the discrete rule holds: the k
+    regions' running height sums are within gamma(k) W of the exact ones, W being
+    their exact total, and the target within gamma(k) t, so the region found
+    is between the first whose exact running sum reaches t - E and the last
+    whose exact sum before it is at most t + E, with E = gamma(k) (t + W).
+    A spike's position (x + x) / 2 is exact where x + x does not overflow, and
+    a segment's midpoint rounds once, within u |x| again.
+    """
+    rng = random.Random(seed)
+    window = sorted(rng.uniform(low, high) for _ in range(2))
+    pairs = oracle.random_pairs(rng, *window, max_n=600, lattice_prob=lattice,
+                                point_prob=1.0 if spikes else 0.2)
+    fz = construct_fuzzy(make_set("a", pairs), ScaleConfig(low, high))
+    computed = attribute_vector(fz).quartiles[1:4]
+    assert all(map(math.isfinite, computed))
+    exact = oracle.exact_quartiles(fz)
+    pieces = [Fraction(h) * (Fraction(right) - Fraction(left))
+              for left, right, h in fz.regions if left < right]
+    if float(sum(pieces) / 4) == 0.0:  # the discrete rule, as in oracle.exact_quantile
+        total = sum(Fraction(h) for _, _, h in fz.regions)
+        slack = [gamma(len(fz.regions)) * (k * total / 4 + total) for k in (1, 2, 3)]
+    else:
+        total = sum(pieces)
+        slack = [gamma(len(pieces) + 1) * total + gamma(len(pieces) + 4) * k * total / 4
+                 for k in (1, 2, 3)]
+    rounding = Fraction(1, 2**53) * max(abs(Fraction(low)), abs(Fraction(high)))
+    for k, value, truth, error in zip((1, 2, 3), computed, exact, slack):
+        earliest = oracle.exact_quantile(fz, Fraction(k, 4) - error / total)
+        latest = oracle.exact_quantile(fz, Fraction(k, 4) + error / total, last=True)
+        assert earliest <= truth <= latest
+        assert earliest - rounding <= Fraction(value) <= latest + rounding, k
+
+
+@pytest.mark.parametrize("low, high, lattice, spikes", [
+    (0.0, 10.0, 0.0, False),
+    (0.0, 10.0, 1.0, False),
+    (0.0, 10.0, 1.0, True),
+    (1e12, 1e12 + 10, 0.0, False),
+    (1e12, 1e12 + 10, 1.0, False),
+    (1e12, 1e12 + 10, 0.0, True),
+], ids=["0-10", "0-10 lattice", "0-10 spikes", "1e12", "1e12 lattice", "1e12 spikes"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_quartiles_within_the_stated_bounds_of_the_exact_values(low, high, lattice,
+                                                                 spikes, seed):
+    assert_quartiles_within_bounds(low, high, lattice, spikes, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="O: a spike's midpoint (x + x) / 2 overflows "
+                   "near the top of the float range, so its quartiles are infinite")
+def test_quartiles_within_the_stated_bounds_near_the_top_of_the_float_range():
+    assert_quartiles_within_bounds(1e308, 1.7e308, 0.0, True, 0)
+
+
+def test_exact_quartiles_by_hand():
+    # a plateau on [0, 4]: the area rule; four equal spikes: the discrete one
+    scale = ScaleConfig(0, 10)
+    plateau = construct_fuzzy(make_set("a", [(0.0, 4.0)]), scale)
+    spikes = construct_fuzzy(make_set("b", [(x, x) for x in (1.0, 2.0, 3.0, 4.0)]), scale)
+    assert oracle.exact_quartiles(plateau) == (1, 2, 3)
+    assert oracle.exact_quartiles(spikes) == (1, 2, 3)
+    assert oracle.exact_quantile(spikes, Fraction(1, 4), last=True) == 2
+    assert attribute_vector(plateau).quartiles[1:4] == (1.0, 2.0, 3.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(intervals, min_size=1, max_size=12), min_size=1, max_size=8))
 def test_matrix_equals_nested_loop(cells):
